@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
 from .combinat import Permutation, Word
 
@@ -439,16 +440,22 @@ def _schub_like(w, kind):
         v = v.swap(i)
         keys.append(v.one_line)
     if (v.one_line, kind) not in _CACHE:
-        _CACHE[(v.one_line, kind)] = _staircase(
-            n, n, n if double else 0, double, k_theory)
+        _cache_put((v.one_line, kind), _staircase(
+            n, n, n if double else 0, double, k_theory))
 
     cur = _CACHE[(keys[-1], kind)]
     for idx in range(len(path) - 1, -1, -1):
         i = path[idx]
         cur = (cur.isobaric_divided_difference(i) if k_theory
                else cur.divided_difference(i))
-        _CACHE[(keys[idx], kind)] = cur
+        _cache_put((keys[idx], kind), cur)
     return _CACHE[key]
+
+
+def _cache_put(key, poly):
+    """Cache a polynomial with read-only terms: every caller shares it."""
+    poly.terms = MappingProxyType(poly.terms)
+    _CACHE[key] = poly
 
 
 def schubert(w):

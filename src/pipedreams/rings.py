@@ -1,21 +1,27 @@
 """Exact arithmetic in the truncated ring S_{n,k} = Z[x_1..x_n]/(x_i^k) and
 machine verification of the quotient-ring statements: the rank and freeness
-of R_{n,k}, the equality of the elementary-symmetric ideal with the ideal cut
-out by the special Grothendieck classes, and the fact that the Grothendieck
-(and Schubert) classes of Fubini words form a Z-basis of the quotient.
+of R_{n,k}, the equality of the elementary-symmetric ideal I_e with the ideal
+I_G cut out by the special Grothendieck classes, and the fact that the
+Grothendieck (and Schubert) classes of Fubini words form a Z-basis of the
+quotient.
 
-Everything reduces to integer-lattice linear algebra on the monomial basis of
-S_{n,k}: monomials are the k^n exponent vectors in [0, k-1]^n, ordered
-lexicographically, and ideals become row lattices via generator-times-monomial
-products.  Hermite normal forms come from the kernel selected in ``_backend``
-(compiled 64-bit with overflow detection, or pure Python); any overflow is
-replayed on the pure kernel, so results are always exact.
+Rank, freeness and the bases reduce to integer-lattice linear algebra on the
+monomial basis of S_{n,k}: monomials are the k^n exponent vectors in
+[0, k-1]^n, ordered lexicographically, and I_e becomes a row lattice via
+generator-times-monomial products.  ``verify_rings`` builds that lattice once
+per (n, k) and proves I_G = I_e by a graded Nakayama certificate (see its
+docstring) that needs only k membership tests, not a lattice for I_G; the
+general ``ideals_equal`` compares two full lattices.  Hermite normal forms
+come from the kernel selected in ``_backend`` (compiled 64-bit with overflow
+detection, or pure Python); any overflow is replayed on the pure kernel, so
+results are always exact.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
 from ._backend import lattice_impl, lattice_pure
 from .combinat import Word, enumerate_fubini, fubini_count
@@ -182,23 +188,35 @@ class SnkElement:
         return f"<SnkElement {self.ring!r}, {nnz} terms>"
 
 
+def _project_row(f, n, k):
+    """The image of a Poly in x_1..x_n in S_{n,k} as a sorted sparse row of
+    (monomial index, nonzero coefficient) pairs.  Monomials with an exponent
+    >= k die; the cost follows the terms of f, not k^n.
+    """
+    index = snk_ring(n, k).index
+    nx = f.nx
+    pad = (0,) * (n - min(n, nx))
+    acc = {}
+    for exp, coeff in f.terms.items():
+        if any(exp[nx:]):
+            raise ValueError("polynomial must not involve the y-alphabet")
+        if any(exp[n:nx]):
+            bad = max(i + 1 for i, e in enumerate(exp[:nx]) if e and i >= n)
+            raise ValueError(f"variable x{bad} out of range for n={n}")
+        i = index.get(exp[:min(n, nx)] + pad)  # None: some exponent >= k
+        if i is not None:
+            acc[i] = acc.get(i, 0) + coeff
+    return tuple(sorted((i, c) for i, c in acc.items() if c))
+
+
 def project_to_snk(f, n, k):
     """Project a Poly in x_1..x_n onto S_{n,k}: kill monomials with an
     exponent >= k.  The y-alphabet must be unused.
     """
     ring = snk_ring(n, k)
     coeffs = [0] * ring.dim
-    for exp, coeff in f.terms.items():
-        xs, ys = exp[:f.nx], exp[f.nx:]
-        if any(ys):
-            raise ValueError("polynomial must not involve the y-alphabet")
-        if any(xs[n:]):
-            bad = max(i + 1 for i, e in enumerate(xs) if e and i >= n)
-            raise ValueError(f"variable x{bad} out of range for n={n}")
-        key = tuple(xs[:n]) + (0,) * (n - min(n, len(xs)))
-        if any(e >= k for e in key):
-            continue
-        coeffs[ring.index[key]] += coeff
+    for i, c in _project_row(f, n, k):
+        coeffs[i] = c
     return SnkElement(ring, coeffs)
 
 
@@ -462,6 +480,7 @@ def coinvariant_ideal_lattice(n, k, generators):
     """
     _require_desk_scale(n, k)
     ring = snk_ring(n, k)
+    index = ring.index
     rows = set()
     for g in generators:
         if g.ring is not ring:
@@ -472,20 +491,21 @@ def coinvariant_ideal_lattice(n, k, generators):
         for m in ring.monomials:
             row = []
             for exp, coeff in gitems:
-                s = tuple(a + b for a, b in zip(exp, m))
-                if any(e >= k for e in s):
-                    continue
-                row.append((ring.index[s], coeff))
+                i = index.get(tuple(map(add, exp, m)))  # None: x_j^k = 0
+                if i is not None:
+                    row.append((i, coeff))
             if row:
                 row.sort()
                 rows.add(tuple(row))
     return IntegerLattice(ring.dim, sorted(rows))
 
 
-def rnk_rank(n, k):
-    """Rank of R_{n,k} = S_{n,k}/(e_{n-k+1..n}) plus a freeness report."""
-    _require_desk_scale(n, k)
-    ideal = coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
+def _elementary_ideal(n, k):
+    """The I_e lattice of S_{n,k}."""
+    return coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
+
+
+def _rank_report(n, k, ideal):
     rank = k ** n - ideal.rank
     report = {
         "n": n,
@@ -499,6 +519,12 @@ def rnk_rank(n, k):
     return rank, report
 
 
+def rnk_rank(n, k):
+    """Rank of R_{n,k} = S_{n,k}/(e_{n-k+1..n}) plus a freeness report."""
+    _require_desk_scale(n, k)
+    return _rank_report(n, k, _elementary_ideal(n, k))
+
+
 def ideals_equal(n, k, gens1, gens2):
     """Do two generator lists cut out the same ideal lattice in S_{n,k}?"""
     _require_desk_scale(n, k)
@@ -506,12 +532,32 @@ def ideals_equal(n, k, gens1, gens2):
             == coinvariant_ideal_lattice(n, k, gens2))
 
 
+def _certify_ideal_equal(ideal, e_gens, g_gens):
+    """The graded Nakayama certificate that (g_gens) = I_e (proof in
+    ``verify_rings``).  `ideal` is the I_e lattice, `e_gens` the images of
+    e_{n-k+1}, .., e_n and `g_gens` the k G-generators in the order of
+    ``grothendieck_ideal_generators``, so g_gens[i - 1] pairs with e_{n+1-i}.
+    """
+    ring = e_gens[0].ring
+    low = ring.n - ring.k + 1
+    for d, e, g in zip(range(low, ring.n + 1), e_gens, reversed(g_gens),
+                       strict=True):
+        if any(sum(ring.monomials[i]) <= d for i, _ in (g - e).items()):
+            return False
+    return all(ideal.contains(g) for g in g_gens)
+
+
 # -- basis verification ----------------------------------------------------------
 
 
-def _basis_check(ideal, classes, dim, expected):
+def _class_rows(words, poly_of_word):
+    """Sparse S_{n,k} rows of the classes of `words` (all of one shape)."""
+    return [_project_row(poly_of_word(w), w.n, w.k) for w in words]
+
+
+def _basis_check(ideal, class_rows, dim, expected):
     """Stack class rows on the ideal and test that they span Z^dim freely."""
-    class_rows = sorted((tuple(e.items()) for e in classes),
+    class_rows = sorted(class_rows,
                         key=lambda r: (r[0][0] if r else dim, len(r)))
     stacked = IntegerLattice(dim, ideal._pivot_rows() + tuple(class_rows))
     offending = next((v for v in stacked.pivot_values() if v != 1), None)
@@ -528,14 +574,7 @@ def _basis_check(ideal, classes, dim, expected):
     }
 
 
-def verify_grothendieck_basis(n, k):
-    """Check that the Fubini Grothendieck classes form a Z-basis of
-    S_{n,k}/(e_{n-k+1..n}), and likewise the Fubini Schubert classes.
-
-    Returns a report dict; raises BasisFailure if either check fails.
-    """
-    _require_desk_scale(n, k)
-    ideal = coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
+def _basis_report(n, k, ideal, torsion_free):
     words = [Word(u, k=k) for u in enumerate_fubini(n, k)]
     expected = fubini_count(n, k)
     dim = k ** n
@@ -545,16 +584,28 @@ def verify_grothendieck_basis(n, k):
         "expected": expected,
         "ideal_rank": ideal.rank,
         "quotient_rank": dim - ideal.rank,
-        "torsion_free": ideal.is_torsion_free(),
+        "torsion_free": torsion_free,
         "grothendieck": _basis_check(
-            ideal, (k0_class_of_word(w) for w in words), dim, expected),
+            ideal, _class_rows(words, grothendieck_of_word), dim, expected),
         "schubert": _basis_check(
-            ideal, (chow_class_of_word(w) for w in words), dim, expected),
+            ideal, _class_rows(words, schubert_of_word), dim, expected),
     }
     report["basis"] = (report["torsion_free"]
                        and report["quotient_rank"] == expected
                        and report["grothendieck"]["basis"]
                        and report["schubert"]["basis"])
+    return report
+
+
+def verify_grothendieck_basis(n, k):
+    """Check that the Fubini Grothendieck classes form a Z-basis of
+    S_{n,k}/(e_{n-k+1..n}), and likewise the Fubini Schubert classes.
+
+    Returns a report dict; raises BasisFailure if either check fails.
+    """
+    _require_desk_scale(n, k)
+    ideal = _elementary_ideal(n, k)
+    report = _basis_report(n, k, ideal, ideal.is_torsion_free())
     if not report["basis"]:
         bad = (report["grothendieck"]["offending_invariant"]
                or report["schubert"]["offending_invariant"])
@@ -565,17 +616,43 @@ def verify_grothendieck_basis(n, k):
 
 
 def verify_rings(n, k):
-    """The full ring-verification bundle for one (n, k); JSON-friendly."""
+    """The full ring-verification bundle for one (n, k); JSON-friendly.
+
+    Builds the I_e lattice once and derives every check from it: the rank
+    and freeness of R_{n,k}, the Fubini Grothendieck and Schubert bases, and
+    ``ideal_equal``, which is I_G = I_e for the special Grothendieck classes
+    g_1, .., g_k of ``grothendieck_ideal_generators``.  The last needs no
+    lattice for I_G; it holds once two checks pass:
+
+    (a) for each d = n-k+1, .., n, the difference h_d = g_{n+1-d} - e_d has
+        no term of degree <= d in S_{n,k};
+    (b) each g_i lies in I_e (k membership tests: I_e is an ideal, so it
+        then holds every monomial multiple of g_i, hence I_G <= I_e).
+
+    Proof that I_e <= I_G.  Write m = (x_1, .., x_n).  By (a) and (b), h_d
+    lies in I_e, in degrees > d.  I_e is homogeneous, so each homogeneous
+    component of h_d of degree D is a sum of e_j times forms of degree
+    D - j: terms with j < D lie in m I_e, and the term with j = D is an
+    integer multiple of e_D, with D > d.  Descending induction on d (h_n
+    lies in m I_e outright) puts every e_D with D > d, hence h_d, hence
+    e_d = g_{n+1-d} - h_d, in I_G + m I_e.  So I_e = I_G + m I_e, and
+    iterating gives I_e = I_G + m^N I_e for every N.  Every monomial of
+    degree > n(k-1) has an exponent >= k, so m^{n(k-1)+1} = 0 in S_{n,k},
+    and I_e = I_G over Z.
+
+    If (a) or (b) fails, ``ideal_equal`` is False and so is ``ok``: the
+    certificate is sufficient, and a failure is reported, not re-decided
+    by another route.  The general ``ideals_equal`` stays available as an
+    independent oracle.
+    """
     _require_desk_scale(n, k)
-    rank, free_report = rnk_rank(n, k)
-    equal = ideals_equal(n, k, elementary_ideal_generators(n, k),
-                         grothendieck_ideal_generators(n, k))
-    try:
-        basis_report = verify_grothendieck_basis(n, k)
-        basis_ok = True
-    except BasisFailure as exc:
-        basis_report = exc.report
-        basis_ok = False
+    e_gens = elementary_ideal_generators(n, k)
+    ideal = coinvariant_ideal_lattice(n, k, e_gens)
+    rank, free_report = _rank_report(n, k, ideal)
+    equal = _certify_ideal_equal(ideal, e_gens,
+                                 grothendieck_ideal_generators(n, k))
+    basis_report = _basis_report(n, k, ideal, free_report["torsion_free"])
+    basis_ok = basis_report["basis"]
     report = {
         "n": n,
         "k": k,

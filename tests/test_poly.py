@@ -411,3 +411,13 @@ def test_elementary_symmetric_against_sympy():
             )
         )
         assert ours == theirs
+
+
+def test_cached_polynomials_are_read_only():
+    # every caller shares the cached object, so a write must not go through
+    p = schubert(Permutation("132"))
+    before = dict(p.terms)
+    with pytest.raises(TypeError):
+        p.terms[(5, 0, 0)] = 7
+    assert dict(schubert(Permutation("132")).terms) == before
+    assert schubert(Permutation("132")).to_text() == "x1 + x2"

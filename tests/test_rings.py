@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from pipedreams import Permutation, Word
+from pipedreams import Permutation, Word, rings
 from pipedreams.combinat import enumerate_fubini, stirling2
-from pipedreams.poly import Poly, elementary_symmetric, grothendieck, schubert
+from pipedreams.poly import (Poly, elementary_symmetric, grothendieck,
+                             grothendieck_of_word, schubert, schubert_of_word)
 from pipedreams.rings import (
     DeskScaleError,
     IntegerLattice,
@@ -24,6 +25,8 @@ from pipedreams.rings import (
     snf_invariants,
     verify_grothendieck_basis,
     verify_rings,
+    _certify_ideal_equal,
+    _class_rows,
 )
 
 
@@ -142,6 +145,74 @@ def test_scaled_generators_change_the_lattice():
     lat = coinvariant_ideal_lattice(n, k, gens)
     lat2 = coinvariant_ideal_lattice(n, k, doubled)
     assert lat != lat2
+
+
+# -- the graded Nakayama certificate for I_G = I_e ---------------------------------
+
+
+def _certificate_inputs(n, k):
+    e_gens = elementary_ideal_generators(n, k)
+    return (coinvariant_ideal_lattice(n, k, e_gens), e_gens,
+            grothendieck_ideal_generators(n, k))
+
+
+def test_certificate_agrees_with_lattice_oracle():
+    pairs = [(n, k) for n, k in desk_scale_pairs() if k ** n <= 256]
+    assert len(pairs) == 23
+    for n, k in pairs:
+        ideal, e_gens, g_gens = _certificate_inputs(n, k)
+        assert _certify_ideal_equal(ideal, e_gens, g_gens), (n, k)
+        assert ideals_equal(n, k, e_gens, g_gens), (n, k)
+
+
+def test_certificate_rejects_doubled_lowest_form():
+    for n, k in ((3, 2), (4, 3), (3, 3)):
+        ideal, e_gens, g_gens = _certificate_inputs(n, k)
+        for i in range(k):
+            # lowest form 2*e_{n-i} instead of e_{n-i}
+            bad = list(g_gens)
+            bad[i] = 2 * g_gens[i]
+            assert not _certify_ideal_equal(ideal, e_gens, bad), (n, k, i)
+        # the lowest-degree generator alone spans its degree: a real change
+        bad = g_gens[:-1] + [2 * g_gens[-1]]
+        assert not ideals_equal(n, k, e_gens, bad)
+
+
+def test_certificate_rejects_higher_degree_term_outside_ideal():
+    n, k = 4, 3
+    ideal, e_gens, g_gens = _certificate_inputs(n, k)
+    ring = e_gens[0].ring
+    d = n - k + 1   # lowest degree of the last G-generator
+    outside = next(
+        m for m in ring.monomials
+        if sum(m) > d and not ideal.contains(project_to_snk(Poly(n, 0, {m: 1}), n, k)))
+    stray = project_to_snk(Poly(n, 0, {outside: 1}), n, k)
+    bad = g_gens[:-1] + [g_gens[-1] + stray]
+    assert not _certify_ideal_equal(ideal, e_gens, bad)
+    assert not ideals_equal(n, k, e_gens, bad)
+
+
+def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
+    calls = []
+    real = rings.coinvariant_ideal_lattice
+
+    def counting(n, k, generators):
+        calls.append((n, k))
+        return real(n, k, generators)
+
+    monkeypatch.setattr(rings, "coinvariant_ideal_lattice", counting)
+    assert verify_rings(4, 3)["ok"]
+    assert calls == [(4, 3)]
+
+
+def test_sparse_class_rows_match_dense_classes():
+    words = [Word(u, k=3) for u in enumerate_fubini(4, 3)]
+    assert len(words) == 36
+    k0_rows = _class_rows(words, grothendieck_of_word)
+    chow_rows = _class_rows(words, schubert_of_word)
+    for w, k0, chow in zip(words, k0_rows, chow_rows):
+        assert list(k0) == k0_class_of_word(w).items()
+        assert list(chow) == chow_class_of_word(w).items()
 
 
 # -- quotient structure -----------------------------------------------------------
