@@ -25,7 +25,7 @@ import json
 from enum import IntEnum
 
 from .combinat import Permutation, Word
-from .poly import Poly
+from .pipedream import diagram_weight, weight_sum, word_row_labels
 
 
 class Tile(IntEnum):
@@ -63,6 +63,12 @@ _NAME_TILE = {t.name: t for t in Tile}
 
 class BpdRectangularityViolation(AssertionError):
     """A word BPD's weight-carrying tiles leave the n x k rectangle."""
+
+
+def _cells(tiles, kind):
+    """The (r, c) of every `kind` tile, row-major, 1-indexed."""
+    return [(r, c) for r, row in enumerate(tiles, start=1)
+            for c, t in enumerate(row, start=1) if t is kind]
 
 
 class Bpd:
@@ -201,14 +207,10 @@ class Bpd:
     # -- cells of interest -------------------------------------------------------
 
     def blanks(self):
-        return [(r, c) for r in range(1, self.N + 1)
-                for c in range(1, self.N + 1)
-                if self.tile(r, c) is Tile.BLANK]
+        return _cells(self.tiles, Tile.BLANK)
 
     def nw_elbows(self):
-        return [(r, c) for r in range(1, self.N + 1)
-                for c in range(1, self.N + 1)
-                if self.tile(r, c) is Tile.NW]
+        return _cells(self.tiles, Tile.NW)
 
     def is_reduced(self, w=None):
         w = w or self.permutation()
@@ -228,8 +230,7 @@ class Bpd:
         pipe's strand.
         """
         N = self.N
-        ses = [(r, c) for r in range(1, N + 1) for c in range(1, N + 1)
-               if self.tile(r, c) is Tile.SE]
+        ses = _cells(self.tiles, Tile.SE)
         crossed = se_pipe = None
         if k_theoretic:
             _, crossed, se_pipe = self._trace()
@@ -333,7 +334,7 @@ class Bpd:
     # -- weights -----------------------------------------------------------------
 
     def weight(self, mode="single", w=None, nx=None, labels=None):
-        """Weight of the BPD.
+        """Weight of the BPD: `diagram_weight` of its blanks and NW elbows.
 
         single:   prod_blank x_r                       (reduced sums)
         double:   prod_blank (x_r - y_c)
@@ -341,31 +342,11 @@ class Bpd:
         K-double: same shape with x_r (+) y_c = x_r + y_c - x_r y_c and
                   NW factors (1 - x_r)(1 - y_c) expanded.
         """
-        lab = (lambda r: labels[r - 1]) if labels else (lambda r: r)
-        n = nx or self.N
-        ny = n if mode in ("double", "K-double") else 0
-        p = Poly.const(1, n, ny)
-        for r, c in self.blanks():
-            xi = Poly.x(lab(r), n, ny)
-            if mode in ("single", "K-single"):
-                p = p * xi
-            elif mode == "double":
-                p = p * (xi - Poly.y(c, n, ny))
-            elif mode == "K-double":
-                yj = Poly.y(c, n, ny)
-                p = p * (xi + yj - xi * yj)
-            else:
-                raise ValueError("unknown mode %r" % (mode,))
+        blanks = self.blanks()
+        p = diagram_weight(mode, nx or self.N, blanks, labels, self.nw_elbows())
         if mode.startswith("K"):
-            for r, c in self.nw_elbows():
-                xi = Poly.x(lab(r), n, ny)
-                if mode == "K-single":
-                    p = p * (Poly.const(1, n, ny) - xi)
-                else:
-                    yj = Poly.y(c, n, ny)
-                    p = p * (Poly.const(1, n, ny) - xi - yj + xi * yj)
             wperm = w or self.permutation()
-            excess = len(self.blanks()) - wperm.inversions()
+            excess = len(blanks) - wperm.inversions()
             if excess < 0:
                 raise ValueError("fewer blanks than inversions")
             if excess % 2:
@@ -507,41 +488,16 @@ class WordBpd:
         return "".join(str(int(t)) for row in self.tiles for t in row)
 
     def blanks(self):
-        return [(r, c) for r in range(1, self.n + 1)
-                for c in range(1, self.k + 1)
-                if self.tile(r, c) is Tile.BLANK]
+        return _cells(self.tiles, Tile.BLANK)
 
     def nw_elbows(self):
-        return [(r, c) for r in range(1, self.n + 1)
-                for c in range(1, self.k + 1)
-                if self.tile(r, c) is Tile.NW]
+        return _cells(self.tiles, Tile.NW)
 
     def weight(self, mode="single"):
-        n = self.n
-        ny = n if mode in ("double", "K-double") else 0
-        p = Poly.const(1, n, ny)
-        for r, c in self.blanks():
-            xi = Poly.x(self.labels[r - 1], n, ny)
-            if mode in ("single", "K-single"):
-                p = p * xi
-            elif mode == "double":
-                p = p * (xi - Poly.y(c, n, ny))
-            elif mode == "K-double":
-                yj = Poly.y(c, n, ny)
-                p = p * (xi + yj - xi * yj)
-            else:
-                raise ValueError("unknown mode %r" % (mode,))
-        if mode.startswith("K"):
-            for r, c in self.nw_elbows():
-                xi = Poly.x(self.labels[r - 1], n, ny)
-                if mode == "K-single":
-                    p = p * (Poly.const(1, n, ny) - xi)
-                else:
-                    yj = Poly.y(c, n, ny)
-                    p = p * (Poly.const(1, n, ny) - xi - yj + xi * yj)
-            if self.excess % 2:
-                p = -p
-        return p
+        """Weight with rows relabeled; K weights carry (-1)^excess."""
+        p = diagram_weight(mode, self.n, self.blanks(), self.labels,
+                           self.nw_elbows())
+        return -p if mode.startswith("K") and self.excess % 2 else p
 
     def render(self):
         lines = []
@@ -567,18 +523,18 @@ def truncate_to_word_bpd(B, word, w=None):
     standardize(convexify(word)).  Every blank and NW elbow must lie inside
     that rectangle (rectangularity); otherwise BpdRectangularityViolation."""
     word = word if isinstance(word, Word) else Word(word)
-    n, k = word.n, word.k
-    bad = [(r, c) for (r, c) in B.blanks() + B.nw_elbows()
-           if r > n or c > k]
+    u = w or B.permutation()
+    return _truncate(B, word.n, word.k, word_row_labels(word), u.inversions())
+
+
+def _truncate(B, n, k, labels, ell):
+    """truncate_to_word_bpd with the word's labels and len(u) given."""
+    blanks = B.blanks()
+    bad = [(r, c) for (r, c) in blanks + B.nw_elbows() if r > n or c > k]
     if bad:
         raise BpdRectangularityViolation(
             "weight cells outside the %d x %d rectangle: %s" % (n, k, sorted(bad)))
-    u = w or B.permutation()
-    excess = len(B.blanks()) - u.inversions()
-    sigma = word.associated_permutation()
-    labels = tuple(sigma(r) for r in range(1, n + 1))
-    tiles = [row[:k] for row in B.tiles[:n]]
-    return WordBpd(tiles, labels, excess)
+    return WordBpd([row[:k] for row in B.tiles[:n]], labels, len(blanks) - ell)
 
 
 def enumerate_word_bpds(word, reduced=True):
@@ -589,7 +545,8 @@ def enumerate_word_bpds(word, reduced=True):
     word = word if isinstance(word, Word) else Word(word)
     u = word.convexify().standardize()
     bpds = enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
-    return [truncate_to_word_bpd(B, word, w=u) for B in bpds]
+    labels, ell = word_row_labels(word), u.inversions()
+    return [_truncate(B, word.n, word.k, labels, ell) for B in bpds]
 
 
 def check_word_bpd_rectangularity(word, reduced=False):
@@ -613,10 +570,8 @@ def bpd_schubert(w, double=False):
     """Schubert polynomial as the blank-weight sum over reduced BPDs."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     mode = "double" if double else "single"
-    total = Poly.zero(w.n, w.n if double else 0)
-    for B in enumerate_reduced_bpd(w):
-        total = total + B.weight(mode, w=w)
-    return total
+    return weight_sum((B.weight(mode, w=w) for B in enumerate_reduced_bpd(w)),
+                      w.n, w.n if double else 0)
 
 
 def bpd_grothendieck(w, double=False):
@@ -624,25 +579,21 @@ def bpd_grothendieck(w, double=False):
     already carries its sign (-1)^(blanks - len(w)))."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     mode = "K-double" if double else "K-single"
-    total = Poly.zero(w.n, w.n if double else 0)
-    for B in enumerate_all_bpd(w):
-        total = total + B.weight(mode, w=w)
-    return total
+    return weight_sum((B.weight(mode, w=w) for B in enumerate_all_bpd(w)),
+                      w.n, w.n if double else 0)
 
 
 def word_bpd_schubert(word):
     """Weight sum over the reduced word BPDs."""
     word = word if isinstance(word, Word) else Word(word)
-    total = Poly.zero(word.n, 0)
-    for B in enumerate_word_bpds(word, reduced=True):
-        total = total + B.weight("single")
-    return total
+    return weight_sum((B.weight("single")
+                       for B in enumerate_word_bpds(word, reduced=True)),
+                      word.n)
 
 
 def word_bpd_grothendieck(word):
     """wt_K sum over all word BPDs (signs intrinsic via excess)."""
     word = word if isinstance(word, Word) else Word(word)
-    total = Poly.zero(word.n, 0)
-    for B in enumerate_word_bpds(word, reduced=False):
-        total = total + B.weight("K-single")
-    return total
+    return weight_sum((B.weight("K-single")
+                       for B in enumerate_word_bpds(word, reduced=False)),
+                      word.n)

@@ -18,6 +18,8 @@ import json
 from .combinat import Permutation, Word
 from .poly import Poly
 
+WEIGHT_MODES = ("single", "double", "K-single", "K-double")
+
 
 class RectangularityViolation(AssertionError):
     """A pipe dream of a standardized word leaves the n x k rectangle."""
@@ -66,10 +68,13 @@ class PipeDream:
 
     def permutation(self):
         """Demazure (0-Hecke) product of the reading word, trimmed."""
-        u = Permutation.identity(self.N)
+        u = list(range(1, self.N + 1))
         for a in self.reading_word():
-            u = u.demazure_right(a)
-        return u.trim()
+            if u[a - 1] < u[a]:
+                u[a - 1], u[a] = u[a], u[a - 1]
+        while len(u) > 1 and u[-1] == len(u):
+            u.pop()
+        return Permutation(u)
 
     def permutation_by_tracing(self):
         """Trace the pipes, resolving repeated crossings of a pair as bumps.
@@ -167,30 +172,11 @@ class PipeDream:
     # -- weights ---------------------------------------------------------------
 
     def weight(self, mode="single", nx=None, labels=None):
-        """The monomial weight of the pipe dream.
-
-        single:   prod x_r
-        double:   prod (x_r - y_c)
-        K-single: prod x_r                  (signs live in the K sums)
-        K-double: prod (x_r + y_c - x_r y_c)
+        """The weight of the pipe dream: `diagram_weight` of its crosses.
+        K weights are sign-free; signs live in the K sums.
         labels: optional row relabeling r -> variable index.
         """
-        lab = (lambda r: labels[r - 1]) if labels else (lambda r: r)
-        n = nx or self.N
-        ny = n if mode in ("double", "K-double") else 0
-        p = Poly.const(1, n, ny)
-        for r, c in self.sorted_crosses():
-            xi = Poly.x(lab(r), n, ny)
-            if mode in ("single", "K-single"):
-                p = p * xi
-            elif mode == "double":
-                p = p * (xi - Poly.y(c, n, ny))
-            elif mode == "K-double":
-                yj = Poly.y(c, n, ny)
-                p = p * (xi + yj - xi * yj)
-            else:
-                raise ValueError("unknown mode %r" % (mode,))
-        return p
+        return diagram_weight(mode, nx or self.N, self.crosses, labels)
 
     # -- rendering ----------------------------------------------------------
 
@@ -221,6 +207,64 @@ class PipeDream:
         return cls([tuple(rc) for rc in d["crosses"]], d["N"])
 
 
+# -- weights --------------------------------------------------------------------
+
+
+def diagram_weight(mode, nx, cells, labels=None, nw=()):
+    """The sign-free weight of a diagram, in x_1..x_nx (and y_1..y_nx in
+    the double modes), reading row r as x_{labels[r-1]} (x_r without labels).
+
+    Each weight cell (r, c) gives a factor
+        single, K-single: x_r
+        double:           x_r - y_c
+        K-double:         x_r + y_c - x_r y_c
+    and in the K modes each NW cell gives 1 - x_r (K-single) or
+    (1 - x_r)(1 - y_c) (K-double).  A single or K-single weight without NW
+    cells is one monomial built from the row counts.
+    """
+    if mode not in WEIGHT_MODES:
+        raise ValueError("unknown mode %r" % (mode,))
+    ny = nx if mode.endswith("double") else 0
+    if not mode.startswith("K"):
+        nw = ()
+
+    def var(r):
+        i = labels[r - 1] if labels else r
+        if not 1 <= i <= nx:
+            raise ValueError("row %d has label %d, outside 1..nx = %d"
+                             % (r, i, nx))
+        return i
+
+    if ny:
+        p = Poly.const(1, nx, ny)
+        for r, c in cells:
+            x, y = Poly.x(var(r), nx, ny), Poly.y(c, nx, ny)
+            p = p * (x - y if mode == "double" else x + y - x * y)
+        for r, c in nw:
+            p = p * ((1 - Poly.x(var(r), nx, ny)) * (1 - Poly.y(c, nx, ny)))
+        return p
+    rows = {}
+    for r, _ in cells:
+        rows[r] = rows.get(r, 0) + 1
+    exp = [0] * nx
+    for r, m in rows.items():
+        exp[var(r) - 1] += m
+    p = Poly(nx, 0, {tuple(exp): 1})
+    for r, _ in nw:
+        p = p * (1 - Poly.x(var(r), nx))
+    return p
+
+
+def weight_sum(weights, nx, ny=0):
+    """Sum weights into one term dict, so the running total is never
+    copied; cancelled terms are dropped."""
+    terms = {}
+    for p in weights:
+        for e, c in p.terms.items():
+            terms[e] = terms.get(e, 0) + c
+    return Poly(nx, ny, terms)
+
+
 # -- construction and enumeration ---------------------------------------------
 
 
@@ -236,10 +280,6 @@ def top_pipe_dream(w):
     crosses = [(r, i) for i, ci in enumerate(code_inv, start=1)
                for r in range(1, ci + 1)]
     return PipeDream(crosses, w.n)
-
-
-def permutation_of(P):
-    return P.permutation()
 
 
 def enumerate_reduced(w):
@@ -262,18 +302,20 @@ def _closure(w, k_theoretic):
     while frontier:
         nxt = []
         for P in frontier:
-            moves = P.chute_moves()
-            if k_theoretic:
-                moves = moves + P.k_chute_moves()
-            for Q in moves:
-                if Q not in seen:
-                    seen.add(Q)
-                    nxt.append(Q)
+            for src, dst in P._chute_targets():
+                moves = [P.crosses - {src} | {dst}]
+                if k_theoretic:
+                    moves.append(P.crosses | {dst})
+                for crosses in moves:
+                    Q = PipeDream(crosses, P.N)
+                    if Q not in seen:
+                        seen.add(Q)
+                        nxt.append(Q)
         frontier = nxt
     out = sorted(seen, key=PipeDream.sorted_crosses)
+    wt = w.trim()
     for P in out:
-        q = P.permutation()
-        if not q.stable_eq(w.trim()):
+        if P.permutation() != wt:
             raise AssertionError("move closure escaped the permutation: %r" % (P,))
     return out
 
@@ -318,21 +360,7 @@ class WordPipeDream:
         """Weight with rows relabeled: row r contributes x_{labels[r-1]}.
         Sign-free, like the permutation-level weight; `excess` records
         crosses - len(std(conv(w))) for the signed K sums."""
-        n = self.n
-        ny = n if mode in ("double", "K-double") else 0
-        p = Poly.const(1, n, ny)
-        for r, c in self.sorted_crosses():
-            xi = Poly.x(self.labels[r - 1], n, ny)
-            if mode in ("single", "K-single"):
-                p = p * xi
-            elif mode == "double":
-                p = p * (xi - Poly.y(c, n, ny))
-            elif mode == "K-double":
-                yj = Poly.y(c, n, ny)
-                p = p * (xi + yj - xi * yj)
-            else:
-                raise ValueError("unknown mode %r" % (mode,))
-        return p
+        return diagram_weight(mode, self.n, self.crosses, self.labels)
 
     def render(self):
         lines = []
@@ -366,15 +394,9 @@ def truncate_to_word(P, word, w=None):
     n x k rectangle.  Raises RectangularityViolation if any cross lies
     outside (the supporting property says none does)."""
     word = word if isinstance(word, Word) else Word(word)
-    bad = [rc for rc in P.crosses if rc[1] > word.k or rc[0] > word.n]
-    if bad:
-        raise RectangularityViolation(
-            "crosses outside the %d x %d rectangle: %s"
-            % (word.n, word.k, sorted(bad)))
     u = w or P.permutation()
-    excess = len(P.crosses) - u.inversions()
     return WordPipeDream(P.crosses, word.n, word.k, word_row_labels(word),
-                         excess)
+                         len(P.crosses) - u.inversions())
 
 
 def enumerate_word_pds(word, reduced=True):
@@ -383,7 +405,9 @@ def enumerate_word_pds(word, reduced=True):
     word = word if isinstance(word, Word) else Word(word)
     u = word.convexify().standardize()
     pds = enumerate_reduced(u) if reduced else enumerate_all(u)
-    return [truncate_to_word(P, word, u) for P in pds]
+    labels, ell = word_row_labels(word), u.inversions()
+    return [WordPipeDream(P.crosses, word.n, word.k, labels,
+                          len(P.crosses) - ell) for P in pds]
 
 
 def check_word_rectangularity(word, reduced=False):
@@ -406,10 +430,8 @@ def pd_schubert(w, double=False):
     """Schubert polynomial as the weight sum over reduced pipe dreams."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     mode = "double" if double else "single"
-    total = Poly.zero(w.n, w.n if double else 0)
-    for P in enumerate_reduced(w):
-        total = total + P.weight(mode)
-    return total
+    return weight_sum((P.weight(mode) for P in enumerate_reduced(w)),
+                      w.n, w.n if double else 0)
 
 
 def pd_grothendieck(w, double=False):
@@ -418,31 +440,23 @@ def pd_grothendieck(w, double=False):
     w = w if isinstance(w, Permutation) else Permutation(w)
     mode = "K-double" if double else "K-single"
     ell = w.inversions()
-    total = Poly.zero(w.n, w.n if double else 0)
-    for P in enumerate_all(w):
-        term = P.weight(mode)
-        if (len(P.crosses) - ell) % 2:
-            term = -term
-        total = total + term
-    return total
+    return weight_sum((-P.weight(mode) if (len(P.crosses) - ell) % 2
+                       else P.weight(mode) for P in enumerate_all(w)),
+                      w.n, w.n if double else 0)
 
 
 def word_pd_schubert(word):
     """Weight sum over the reduced word pipe dreams."""
     word = word if isinstance(word, Word) else Word(word)
-    total = Poly.zero(word.n, 0)
-    for P in enumerate_word_pds(word, reduced=True):
-        total = total + P.weight("single")
-    return total
+    return weight_sum((P.weight("single")
+                       for P in enumerate_word_pds(word, reduced=True)),
+                      word.n)
 
 
 def word_pd_grothendieck(word):
     """Signed weight sum over all word pipe dreams ((-1)^excess each)."""
     word = word if isinstance(word, Word) else Word(word)
-    total = Poly.zero(word.n, 0)
-    for P in enumerate_word_pds(word, reduced=False):
-        term = P.weight("K-single")
-        if P.excess % 2:
-            term = -term
-        total = total + term
-    return total
+    return weight_sum((-P.weight("K-single") if P.excess % 2
+                       else P.weight("K-single")
+                       for P in enumerate_word_pds(word, reduced=False)),
+                      word.n)

@@ -218,6 +218,15 @@ def test_tracing_agrees_with_hecke_reading():
             assert P.permutation_by_tracing() == P.permutation()
 
 
+def test_permutation_is_the_demazure_fold_of_the_reading_word():
+    for p in itertools.permutations(range(1, 5)):
+        for P in enumerate_all(Permutation(p)):
+            u = Permutation.identity(P.N)
+            for a in P.reading_word():
+                u = u.demazure_right(a)
+            assert P.permutation() == u.trim()
+
+
 # -- word pipe dreams ---------------------------------------------------------
 
 
