@@ -156,18 +156,14 @@ class PipeDream:
 
     def chute_moves(self):
         """All pipe dreams one chute move away (cross slides down-left)."""
-        out = []
-        for src, dst in self._chute_targets():
-            out.append(PipeDream(self.crosses - {src} | {dst}, self.N))
-        return sorted(out, key=PipeDream.sorted_crosses)
+        return [PipeDream(self.crosses - {src} | {dst}, self.N)
+                for src, dst in self._chute_targets()]
 
     def k_chute_moves(self):
         """All pipe dreams one K-theoretic chute move away (cross copies
         down-left, original stays)."""
-        out = []
-        for src, dst in self._chute_targets():
-            out.append(PipeDream(self.crosses | {dst}, self.N))
-        return sorted(out, key=PipeDream.sorted_crosses)
+        return [PipeDream(self.crosses | {dst}, self.N)
+                for src, dst in self._chute_targets()]
 
     # -- weights ---------------------------------------------------------------
 
@@ -302,15 +298,13 @@ def _closure(w, k_theoretic):
     while frontier:
         nxt = []
         for P in frontier:
-            for src, dst in P._chute_targets():
-                moves = [P.crosses - {src} | {dst}]
-                if k_theoretic:
-                    moves.append(P.crosses | {dst})
-                for crosses in moves:
-                    Q = PipeDream(crosses, P.N)
-                    if Q not in seen:
-                        seen.add(Q)
-                        nxt.append(Q)
+            moves = P.chute_moves()
+            if k_theoretic:
+                moves += P.k_chute_moves()
+            for Q in moves:
+                if Q not in seen:
+                    seen.add(Q)
+                    nxt.append(Q)
         frontier = nxt
     out = sorted(seen, key=PipeDream.sorted_crosses)
     wt = w.trim()
@@ -331,10 +325,10 @@ class WordPipeDream:
 
     def __init__(self, crosses, n, k, labels, excess=0):
         crosses = frozenset((int(r), int(c)) for r, c in crosses)
-        for r, c in crosses:
-            if not (1 <= r <= n and 1 <= c <= k):
-                raise RectangularityViolation(
-                    "cross (%d,%d) outside %d x %d rectangle" % (r, c, n, k))
+        bad = [(r, c) for r, c in crosses if not (1 <= r <= n and 1 <= c <= k)]
+        if bad:
+            raise RectangularityViolation(
+                "crosses outside the %d x %d rectangle: %s" % (n, k, sorted(bad)))
         object.__setattr__(self, "crosses", crosses)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "k", int(k))

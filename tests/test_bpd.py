@@ -6,6 +6,7 @@ import pytest
 
 from pipedreams import Permutation, Word
 from pipedreams.bpd import (
+    BpdRectangularityViolation,
     Bpd,
     Tile,
     bpd_grothendieck,
@@ -300,6 +301,13 @@ def test_word_truncation_full_width_keeps_tiles():
         W = truncate_to_word_bpd(B, word)
         assert W.tiles == B.tiles
         assert W.labels == (1, 2, 3, 4)
+
+
+def test_word_truncation_rejects_cells_outside_rectangle():
+    B = diagram_bpd(Permutation("1423"))  # blanks (2, 2), (2, 3)
+    with pytest.raises(BpdRectangularityViolation,
+                       match=r"outside the 2 x 2 rectangle: \[\(2, 3\)\]"):
+        truncate_to_word_bpd(B, Word("12", 2))
 
 
 def test_blank_rectangularity_no_violations_small_words():

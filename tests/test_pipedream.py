@@ -7,6 +7,7 @@ import pytest
 from pipedreams import Permutation, Word
 from pipedreams.pipedream import (
     PipeDream,
+    RectangularityViolation,
     enumerate_all,
     enumerate_reduced,
     enumerate_word_pds,
@@ -192,7 +193,7 @@ def test_pd_grothendieck_matches_recursion():
 def test_pd_double_sums_match_recursion():
     from pipedreams.poly import grothendieck_double, schubert_double
 
-    for p in itertools.permutations(range(1, 4)):
+    for p in itertools.permutations(range(1, 5)):
         w = Permutation(p)
         assert pd_schubert(w, double=True) == schubert_double(w)
         assert pd_grothendieck(w, double=True) == grothendieck_double(w)
@@ -292,6 +293,13 @@ def test_truncation_with_full_width_is_identity():
         W = truncate_to_word(P, word)
         assert W.crosses == P.crosses
         assert W.labels == (1, 2, 3, 4)
+
+
+def test_truncation_rejects_crosses_outside_rectangle():
+    P = PipeDream([(1, 3), (3, 1), (1, 1)], 4)
+    with pytest.raises(RectangularityViolation,
+                       match=r"outside the 2 x 2 rectangle: \[\(1, 3\), \(3, 1\)\]"):
+        truncate_to_word(P, Word("12", 2))
 
 
 def test_rectangularity_no_violations_small_words():

@@ -9,12 +9,10 @@ import pytest
 
 from pipedreams import Permutation, Poly, Word
 from pipedreams.bpd import (
-    bpd_grothendieck,
     diagram_bpd,
     enumerate_all_bpd,
     enumerate_reduced_bpd,
     enumerate_word_bpds,
-    word_bpd_grothendieck,
 )
 from pipedreams.combinat import all_permutations, enumerate_fubini
 from pipedreams.pipedream import (
@@ -22,10 +20,8 @@ from pipedreams.pipedream import (
     enumerate_all,
     enumerate_reduced,
     enumerate_word_pds,
-    pd_grothendieck,
     weight_sum,
 )
-from pipedreams.poly import grothendieck, grothendieck_double, grothendieck_of_word
 
 MODES = ("single", "double", "K-single", "K-double")
 
@@ -142,16 +138,3 @@ def test_weight_sum_drops_cancelled_terms():
     x1, x2 = Poly.x(1, 2), Poly.x(2, 2)
     assert weight_sum([x1, x2, -x1], 2).terms == {(0, 1): 1}
 
-
-def test_sums_store_no_zero_coefficients():
-    # These sums never cancel (a term of degree d carries the sign
-    # (-1)^(d - len(w))), so the test above is what catches a stored zero.
-    for w in all_permutations(4):
-        for got, want in ((pd_grothendieck(w, double=True), grothendieck_double(w)),
-                          (bpd_grothendieck(w), grothendieck(w).restrict_arity(4))):
-            assert 0 not in got.terms.values()
-            assert got == want
-    for word in fubini_words(4):
-        got = word_bpd_grothendieck(word)
-        assert 0 not in got.terms.values()
-        assert got == grothendieck_of_word(word).restrict_arity(word.n)
