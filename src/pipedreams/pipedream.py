@@ -225,6 +225,9 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
         nw = ()
 
     def var(r):
+        if labels and r > len(labels):
+            raise ValueError("row %d has no label: %d labels given"
+                             % (r, len(labels)))
         i = labels[r - 1] if labels else r
         if not 1 <= i <= nx:
             raise ValueError("row %d has label %d, outside 1..nx = %d"
@@ -232,6 +235,10 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
         return i
 
     if ny:
+        for r, c in (*cells, *nw):
+            if c > nx:
+                raise ValueError("cell (%d, %d) has column %d, outside "
+                                 "1..nx = %d" % (r, c, c, nx))
         p = Poly.const(1, nx, ny)
         for r, c in cells:
             x, y = Poly.x(var(r), nx, ny), Poly.y(c, nx, ny)

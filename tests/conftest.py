@@ -28,7 +28,7 @@ def poly_to_sympy(f):
     gens = list(xs) + list(ys)
     expr = sympy.Integer(0)
     for exp, coeff in f.terms.items():
-        term = sympy.Integer(coeff)
+        term = sympy.Rational(coeff)
         for g, e in zip(gens, exp):
             if e:
                 term *= g ** e

@@ -8,8 +8,10 @@ import sympy
 
 from pipedreams import Permutation, Word
 from pipedreams.poly import (
+    _CACHE,
     LemmaViolation,
     Poly,
+    clear_caches,
     elementary_symmetric,
     grassmannian_cycle,
     grassmannian_e_expansion,
@@ -28,6 +30,7 @@ from conftest import (
     random_poly,
     sympy_divided_difference,
     sympy_grothendieck,
+    sympy_isobaric,
     sympy_schubert,
     sympy_xs,
 )
@@ -150,6 +153,48 @@ def test_isobaric_fixes_symmetric_polynomials():
         for i in (1, 2):
             assert e.isobaric_divided_difference(i) == e
     assert Poly.const(1, 2).isobaric_divided_difference(1) == Poly.const(1, 2)
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+@pytest.mark.parametrize("ny", [0, 2])
+def test_isobaric_matches_composite_and_sympy(rng, ny, fractions):
+    # the composite d_i(f - x_{i+1} f) is the one-pass kernel's oracle; an
+    # exponent dict that kept a cancelled term would differ from it
+    nx = 4
+    xs = sympy_xs(nx)
+    for _ in range(40):
+        f = random_poly(rng, nx, ny, nterms=6)
+        if fractions:
+            f = Poly(nx, ny, {e: Fraction(c, rng.randint(1, 4))
+                              for e, c in f.terms.items()})
+        i = rng.randint(1, nx - 1)
+        got = f.isobaric_divided_difference(i)
+        assert got == (f - Poly.x(i + 1, nx, ny) * f).divided_difference(i)
+        theirs = sympy_isobaric(poly_to_sympy(f), i, xs)
+        assert sympy.expand(poly_to_sympy(got) - theirs) == 0
+
+
+@pytest.mark.parametrize("i", [0, 3, 4])
+@pytest.mark.parametrize("op", ["divided_difference",
+                                "isobaric_divided_difference"])
+def test_operator_index_outside_scope_is_rejected(op, i):
+    f = Poly.x(1, 3) * Poly.x(2, 3)
+    with pytest.raises(ValueError,
+                       match=r"^d_%d needs x_%d in scope$" % (i, i + 1)):
+        getattr(f, op)(i)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Poly.x(0, 3), r"x index 0 is outside 1\.\.nx = 3"),
+    (lambda: Poly.x(-1, 3), r"x index -1 is outside 1\.\.nx = 3"),
+    (lambda: Poly.x(4, 3, 2), r"x index 4 is outside 1\.\.nx = 3"),
+    (lambda: Poly.y(0, 2, 2), r"y index 0 is outside 1\.\.ny = 2"),
+    (lambda: Poly.y(3, 2, 2), r"y index 3 is outside 1\.\.ny = 2"),
+    (lambda: Poly.y(1, 2, 0), r"y index 1 is outside 1\.\.ny = 0"),
+], ids=["x0", "x-1", "x4", "y0", "y3", "y1-without-y"])
+def test_variable_index_outside_range_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 # -- Schubert polynomials ---------------------------------------------------
@@ -421,3 +466,17 @@ def test_cached_polynomials_are_read_only():
         p.terms[(5, 0, 0)] = 7
     assert dict(schubert(Permutation("132")).terms) == before
     assert schubert(Permutation("132")).to_text() == "x1 + x2"
+
+
+def test_cache_is_independent_of_call_order():
+    perms = [Permutation(p) for p in itertools.permutations(range(1, 5))]
+    kinds = (schubert, grothendieck, schubert_double, grothendieck_double)
+    orders = ([(f, w) for f in kinds for w in perms],
+              [(f, w) for w in reversed(perms) for f in reversed(kinds)])
+    seen = []
+    for order in orders:
+        clear_caches()
+        polys = {(f.__name__, w.one_line): f(w) for f, w in order}
+        seen.append((polys, set(_CACHE)))
+    assert seen[0] == seen[1]
+    assert len(seen[0][1]) == 4 * 24

@@ -131,6 +131,18 @@ def test_row_label_beyond_arity_names_label_and_nx(diagram):
         diagram.weight("single", nx=1, labels=(2, 1))
 
 
+def test_column_beyond_arity_names_cell_and_nx():
+    with pytest.raises(ValueError,
+                       match=r"cell \(2, 3\) has column 3, outside 1\.\.nx = 2"):
+        diagram_bpd(Permutation("1432")).weight("double", nx=2,
+                                                labels=(1, 1, 1, 1))
+
+
+def test_too_few_labels_names_row_and_label_count():
+    with pytest.raises(ValueError, match="row 3 has no label: 2 labels given"):
+        diagram_bpd(Permutation("1432")).weight("single", labels=(1, 2))
+
+
 # -- sums ---------------------------------------------------------------------------
 
 
