@@ -1,56 +1,3 @@
-"""Build script: compiles the optional integer-lattice kernel.
+from setuptools import setup
 
-The extension is a performance accelerator only; if it fails to build
-(no compiler, no Cython), the install proceeds and the package falls
-back to the pure-Python kernel at import time.
-"""
-
-import sys
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Build the extension if possible, warn and continue if not."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        sys.stderr.write(
-            "WARNING: building the _lattice_core extension failed (%s); "
-            "the pure-Python lattice kernel will be used instead.\n" % (exc,)
-        )
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        sys.stderr.write(
-            "WARNING: Cython not available; skipping the _lattice_core "
-            "extension (pure-Python kernel will be used).\n"
-        )
-        return []
-    ext = Extension(
-        "pipedreams._lattice_core",
-        ["src/pipedreams/_lattice_core.pyx"],
-    )
-    return cythonize([ext], language_level=3)
-
-
-setup(
-    ext_modules=extensions(),
-    cmdclass={"build_ext": OptionalBuildExt},
-)
+setup()

@@ -1,24 +1,8 @@
-"""Kernel selection for the integer-lattice routines.
+"""The lattice kernel is always the pure-Python one (``_lattice_py``).
 
-The compiled 64-bit kernel (``_lattice_core``) is used when it was built and
-the environment variable ``PIPEDREAMS_PURE`` is unset/``0``; otherwise the
-pure-Python kernel serves.  Either way ``lattice_pure`` stays importable so
-callers can replay a computation at arbitrary precision after the compiled
-kernel raises ``OverflowError``.
+``KERNEL_COMPILED`` stays only because ``perfbench/run.py`` reads it in every
+pass; delete this module when the benchmark drops its kernel metrics
+(ROADMAP item 2).
 """
 
-from __future__ import annotations
-
-import os
-
-from . import _lattice_py as lattice_pure
-
-if os.environ.get("PIPEDREAMS_PURE", "").strip() not in {"", "0"}:
-    lattice_impl = lattice_pure
-else:
-    try:
-        from . import _lattice_core as lattice_impl  # type: ignore[no-redef]
-    except ImportError:  # extension not built; degrade gracefully
-        lattice_impl = lattice_pure
-
-KERNEL_COMPILED = bool(getattr(lattice_impl, "COMPILED", False))
+KERNEL_COMPILED = False

@@ -1,11 +1,8 @@
-"""Integer-lattice kernels, pure-Python backend.
+"""Integer-lattice kernels in pure Python.
 
 Row-style Hermite normal form accumulated one sparse row at a time, plus
 Gaussian rank over a prime field and a dense Smith-normal-form routine.
-All arithmetic is exact (Python integers).  A compiled twin of the two hot
-entry points lives in ``_lattice_core``; this module is the reference
-implementation and the fallback when the extension is unavailable or when
-64-bit arithmetic overflows.
+All arithmetic is exact (Python integers).
 
 Rows are sparse: iterables of ``(column, value)`` pairs with
 ``0 <= column < ncols``.  Duplicate columns are merged by addition.
@@ -17,8 +14,6 @@ pivot columns stay in ``[0, pivot)`` throughout.
 """
 
 from __future__ import annotations
-
-COMPILED = False
 
 
 def xgcd(a, b):

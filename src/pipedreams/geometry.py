@@ -28,7 +28,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from ._backend import lattice_impl
+from ._lattice_py import rank_mod_p
 from .combinat import Word
 
 
@@ -339,7 +339,7 @@ def cell_dimension_report(word, p=1009, samples=120, seed=0):
         base = points[0]
         diffs = [[(c, (a - b) % p) for c, (a, b) in enumerate(zip(pt, base))
                   if (a - b) % p] for pt in points[1:]]
-        empirical = lattice_impl.rank_mod_p(diffs, len(base), p)
+        empirical = rank_mod_p(diffs, len(base), p)
     else:
         empirical = 0
     report = {

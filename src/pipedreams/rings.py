@@ -12,9 +12,7 @@ generator-times-monomial products.  ``verify_rings`` builds that lattice once
 per (n, k) and proves I_G = I_e by a graded Nakayama certificate (see its
 docstring) that needs only k membership tests, not a lattice for I_G; the
 general ``ideals_equal`` compares two full lattices.  Hermite normal forms
-come from the kernel selected in ``_backend`` (compiled 64-bit with overflow
-detection, or pure Python); any overflow is replayed on the pure kernel, so
-results are always exact.
+are computed in exact integer arithmetic by ``_lattice_py``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import itertools
 from functools import lru_cache
 from operator import add
 
-from ._backend import lattice_impl, lattice_pure
+from . import _lattice_py
 from .combinat import Word, enumerate_fubini, fubini_count
 from .poly import (Poly, elementary_symmetric, grassmannian_cycle,
                    grothendieck, grothendieck_of_word, schubert_of_word)
@@ -223,43 +221,21 @@ def project_to_snk(f, n, k):
 # -- integer lattices ----------------------------------------------------------
 
 
-def _feed(acc, rows):
-    for row in rows:
-        acc.add_row(row)
-    return acc
-
-
 class IntegerLattice:
-    """A sublattice of Z^ncols held in row Hermite normal form.
+    """A sublattice of Z^ncols held in row Hermite normal form, built from
+    sparse rows."""
 
-    Built from sparse rows; the originals are retained so that a 64-bit
-    overflow in the compiled kernel can be replayed exactly on the pure one.
-    """
+    __slots__ = ("ncols", "_acc")
 
-    __slots__ = ("ncols", "_rows", "_acc", "_is_pure")
+    #: Read by the layer tracer in ``perfbench``; delete it when the benchmark
+    #: drops its kernel metrics (ROADMAP item 2).
+    kernel_name = "pure"
 
     def __init__(self, ncols, sparse_rows):
         self.ncols = int(ncols)
-        self._rows = tuple(tuple(r) for r in sparse_rows)
-        self._acc = None
-        self._is_pure = False
-        self._build()
-
-    def _build(self):
-        if lattice_impl is not lattice_pure:
-            try:
-                self._acc = _feed(lattice_impl.HnfAccumulator(self.ncols), self._rows)
-                return
-            except OverflowError:
-                self._acc = None
-        self._acc = _feed(lattice_pure.HnfAccumulator(self.ncols), self._rows)
-        self._is_pure = True
-
-    def _replay_pure(self):
-        if not self._is_pure:
-            self._acc = _feed(lattice_pure.HnfAccumulator(self.ncols), self._rows)
-            self._is_pure = True
-        return self._acc
+        self._acc = _lattice_py.HnfAccumulator(self.ncols)
+        for row in sparse_rows:
+            self._acc.add_row(row)
 
     @classmethod
     def from_dense_rows(cls, rows):
@@ -283,11 +259,6 @@ class IntegerLattice:
     # -- queries ----------------------------------------------------------
 
     @property
-    def kernel_name(self):
-        """Which kernel currently holds the rows: "pure" or "compiled"."""
-        return "pure" if self._is_pure else "compiled"
-
-    @property
     def rank(self):
         return self._acc.rank
 
@@ -305,12 +276,7 @@ class IntegerLattice:
 
     def canonical_rows(self):
         """Canonical sparse HNF rows, sorted by pivot column."""
-        try:
-            return self._acc.canonical_rows_sparse()
-        except OverflowError:
-            # the failed canonicalization may have corrupted the compiled
-            # accumulator's rows, so rebuild from the originals
-            return self._replay_pure().canonical_rows_sparse()
+        return self._acc.canonical_rows_sparse()
 
     def dense_hnf(self):
         """Canonical HNF as a dense list of rows (desk scale only)."""
@@ -324,11 +290,7 @@ class IntegerLattice:
         return out
 
     def contains_row(self, items):
-        items = tuple(items)
-        try:
-            return self._acc.reduces_to_zero(items)
-        except OverflowError:
-            return self._replay_pure().reduces_to_zero(items)
+        return self._acc.reduces_to_zero(items)
 
     def contains(self, element):
         return self.contains_row(element.items())
@@ -354,7 +316,7 @@ class IntegerLattice:
         if all(v == 1 for v in piv):
             return (1,) * len(piv)
         if len(piv) * self.ncols <= 400_000:
-            return tuple(lattice_pure.snf_invariants_dense(self.dense_hnf()))
+            return tuple(_lattice_py.snf_invariants_dense(self.dense_hnf()))
         raise RuntimeError(
             "exact SNF is not feasible at this size; pivot values "
             f"{sorted(set(piv))} indicate possible torsion")
@@ -374,13 +336,7 @@ class IntegerLattice:
         return all(self._rank_mod_p(p) == self.rank for p in sorted(primes))
 
     def _rank_mod_p(self, p):
-        rows = self._pivot_rows()
-        if lattice_impl is not lattice_pure:
-            try:
-                return lattice_impl.rank_mod_p(rows, self.ncols, p)
-            except OverflowError:
-                pass
-        return lattice_pure.rank_mod_p(rows, self.ncols, p)
+        return _lattice_py.rank_mod_p(self._pivot_rows(), self.ncols, p)
 
     def to_text(self):
         """Plain integer text format: 'rank ncols' header, then dense rows."""
@@ -390,9 +346,7 @@ class IntegerLattice:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        kind = "pure" if self._is_pure else "compiled"
-        return (f"<IntegerLattice rank {self.rank} in Z^{self.ncols} "
-                f"({kind} kernel)>")
+        return f"<IntegerLattice rank {self.rank} in Z^{self.ncols}>"
 
 
 def _factorize(v, bound=10 ** 6):

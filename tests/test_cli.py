@@ -323,6 +323,18 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "2"
 
 
+def test_setup_py_reads_the_project_metadata():
+    # the offline `python setup.py develop` install runs this same script
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "setup.py", "--name"], cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "artifact"
+    # no warning about an optional extension build
+    assert "Cython" not in proc.stderr
+    assert "lattice" not in proc.stderr
+
+
 def test_format_environment_variable():
     proc = run_module("json", "schubert", "21")
     assert proc.returncode == 0, proc.stderr

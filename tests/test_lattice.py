@@ -1,25 +1,18 @@
-"""Integer-lattice kernels: Hermite form, Smith invariants, membership.
+"""Integer-lattice kernel: Hermite form, Smith invariants, membership.
 
-The two kernels (compiled and pure) are compared head to head, and both are
-checked against sympy's independent normal-form implementations.
+Every routine is checked against sympy's independent normal-form
+implementations.
 """
 
 import random
 
-import pytest
 import sympy
 from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
-from pipedreams._backend import lattice_impl
-from pipedreams import _lattice_py as lattice_pure
+from pipedreams._lattice_py import rank_mod_p
 from pipedreams.rings import IntegerLattice, hnf
-
-try:
-    from pipedreams import _lattice_core as lattice_compiled
-except ImportError:
-    lattice_compiled = None
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -42,36 +35,6 @@ def dense(rows, ncols):
             d[c] = v
         out.append(d)
     return out
-
-
-# -- kernel parity ------------------------------------------------------------
-
-
-@pytest.mark.skipif(lattice_compiled is None, reason="compiled kernel unavailable")
-def test_kernels_agree_on_random_feeds(rng):
-    for trial in range(30):
-        ncols = rng.randint(1, 12)
-        rows = random_sparse_rows(rng, rng.randint(0, 20), ncols)
-        acc_a = lattice_compiled.HnfAccumulator(ncols)
-        acc_b = lattice_pure.HnfAccumulator(ncols)
-        for r in rows:
-            acc_a.add_row(r)
-            acc_b.add_row(r)
-        assert acc_a.rank == acc_b.rank
-        assert acc_a.pivot_items() == acc_b.pivot_items()
-        assert acc_a.canonical_rows_sparse() == acc_b.canonical_rows_sparse()
-
-
-@pytest.mark.skipif(lattice_compiled is None, reason="compiled kernel unavailable")
-def test_rank_mod_p_kernels_agree(rng):
-    for trial in range(20):
-        ncols = rng.randint(1, 10)
-        rows = random_sparse_rows(rng, rng.randint(0, 15), ncols, bound=50)
-        for p in (2, 3, 1009):
-            rows_p = [[(c, v % p) for c, v in r] for r in rows]
-            assert lattice_compiled.rank_mod_p(rows_p, ncols, p) == lattice_pure.rank_mod_p(
-                rows_p, ncols, p
-            )
 
 
 # -- rank and Smith form against sympy ----------------------------------------
@@ -102,6 +65,13 @@ def test_snf_invariants_against_sympy(rng):
         assert lat.is_torsion_free() == all(d == 1 for d in want)
 
 
+def pivot_product(lat):
+    prod = 1
+    for _, v in lat.pivot_items():
+        prod *= v
+    return prod
+
+
 def test_full_rank_pivot_product_is_determinant(rng):
     for trial in range(20):
         n = rng.randint(1, 5)
@@ -109,11 +79,13 @@ def test_full_rank_pivot_product_is_determinant(rng):
         det = Matrix(m).det()
         if det == 0:
             continue
-        lat = IntegerLattice.from_dense_rows(m)
-        prod = 1
-        for _, v in lat.pivot_items():
-            prod *= v
-        assert prod == abs(det)
+        assert pivot_product(IntegerLattice.from_dense_rows(m)) == abs(det)
+    # a dense 40x40 matrix: its determinant, and so the Hermite form's
+    # entries, are far wider than 64 bits
+    m = [[rng.randint(-40, 40) for _ in range(40)] for _ in range(40)]
+    det = DomainMatrix.from_list(m, ZZ).det()
+    assert abs(det).bit_length() > 64
+    assert pivot_product(IntegerLattice.from_dense_rows(m)) == abs(det)
 
 
 def test_lattice_equals_sympy_hermite_basis(rng):
@@ -204,26 +176,6 @@ def test_contains_row_rejects_outside_vectors(rng):
                 break
 
 
-# -- overflow fallback --------------------------------------------------------------
-
-
-def test_dense_overflow_replays_exactly(rng):
-    # dense Hermite reduction grows entries past 64 bits; the wrapper must
-    # replay on the pure kernel and still give exact answers
-    rows = [
-        tuple((c, rng.randint(-40, 40)) for c in range(40))
-        for _ in range(80)
-    ]
-    lat = IntegerLattice(40, rows)
-    pure = lattice_pure.HnfAccumulator(40)
-    for r in rows:
-        pure.add_row(r)
-    assert lat.rank == pure.rank
-    assert lat.pivot_items() == pure.pivot_items()
-    assert lat.canonical_rows() == tuple(pure.canonical_rows_sparse())
-    assert lat.kernel_name in ("pure", "compiled")
-
-
 def test_hnf_helper_wraps_dense_rows():
     lat = hnf([[2, 4], [6, 8]])
     assert isinstance(lat, IntegerLattice)
@@ -240,7 +192,7 @@ def test_rank_mod_p_against_sympy(rng):
         rows = random_sparse_rows(rng, rng.randint(1, 10), ncols, bound=30)
         for p in (3, 5, 1009):
             rows_p = [[(c, v % p) for c, v in r] for r in rows]
-            got = lattice_impl.rank_mod_p(rows_p, ncols, p)
+            got = rank_mod_p(rows_p, ncols, p)
             m = DomainMatrix.from_list(dense(rows, ncols), ZZ)
             want = m.convert_to(GF(p)).rank()
             assert got == want
@@ -250,4 +202,4 @@ def test_rank_mod_p_drops_below_integer_rank():
     rows = [[(0, 1), (1, 1)], [(0, 1), (1, -1)]]
     lat = IntegerLattice(2, rows)
     assert lat.rank == 2
-    assert lattice_impl.rank_mod_p(rows, 2, 2) == 1
+    assert rank_mod_p(rows, 2, 2) == 1
