@@ -1,8 +1,10 @@
-"""Integer-lattice kernels in pure Python.
+"""Integer lattices in exact (Python-integer) arithmetic.
 
-Row-style Hermite normal form accumulated one sparse row at a time, plus
-Gaussian rank over a prime field and a dense Smith-normal-form routine.
-All arithmetic is exact (Python integers).
+``IntegerLattice`` is a sublattice of Z^ncols held in row Hermite normal form
+(HNF) and built from sparse rows; it answers rank, membership, equality,
+Smith invariants and freeness of the quotient.  ``rings`` re-exports it: its
+ideals of S_{n,k} are lattices in Z^{k^n}.  Beside it live Gaussian rank over
+a prime field and a dense Smith-normal-form routine.
 
 Rows are sparse: iterables of ``(column, value)`` pairs with
 ``0 <= column < ncols``.  Duplicate columns are merged by addition.
@@ -14,6 +16,8 @@ pivot columns stay in ``[0, pivot)`` throughout.
 """
 
 from __future__ import annotations
+
+import itertools
 
 
 def xgcd(a, b):
@@ -29,23 +33,39 @@ def xgcd(a, b):
     return a, x0, y0
 
 
-class HnfAccumulator:
-    """Hermite normal form of the lattice spanned by the rows fed in so far.
+class IntegerLattice:
+    """A sublattice of Z^ncols held in row Hermite normal form, built from
+    sparse rows.
 
     State is a set of pivot rows, one per pivot column, each row's leading
     (leftmost nonzero) entry positive and sitting at its pivot column.
-    ``canonicalize`` additionally reduces every entry above a pivot into
+    ``canonical_rows`` additionally reduces every entry above a pivot into
     ``[0, pivot)``, which makes the row set the canonical HNF.
     """
 
     __slots__ = ("ncols", "_piv", "_canonical")
 
-    def __init__(self, ncols):
+    #: Read by the layer tracer in ``perfbench``; delete it when the benchmark
+    #: drops its kernel metrics (ROADMAP item 2).
+    kernel_name = "pure"
+
+    def __init__(self, ncols, sparse_rows):
         if ncols < 0:
-            raise ValueError("ncols must be nonnegative")
+            raise ValueError(f"ncols must be nonnegative, got {ncols}")
         self.ncols = int(ncols)
         self._piv = {}  # leading column -> sparse row {col: nonzero int}
         self._canonical = True
+        for items in sparse_rows:
+            self._add_row(items)
+
+    @classmethod
+    def from_dense_rows(cls, rows):
+        rows = [list(map(int, r)) for r in rows]
+        widths = {len(r) for r in rows}
+        if len(widths) > 1:
+            raise ValueError("rows must have equal width")
+        ncols = widths.pop() if widths else 0
+        return cls(ncols, [[(j, v) for j, v in enumerate(r) if v] for r in rows])
 
     # -- internals ---------------------------------------------------------
 
@@ -84,10 +104,8 @@ class HnfAccumulator:
                     if q:
                         self._axpy(row, -q, piv)
 
-    # -- mutation ----------------------------------------------------------
-
-    def add_row(self, items):
-        """Fold one sparse row into the form.  Returns True iff the rank grew."""
+    def _add_row(self, items):
+        """Fold one sparse row into the form."""
         row = self._clean(items)
         while row:
             c = min(row)
@@ -98,7 +116,7 @@ class HnfAccumulator:
                 self._reduce_at_pivots(row, c)
                 self._piv[c] = row
                 self._canonical = False
-                return True
+                return
             q, rem = divmod(row[c], piv[c])
             if q:
                 self._axpy(row, -q, piv)
@@ -123,23 +141,12 @@ class HnfAccumulator:
             self._piv[c] = newp
             self._canonical = False
             row = newr
-        return False
 
-    def canonicalize(self):
-        """Reduce all entries above each pivot into [0, pivot)."""
-        if self._canonical:
-            return
-        cols = sorted(self._piv)
-        for i, c in enumerate(cols):
-            piv = self._piv[c]
-            pv = piv[c]
-            for c2 in cols[:i]:  # only rows with earlier pivot can touch column c
-                r = self._piv[c2]
-                if c in r:
-                    q = r[c] // pv
-                    if q:
-                        self._axpy(r, -q, piv)
-        self._canonical = True
+    def _pivot_rows(self):
+        """The current basis rows as sorted sparse tuples, by pivot column."""
+        return tuple(
+            tuple(sorted(self._piv[c].items())) for c in sorted(self._piv)
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -151,18 +158,26 @@ class HnfAccumulator:
         """Sorted ``(column, pivot value)`` pairs."""
         return [(c, self._piv[c][c]) for c in sorted(self._piv)]
 
-    def pivot_rows_sparse(self):
-        """The current basis rows as sorted sparse tuples, by pivot column."""
-        return tuple(
-            tuple(sorted(self._piv[c].items())) for c in sorted(self._piv)
-        )
+    def pivot_values(self):
+        return [v for _, v in self.pivot_items()]
 
-    def canonical_rows_sparse(self):
-        self.canonicalize()
-        return self.pivot_rows_sparse()
+    def canonical_rows(self):
+        """Canonical sparse HNF rows, sorted by pivot column."""
+        if not self._canonical:
+            cols = sorted(self._piv)
+            for i, c in enumerate(cols):
+                piv = self._piv[c]
+                for c2 in cols[:i]:  # only rows with earlier pivot can touch column c
+                    r = self._piv[c2]
+                    if c in r:
+                        q = r[c] // piv[c]
+                        if q:
+                            self._axpy(r, -q, piv)
+            self._canonical = True
+        return self._pivot_rows()
 
-    def reduces_to_zero(self, items):
-        """Membership test: does the sparse row lie in the accumulated lattice?"""
+    def contains_row(self, items):
+        """Membership test: does the sparse row lie in the lattice?"""
         row = self._clean(items)
         while row:
             c = min(row)
@@ -174,6 +189,72 @@ class HnfAccumulator:
                 return False
             self._axpy(row, -q, piv)
         return True
+
+    def contains(self, element):
+        return self.contains_row(element.items())
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerLattice):
+            return NotImplemented
+        if self.ncols != other.ncols:
+            return False
+        # pivot columns and values are lattice invariants: cheap reject
+        if self.pivot_items() != other.pivot_items():
+            return False
+        return (all(other.contains_row(r) for r in self._pivot_rows())
+                and all(self.contains_row(r) for r in other._pivot_rows()))
+
+    __hash__ = None
+
+    def snf_invariants(self):
+        """Smith invariant factors d1 | d2 | ... (nonzero ones only)."""
+        piv = self.pivot_values()
+        if all(v == 1 for v in piv):
+            return (1,) * len(piv)
+        if len(piv) * self.ncols > 400_000:
+            raise RuntimeError(
+                "exact SNF is not feasible at this size; pivot values "
+                f"{sorted(set(piv))} indicate possible torsion")
+        dense = [[0] * self.ncols for _ in piv]
+        for row, items in zip(dense, self.canonical_rows()):
+            for c, v in items:
+                row[c] = v
+        return tuple(snf_invariants_dense(dense))
+
+    def is_torsion_free(self):
+        """Is Z^ncols / lattice free?  (All invariant factors 1.)"""
+        primes = set()
+        for v in self.pivot_values():
+            if v != 1:
+                f = _factorize(v)
+                if f is None:
+                    return all(d == 1 for d in self.snf_invariants())
+                primes.update(f)
+        if not primes:
+            return True
+        rows = self._pivot_rows()
+        return all(rank_mod_p(rows, self.ncols, p) == self.rank
+                   for p in sorted(primes))
+
+    def __repr__(self):
+        return f"<IntegerLattice rank {self.rank} in Z^{self.ncols}>"
+
+
+def _factorize(v, bound=10 ** 6):
+    """Prime factors of v, or None if a cofactor above the bound remains."""
+    v = abs(v)
+    out = set()
+    for p in itertools.chain([2], range(3, bound, 2)):
+        if p * p > v:
+            break
+        while v % p == 0:
+            out.add(p)
+            v //= p
+    if v > 1:
+        if v >= bound * bound:
+            return None
+        out.add(v)
+    return out
 
 
 def rank_mod_p(rows, ncols, p):

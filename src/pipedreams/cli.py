@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+from pathlib import Path
 
 from .bpd import enumerate_all_bpd, enumerate_reduced_bpd, enumerate_word_bpds
 from .bpd import bpd_grothendieck, bpd_schubert
@@ -267,7 +268,7 @@ def _cmd_reduce(args):
         if args.matrix is None:
             raise ValueError("matrix file required (or --random N K)")
         text = (sys.stdin.read() if args.matrix == "-"
-                else open(args.matrix, "r", encoding="utf-8").read())
+                else Path(args.matrix).read_text(encoding="utf-8"))
         try:
             mat = matrix_from_json(text)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:

@@ -179,14 +179,6 @@ class Permutation:
         return cls(tuple(range(n, 0, -1)))
 
 
-def inversions(w):
-    return Permutation(w).inversions() if not isinstance(w, Permutation) else w.inversions()
-
-
-def lehmer_code(w):
-    return w.lehmer_code() if isinstance(w, Permutation) else Permutation(w).lehmer_code()
-
-
 class Word:
     """A word w in [k]^n.
 

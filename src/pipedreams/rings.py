@@ -1,18 +1,22 @@
-"""Exact arithmetic in the truncated ring S_{n,k} = Z[x_1..x_n]/(x_i^k) and
-machine verification of the quotient-ring statements: the rank and freeness
-of R_{n,k}, the equality of the elementary-symmetric ideal I_e with the ideal
-I_G cut out by the special Grothendieck classes, and the fact that the
-Grothendieck (and Schubert) classes of Fubini words form a Z-basis of the
-quotient.
+"""The truncated ring S_{n,k} = Z[x_1..x_n]/(x_i^k) and machine verification
+of the quotient-ring statements: the rank and freeness of R_{n,k}, the
+equality of the elementary-symmetric ideal I_e with the ideal I_G cut out by
+the special Grothendieck classes, and the fact that the Grothendieck (and
+Schubert) classes of Fubini words form a Z-basis of the quotient.
 
-Rank, freeness and the bases reduce to integer-lattice linear algebra on the
-monomial basis of S_{n,k}: monomials are the k^n exponent vectors in
-[0, k-1]^n, ordered lexicographically, and I_e becomes a row lattice via
-generator-times-monomial products.  ``verify_rings`` builds that lattice once
-per (n, k) and proves I_G = I_e by a graded Nakayama certificate (see its
-docstring) that needs only k membership tests, not a lattice for I_G; the
-general ``ideals_equal`` compares two full lattices.  Hermite normal forms
-are computed in exact integer arithmetic by ``_lattice_py``.
+The monomials of S_{n,k} are the k^n exponent vectors in [0, k-1]^n, ordered
+lexicographically (``SnkRing``, refused past ``DESK_CEILING``).  An element
+(``SnkElement``) is sparse: its ring plus the sorted (monomial index,
+coefficient) pairs of its nonzero terms, with only the linear operations the
+verification needs (+, -, negation, integer scaling).
+
+Rank, freeness and the bases reduce to integer-lattice linear algebra in
+Z^{k^n}: I_e becomes a row lattice via generator-times-monomial products.
+``verify_rings`` builds that lattice once per (n, k) and proves I_G = I_e by
+a graded Nakayama certificate (see its docstring) that needs only k
+membership tests, not a lattice for I_G; the general ``ideals_equal``
+compares two full lattices.  The lattice class, ``IntegerLattice``, lives in
+``_lattice_py`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import itertools
 from functools import lru_cache
 from operator import add
 
-from . import _lattice_py
+from ._lattice_py import IntegerLattice
 from .combinat import Word, enumerate_fubini, fubini_count
-from .poly import (Poly, elementary_symmetric, grassmannian_cycle,
-                   grothendieck, grothendieck_of_word, schubert_of_word)
+from .poly import (elementary_symmetric, grassmannian_cycle, grothendieck,
+                   grothendieck_of_word, schubert_of_word)
 
 #: Largest monomial-basis size the verification routines will attempt.
 DESK_CEILING = 5000
@@ -49,10 +53,7 @@ def _require_shape(n, k):
 
 def _require_desk_scale(n, k):
     _require_shape(n, k)
-    if k ** n > DESK_CEILING:
-        raise DeskScaleError(
-            f"monomial basis size k^n = {k ** n} exceeds the desk-scale "
-            f"ceiling of {DESK_CEILING}; refusing (n, k) = ({n}, {k})")
+    snk_ring(n, k)  # refuses k^n > DESK_CEILING
 
 
 # -- the ring S_{n,k} ----------------------------------------------------------
@@ -66,124 +67,75 @@ def snk_ring(n, k):
 
 
 class SnkRing:
-    """The monomial basis of S_{n,k}: exponent vectors in [0,k-1]^n, lex order."""
+    """The monomial basis of S_{n,k}: exponent vectors in [0,k-1]^n, lex order.
+
+    The table holds all k^n monomials, so it is refused past ``DESK_CEILING``.
+    """
 
     __slots__ = ("n", "k", "dim", "monomials", "index")
 
     def __init__(self, n, k):
+        self.dim = k ** n
+        if self.dim > DESK_CEILING:
+            raise DeskScaleError(
+                f"monomial basis size k^n = {self.dim} exceeds the desk-scale "
+                f"ceiling of {DESK_CEILING}; refusing (n, k) = ({n}, {k})")
         self.n = n
         self.k = k
-        self.dim = k ** n
         self.monomials = list(itertools.product(range(k), repeat=n))
         self.index = {m: i for i, m in enumerate(self.monomials)}
-
-    def zero(self):
-        return SnkElement(self, [0] * self.dim)
-
-    def one(self):
-        coeffs = [0] * self.dim
-        coeffs[self.index[(0,) * self.n]] = 1
-        return SnkElement(self, coeffs)
-
-    def variable(self, i):
-        """The image of x_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable x{i} out of range for n={self.n}")
-        if self.k == 1:
-            return self.zero()
-        exp = [0] * self.n
-        exp[i - 1] = 1
-        coeffs = [0] * self.dim
-        coeffs[self.index[tuple(exp)]] = 1
-        return SnkElement(self, coeffs)
 
     def __repr__(self):
         return f"SnkRing(n={self.n}, k={self.k})"
 
 
 class SnkElement:
-    """An element of S_{n,k} as a dense integer coefficient vector."""
+    """An element of S_{n,k}: its ring and the sorted sparse tuple of
+    (monomial index, nonzero coefficient) pairs."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_items")
 
-    def __init__(self, ring, coeffs):
-        if len(coeffs) != ring.dim:
-            raise ValueError("coefficient vector has wrong length")
+    def __init__(self, ring, items):
         self.ring = ring
-        self.coeffs = list(coeffs)
+        self._items = tuple(items)
 
     def items(self):
-        """Sparse view: sorted (monomial index, nonzero coefficient) pairs."""
-        return [(i, c) for i, c in enumerate(self.coeffs) if c]
-
-    def is_zero(self):
-        return not any(self.coeffs)
+        return list(self._items)
 
     def __eq__(self, other):
         if not isinstance(other, SnkElement):
             return NotImplemented
-        return self.ring is other.ring and self.coeffs == other.coeffs
+        return self.ring is other.ring and self._items == other._items
 
     __hash__ = None
 
+    def _plus(self, other, sign):
+        if not isinstance(other, SnkElement):
+            return NotImplemented
+        if other.ring is not self.ring:
+            raise ValueError("elements live in different rings")
+        acc = dict(self._items)
+        for i, c in other._items:
+            acc[i] = acc.get(i, 0) + sign * c
+        return SnkElement(self.ring, sorted((i, c) for i, c in acc.items() if c))
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return SnkElement(self.ring,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return SnkElement(self.ring,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return SnkElement(self.ring, [-a for a in self.coeffs])
-
-    def _coerce(self, other):
-        if isinstance(other, SnkElement):
-            if other.ring is not self.ring:
-                raise ValueError("elements live in different rings")
-            return other
-        if isinstance(other, int):
-            out = self.ring.zero().coeffs
-            out[self.ring.index[(0,) * self.ring.n]] = other
-            return SnkElement(self.ring, out)
-        raise TypeError(f"cannot coerce {type(other).__name__} into S_nk")
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return SnkElement(self.ring, [other * a for a in self.coeffs])
-        other = self._coerce(other)
-        ring = self.ring
-        k = ring.k
-        out = [0] * ring.dim
-        mono = ring.monomials
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ei = mono[i]
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                s = tuple(p + q for p, q in zip(ei, mono[j]))
-                if any(e >= k for e in s):
-                    continue
-                out[ring.index[s]] += a * b
-        return SnkElement(ring, out)
+        return SnkElement(self.ring, [(i, -c) for i, c in self._items])
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def to_poly(self):
-        """Back to a Poly in x_1..x_n (exact section of the projection)."""
-        terms = {m: c for m, c in zip(self.ring.monomials, self.coeffs) if c}
-        return Poly(self.ring.n, 0, terms)
+        if not isinstance(other, int):
+            return NotImplemented
+        return SnkElement(self.ring,
+                          [(i, other * c) for i, c in self._items if other])
 
     def __repr__(self):
-        nnz = sum(1 for c in self.coeffs if c)
-        return f"<SnkElement {self.ring!r}, {nnz} terms>"
+        return f"<SnkElement {self.ring!r}, {len(self._items)} terms>"
 
 
 def _project_row(f, n, k):
@@ -211,159 +163,10 @@ def project_to_snk(f, n, k):
     """Project a Poly in x_1..x_n onto S_{n,k}: kill monomials with an
     exponent >= k.  The y-alphabet must be unused.
     """
-    ring = snk_ring(n, k)
-    coeffs = [0] * ring.dim
-    for i, c in _project_row(f, n, k):
-        coeffs[i] = c
-    return SnkElement(ring, coeffs)
+    return SnkElement(snk_ring(n, k), _project_row(f, n, k))
 
 
 # -- integer lattices ----------------------------------------------------------
-
-
-class IntegerLattice:
-    """A sublattice of Z^ncols held in row Hermite normal form, built from
-    sparse rows."""
-
-    __slots__ = ("ncols", "_acc")
-
-    #: Read by the layer tracer in ``perfbench``; delete it when the benchmark
-    #: drops its kernel metrics (ROADMAP item 2).
-    kernel_name = "pure"
-
-    def __init__(self, ncols, sparse_rows):
-        self.ncols = int(ncols)
-        self._acc = _lattice_py.HnfAccumulator(self.ncols)
-        for row in sparse_rows:
-            self._acc.add_row(row)
-
-    @classmethod
-    def from_dense_rows(cls, rows):
-        rows = [list(map(int, r)) for r in rows]
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("rows must have equal width")
-        ncols = widths.pop() if widths else 0
-        sparse = [tuple((j, v) for j, v in enumerate(r) if v) for r in rows]
-        return cls(ncols, sparse)
-
-    @classmethod
-    def from_elements(cls, elements):
-        """Lattice spanned by SnkElement coefficient vectors."""
-        elements = list(elements)
-        if not elements:
-            raise ValueError("need at least one element to infer the ring")
-        ncols = elements[0].ring.dim
-        return cls(ncols, [tuple(e.items()) for e in elements])
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def rank(self):
-        return self._acc.rank
-
-    def pivot_items(self):
-        return self._acc.pivot_items()
-
-    def pivot_columns(self):
-        return [c for c, _ in self.pivot_items()]
-
-    def pivot_values(self):
-        return [v for _, v in self.pivot_items()]
-
-    def _pivot_rows(self):
-        return self._acc.pivot_rows_sparse()
-
-    def canonical_rows(self):
-        """Canonical sparse HNF rows, sorted by pivot column."""
-        return self._acc.canonical_rows_sparse()
-
-    def dense_hnf(self):
-        """Canonical HNF as a dense list of rows (desk scale only)."""
-        rows = self.canonical_rows()
-        out = []
-        for r in rows:
-            row = [0] * self.ncols
-            for c, v in r:
-                row[c] = v
-            out.append(row)
-        return out
-
-    def contains_row(self, items):
-        return self._acc.reduces_to_zero(items)
-
-    def contains(self, element):
-        return self.contains_row(element.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, IntegerLattice):
-            return NotImplemented
-        if self.ncols != other.ncols:
-            return False
-        # pivot columns and values are lattice invariants: cheap reject
-        if self.pivot_items() != other.pivot_items():
-            return False
-        return (all(other.contains_row(r) for r in self._pivot_rows())
-                and all(self.contains_row(r) for r in other._pivot_rows()))
-
-    __hash__ = None
-
-    def snf_invariants(self):
-        """Smith invariant factors d1 | d2 | ... (nonzero ones only)."""
-        piv = self.pivot_values()
-        if not piv:
-            return ()
-        if all(v == 1 for v in piv):
-            return (1,) * len(piv)
-        if len(piv) * self.ncols <= 400_000:
-            return tuple(_lattice_py.snf_invariants_dense(self.dense_hnf()))
-        raise RuntimeError(
-            "exact SNF is not feasible at this size; pivot values "
-            f"{sorted(set(piv))} indicate possible torsion")
-
-    def is_torsion_free(self):
-        """Is Z^ncols / lattice free?  (All invariant factors 1.)"""
-        piv = self.pivot_values()
-        if all(v == 1 for v in piv):
-            return True
-        primes = set()
-        for v in piv:
-            if v != 1:
-                f = _factorize(v)
-                if f is None:
-                    return all(d == 1 for d in self.snf_invariants())
-                primes.update(f)
-        return all(self._rank_mod_p(p) == self.rank for p in sorted(primes))
-
-    def _rank_mod_p(self, p):
-        return _lattice_py.rank_mod_p(self._pivot_rows(), self.ncols, p)
-
-    def to_text(self):
-        """Plain integer text format: 'rank ncols' header, then dense rows."""
-        rows = self.dense_hnf()
-        lines = [f"{len(rows)} {self.ncols}"]
-        lines.extend(" ".join(str(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
-
-    def __repr__(self):
-        return f"<IntegerLattice rank {self.rank} in Z^{self.ncols}>"
-
-
-def _factorize(v, bound=10 ** 6):
-    """Prime factors of v, or None if a cofactor above the bound remains."""
-    v = abs(v)
-    out = set()
-    for p in itertools.chain([2], range(3, bound, 2)):
-        if p * p > v:
-            break
-        while v % p == 0:
-            out.add(p)
-            v //= p
-    if v > 1:
-        if v >= bound * bound:
-            return None
-        out.add(v)
-    return out
 
 
 def hnf(rows):

@@ -220,6 +220,15 @@ def test_reduce_text_layout(capsys, tmp_path):
     assert lines[-1] == "fits pattern: True"
 
 
+def test_reduce_closes_the_matrix_file(tmp_path):
+    # development mode reports a file left for the garbage collector to close
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json([[1, 2], [0, 1]]))
+    proc = run_module("text", "reduce", str(path), python_flags=("-X", "dev"))
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
+
 def test_reduce_random_is_seeded(capsys):
     rc, first, _ = run(capsys, "reduce", "--random", "4", "2", "--seed", "7")
     assert rc == 0
@@ -302,15 +311,16 @@ CONSOLE_SCRIPT = (shutil.which("pipedreams", path=sysconfig.get_path("scripts"))
                   or shutil.which("pipedreams"))
 
 
-def run_module(fmt, *argv):
+def run_module(fmt, *argv, python_flags=()):
     """Run `python -m pipedreams.cli` with PIPEDREAMS_FORMAT set to `fmt`,
     importing the same package as this process."""
     env = dict(os.environ, PIPEDREAMS_FORMAT=fmt)
     package_root = str(Path(pipedreams.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "pipedreams.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "pipedreams.cli", *argv],
+        capture_output=True, text=True, env=env)
 
 
 @pytest.mark.skipif(CONSOLE_SCRIPT is None,

@@ -6,6 +6,7 @@ implementations.
 
 import random
 
+import pytest
 import sympy
 from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
@@ -174,6 +175,19 @@ def test_contains_row_rejects_outside_vectors(rng):
             if any(v % 2 for _, v in r):
                 assert not lat.contains_row(r)
                 break
+
+
+def test_out_of_range_columns_are_named():
+    for bad in (3, -1):
+        with pytest.raises(IndexError, match=rf"column {bad} .* width 3"):
+            IntegerLattice(3, [[(0, 1)], [(bad, 2)]])
+        with pytest.raises(IndexError, match=rf"column {bad} .* width 3"):
+            IntegerLattice(3, [[(0, 1)]]).contains_row([(bad, 1)])
+
+
+def test_negative_width_is_refused():
+    with pytest.raises(ValueError, match="-1"):
+        IntegerLattice(-1, [])
 
 
 def test_hnf_helper_wraps_dense_rows():

@@ -29,6 +29,8 @@ from pipedreams.rings import (
     _class_rows,
 )
 
+from conftest import random_poly
+
 
 # -- the ambient ring ---------------------------------------------------------
 
@@ -46,10 +48,6 @@ def test_snk_index_and_variable_are_inverse():
     R = SnkRing(3, 2)
     for i, m in enumerate(R.monomials):
         assert R.index[m] == i
-    x1 = R.variable(1)
-    (idx, coeff), = x1.items()
-    assert coeff == 1
-    assert R.monomials[idx] == (1, 0, 0)
 
 
 def test_project_kills_kth_powers():
@@ -59,6 +57,28 @@ def test_project_kills_kth_powers():
     g = Poly(2, 0, {(1, 1): 3, (2, 0): 5})
     items = dict(project_to_snk(g, 2, 2).items())
     assert list(items.values()) == [3]
+
+
+def test_sparse_arithmetic_matches_projection(rng):
+    for n, k in ((3, 2), (4, 3)):
+        for _ in range(20):
+            f, g = random_poly(rng, n), random_poly(rng, n)
+            pf, pg = project_to_snk(f, n, k), project_to_snk(g, n, k)
+            c = rng.randint(-3, 3)
+            assert pf + pg == project_to_snk(f + g, n, k)
+            assert pf - pg == project_to_snk(f - g, n, k)
+            assert -pf == project_to_snk(-f, n, k)
+            assert c * pf == project_to_snk(c * f, n, k)
+            assert (pf - pf).items() == []
+            assert (0 * pf).items() == []
+
+
+def test_sparse_arithmetic_rejects_mixed_rings():
+    f = Poly.x(1, 3)
+    with pytest.raises(ValueError):
+        project_to_snk(f, 3, 2) + project_to_snk(f, 3, 3)
+    with pytest.raises(ValueError):
+        project_to_snk(f, 3, 2) - project_to_snk(f, 4, 2)
 
 
 def test_project_is_linear():
@@ -139,9 +159,7 @@ def test_ideal_equality_detects_difference():
 def test_scaled_generators_change_the_lattice():
     n, k = 3, 2
     gens = elementary_ideal_generators(n, k)
-    doubled = [
-        type(g)(g.ring, [2 * c for c in g.coeffs]) for g in gens
-    ]
+    doubled = [2 * g for g in gens]
     lat = coinvariant_ideal_lattice(n, k, gens)
     lat2 = coinvariant_ideal_lattice(n, k, doubled)
     assert lat != lat2
@@ -283,6 +301,14 @@ def test_desk_scale_refusal():
         verify_rings(8, 4)
     with pytest.raises(DeskScaleError):
         verify_rings(40, 2)
+
+
+def test_monomial_table_is_bounded():
+    # 5^8 = 390625 and 6^6 = 46656 monomials: refused before any is built
+    with pytest.raises(DeskScaleError, match=r"390625.*\(8, 5\)"):
+        project_to_snk(Poly.x(1, 8), 8, 5)
+    with pytest.raises(DeskScaleError, match=r"46656.*\(6, 6\)"):
+        k0_class_of_word(Word("123456", 6))
 
 
 # -- classes of words ------------------------------------------------------------
