@@ -16,7 +16,9 @@ The *diagram* BPD of w has an SE elbow at (i, w(i)); its blank cells form
 the Rothe diagram of w.  Droop moves generate all reduced BPDs from the
 diagram BPD; adding K-droop moves (drooping onto another pipe's SE elbow,
 which becomes a second, resolved crossing of the pair) generates all
-K-theoretic BPDs.
+K-theoretic BPDs.  A BPD's K weight carries its sign (-1)^(blanks - len(w)),
+and so does that of a `WordBpd`, the `pipedream.WordDiagram` view of a BPD
+of std(conv(word)) on the word's first n rows and k columns.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ import json
 from enum import IntEnum
 
 from .combinat import Permutation, Word
-from .pipedream import diagram_weight, weight_sum, word_row_labels
+from .pipedream import (
+    RectangularityViolation,
+    WordDiagram,
+    diagram_weight,
+    move_closure,
+    weight_sum,
+)
 
 
 class Tile(IntEnum):
@@ -57,12 +65,10 @@ _GLYPH = {
     Tile.NW: "╯",      # ╯
 }
 
-_TILE_NAME = {t: t.name for t in Tile}
 _NAME_TILE = {t.name: t for t in Tile}
 
 
-class BpdRectangularityViolation(AssertionError):
-    """A word BPD's weight-carrying tiles leave the n x k rectangle."""
+BpdRectangularityViolation = RectangularityViolation
 
 
 def _cells(tiles, kind):
@@ -151,7 +157,6 @@ class Bpd:
         bump.  This is the 0-Hecke resolution of redundant crossings.
         """
         N = self.N
-        north_out = {}  # (r, c) -> pipe leaving cell's north side... keyed below
         # inputs: south_in[(r,c)] pipe entering from the south edge,
         #         west_in[(r,c)] pipe entering from the west edge
         south_in = {(N, c): c for c in range(1, N + 1)}
@@ -355,21 +360,12 @@ class Bpd:
 
     # -- rendering -------------------------------------------------------------
 
-    def render(self, labels=None):
-        lines = []
-        for r in range(1, self.N + 1):
-            text = " ".join(_GLYPH[self.tile(r, c)] for c in range(1, self.N + 1))
-            if labels:
-                text += "   x%d" % labels[r - 1]
-            lines.append(text)
-        return "\n".join(lines)
+    def render(self):
+        return "\n".join(" ".join(_GLYPH[t] for t in row) for row in self.tiles)
 
-    def to_json(self, labels=None):
-        d = {"n": self.N,
-             "tiles": [[_TILE_NAME[t] for t in row] for row in self.tiles]}
-        if labels is not None:
-            d["labels"] = list(labels)
-        return json.dumps(d)
+    def to_json(self):
+        return json.dumps({"n": self.N,
+                           "tiles": [[t.name for t in row] for row in self.tiles]})
 
     @classmethod
     def from_json(cls, text):
@@ -412,34 +408,22 @@ def diagram_bpd(w):
 
 def enumerate_reduced_bpd(w):
     """All reduced BPDs of w: droop closure of the diagram BPD."""
-    return _bpd_closure(w, k_theoretic=False)
+    return _bpd_closure(w, Bpd.droop_moves)
 
 
 def enumerate_all_bpd(w):
     """All K-theoretic BPDs of w: droop + K-droop closure."""
-    return _bpd_closure(w, k_theoretic=True)
+    return _bpd_closure(w, lambda B: B.droop_moves() + B.k_droop_moves())
 
 
-def _bpd_closure(w, k_theoretic):
+def _bpd_closure(w, moves):
     w = w if isinstance(w, Permutation) else Permutation(w)
-    start = diagram_bpd(w)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for B in frontier:
-            moves = B.droop_moves()
-            if k_theoretic:
-                moves = moves + B.k_droop_moves()
-            for Q in moves:
-                if Q not in seen:
-                    Q.validate()
-                    if Q.permutation() != w:
-                        raise AssertionError(
-                            "droop closure escaped the permutation")
-                    seen.add(Q)
-                    nxt.append(Q)
-        frontier = nxt
+    start = diagram_bpd(w)  # validated there
+    seen = move_closure(start, moves)
+    for B in seen - {start}:
+        B.validate()
+        if B.permutation() != w:
+            raise AssertionError("droop closure escaped the permutation")
     return sorted(seen, key=Bpd.code_string)
 
 
@@ -450,117 +434,53 @@ def bpd_weight(B, mode="single", w=None):
 # -- word BPDs ----------------------------------------------------------------------
 
 
-class WordBpd:
-    """The first k columns x first n rows of a BPD of the standardized
-    convexification, rows relabeled through the word's associated
-    permutation."""
+class WordBpd(WordDiagram):
+    """A BPD of std(conv(word)) on the word's rectangle: its tiles are the
+    parent's first n rows and k columns, and every blank and NW elbow lies
+    among them.  K weights carry (-1)^excess, as for `Bpd`."""
 
-    __slots__ = ("tiles", "n", "k", "labels", "excess")
+    __slots__ = ()
+    _field = "tiles"
+    _signed = True
 
-    def __init__(self, tiles, labels, excess=0):
-        tiles = tuple(tuple(Tile(t) for t in row) for row in tiles)
-        n = len(tiles)
-        k = len(tiles[0]) if tiles else 0
-        if any(len(row) != k for row in tiles):
-            raise ValueError("ragged word BPD")
-        object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "excess", int(excess))
+    @staticmethod
+    def _diagrams(u, reduced):
+        return enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
 
-    def __setattr__(self, *a):
-        raise AttributeError("WordBpd is immutable")
+    @staticmethod
+    def _cells(B):
+        return B.blanks(), B.nw_elbows()
 
-    def __eq__(self, other):
-        if isinstance(other, WordBpd):
-            return (self.tiles, self.labels, self.excess) == \
-                   (other.tiles, other.labels, other.excess)
-        return NotImplemented
+    @property
+    def tiles(self):
+        return tuple(row[:self.k] for row in self.diagram.tiles[:self.n])
 
-    def __hash__(self):
-        return hash((self.tiles, self.labels, self.excess))
-
-    def tile(self, r, c):
-        return self.tiles[r - 1][c - 1]
-
-    def code_string(self):
-        return "".join(str(int(t)) for row in self.tiles for t in row)
+    code_string = Bpd.code_string
 
     def blanks(self):
-        return _cells(self.tiles, Tile.BLANK)
+        return self.diagram.blanks()
 
     def nw_elbows(self):
-        return _cells(self.tiles, Tile.NW)
+        return self.diagram.nw_elbows()
 
-    def weight(self, mode="single"):
-        """Weight with rows relabeled; K weights carry (-1)^excess."""
-        p = diagram_weight(mode, self.n, self.blanks(), self.labels,
-                           self.nw_elbows())
-        return -p if mode.startswith("K") and self.excess % 2 else p
+    def _glyph(self, r, c):
+        return _GLYPH[self.diagram.tile(r, c)]
 
-    def render(self):
-        lines = []
-        for r in range(1, self.n + 1):
-            text = " ".join(_GLYPH[self.tile(r, c)]
-                            for c in range(1, self.k + 1))
-            lines.append(text + "   x%d" % self.labels[r - 1])
-        return "\n".join(lines)
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n, "k": self.k,
-            "tiles": [[_TILE_NAME[t] for t in row] for row in self.tiles],
-            "labels": list(self.labels),
-        })
+    def _json_cells(self):
+        return [[t.name for t in row] for row in self.tiles]
 
     def __repr__(self):
         return "WordBpd(n=%d, k=%d, %s)" % (self.n, self.k, self.code_string())
 
 
-def truncate_to_word_bpd(B, word, w=None):
-    """Keep the first n rows and k columns of a BPD of
-    standardize(convexify(word)).  Every blank and NW elbow must lie inside
-    that rectangle (rectangularity); otherwise BpdRectangularityViolation."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = w or B.permutation()
-    return _truncate(B, word.n, word.k, word_row_labels(word), u.inversions())
-
-
-def _truncate(B, n, k, labels, ell):
-    """truncate_to_word_bpd with the word's labels and len(u) given."""
-    blanks = B.blanks()
-    bad = [(r, c) for (r, c) in blanks + B.nw_elbows() if r > n or c > k]
-    if bad:
-        raise BpdRectangularityViolation(
-            "weight cells outside the %d x %d rectangle: %s" % (n, k, sorted(bad)))
-    return WordBpd([row[:k] for row in B.tiles[:n]], labels, len(blanks) - ell)
+truncate_to_word_bpd = WordBpd._truncate
+check_word_bpd_rectangularity = WordBpd._violations
 
 
 def enumerate_word_bpds(word, reduced=True):
-    """Word BPDs: enumerate the BPDs of standardize(convexify(word)) and
-    truncate each one (the result is a list; distinct BPDs may in
-    principle truncate to equal rectangles and are kept with
-    multiplicity)."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = word.convexify().standardize()
-    bpds = enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
-    labels, ell = word_row_labels(word), u.inversions()
-    return [_truncate(B, word.n, word.k, labels, ell) for B in bpds]
-
-
-def check_word_bpd_rectangularity(word, reduced=False):
-    """Return the BPDs of the standardization whose blanks or NW elbows
-    leave the word's rectangle (expected empty)."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = word.convexify().standardize()
-    bpds = enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
-    n, k = word.n, word.k
-    bad = []
-    for B in bpds:
-        if any(r > n or c > k for (r, c) in B.blanks() + B.nw_elbows()):
-            bad.append(B)
-    return bad
+    """Word BPDs: the BPDs of standardize(convexify(word)), each viewed on
+    the word's rectangle."""
+    return WordBpd._enumerate(word, reduced)
 
 
 # -- generating functions -------------------------------------------------------

@@ -317,16 +317,14 @@ def _cmd_fubini(args):
     if args.format == "json":
         payload = {"n": args.n, "k": args.k, "count": count}
         if not args.count:
-            payload["words"] = ["".join(map(str, w)) if args.k <= 9
-                                else ",".join(map(str, w))
-                                for w in enumerate_fubini(args.n, args.k)]
+            payload["words"] = [str(w) for w in enumerate_fubini(args.n, args.k)]
         print(json.dumps(payload))
         return 0
     if args.count:
         print(count)
         return 0
-    for letters in enumerate_fubini(args.n, args.k):
-        print(str(Word(letters, args.k)))
+    for w in enumerate_fubini(args.n, args.k):
+        print(w)
     return 0
 
 

@@ -111,7 +111,9 @@ def mat_mul(a, b, p=None):
 
 def random_matrix(n, k, rng, p=None):
     """A random k x n matrix with integer entries in [-9, 9] and no zero
-    column (whole-matrix rejection)."""
+    column (whole-matrix rejection); n and k must be positive."""
+    if n < 1 or k < 1:
+        raise ValueError("random_matrix needs n, k >= 1, got n = %d, k = %d" % (n, k))
     while True:
         cols = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
         if all(any(v % p if p is not None else v for v in col) for col in cols):
@@ -326,6 +328,8 @@ def cell_dimension_report(word, p=1009, samples=120, seed=0):
     """
     word = word if isinstance(word, Word) else Word(word)
     _check_odd_prime(p)
+    if samples < 0:
+        raise ValueError("samples must be >= 0, got %d" % samples)
     pm = PatternMatrix(word)
     stars = pm.star_count()
     ell = word.convexify().standardize().inversions()

@@ -1,14 +1,16 @@
-"""Classical and K-theoretic pipe dreams on a staircase.
+"""Classical and K-theoretic pipe dreams on a staircase, and word diagrams.
 
 A pipe dream is a set of crosses inside the staircase {(r, c) : r + c <= N}
 (1-indexed, rows growing downward).  Cells without a cross are elbows.  The
 permutation of a pipe dream is the 0-Hecke (Demazure) product of its reading
 word: rows top to bottom, right to left within a row, a cross at (r, c)
 contributing the simple transposition s_{r+c-1}.  A pipe dream is *reduced*
-when its cross count equals the length of its permutation.
+when its cross count equals the length of its permutation.  Pipe dream
+weights are sign-free; the K sums attach (-1)^(crosses - len(w)).
 
-Word pipe dreams are the restriction of this picture to an n x k rectangle,
-with rows relabeled through the associated permutation of the word.
+A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
+row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
+`WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ WEIGHT_MODES = ("single", "double", "K-single", "K-double")
 
 
 class RectangularityViolation(AssertionError):
-    """A pipe dream of a standardized word leaves the n x k rectangle."""
+    """A word diagram's weight-carrying cells leave the n x k rectangle."""
 
 
 class PipeDream:
@@ -176,26 +178,15 @@ class PipeDream:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, labels=None):
-        """ASCII picture: '+' crosses, '.' elbows, labels on the right."""
-        lines = []
-        for r in range(1, self.N + 1):
-            row = []
-            for c in range(1, self.N - r + 2):
-                if r + c > self.N + 1:
-                    break
-                row.append("+" if (r, c) in self.crosses else ".")
-            text = " ".join(row)
-            if labels:
-                text += "   x%d" % labels[r - 1]
-            lines.append(text)
-        return "\n".join(lines)
+    def render(self):
+        """ASCII picture: '+' crosses, '.' elbows."""
+        return "\n".join(" ".join("+" if (r, c) in self.crosses else "."
+                                  for c in range(1, self.N - r + 2))
+                         for r in range(1, self.N + 1))
 
-    def to_json(self, labels=None):
-        d = {"N": self.N, "crosses": [list(rc) for rc in self.sorted_crosses()]}
-        if labels is not None:
-            d["labels"] = list(labels)
-        return json.dumps(d)
+    def to_json(self):
+        return json.dumps({"N": self.N,
+                           "crosses": [list(rc) for rc in self.sorted_crosses()]})
 
     @classmethod
     def from_json(cls, text):
@@ -288,32 +279,35 @@ def top_pipe_dream(w):
 def enumerate_reduced(w):
     """All reduced pipe dreams of w: breadth-first chute closure of the
     top pipe dream, returned in canonical (sorted cross list) order."""
-    return _closure(w, k_theoretic=False)
+    return _closure(w, PipeDream.chute_moves)
 
 
 def enumerate_all(w):
     """All K-theoretic pipe dreams of w: closure of the top pipe dream
     under chute and K-chute moves."""
-    return _closure(w, k_theoretic=True)
+    return _closure(w, lambda P: P.chute_moves() + P.k_chute_moves())
 
 
-def _closure(w, k_theoretic):
-    w = w if isinstance(w, Permutation) else Permutation(w)
-    start = top_pipe_dream(w)
+def move_closure(start, moves):
+    """The set of diagrams reachable from `start` by `moves`, a function
+    from a diagram to the list of diagrams one move away (breadth first)."""
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for P in frontier:
-            moves = P.chute_moves()
-            if k_theoretic:
-                moves += P.k_chute_moves()
-            for Q in moves:
+        for D in frontier:
+            for Q in moves(D):
                 if Q not in seen:
                     seen.add(Q)
                     nxt.append(Q)
         frontier = nxt
-    out = sorted(seen, key=PipeDream.sorted_crosses)
+    return seen
+
+
+def _closure(w, moves):
+    w = w if isinstance(w, Permutation) else Permutation(w)
+    out = sorted(move_closure(top_pipe_dream(w), moves),
+                 key=PipeDream.sorted_crosses)
     wt = w.trim()
     for P in out:
         if P.permutation() != wt:
@@ -321,107 +315,143 @@ def _closure(w, k_theoretic):
     return out
 
 
-# -- word pipe dreams -----------------------------------------------------------
-
-
-class WordPipeDream:
-    """A pipe dream truncated to the n x k rectangle of a word, rows
-    relabeled by the inverse associated permutation."""
-
-    __slots__ = ("crosses", "n", "k", "labels", "excess")
-
-    def __init__(self, crosses, n, k, labels, excess=0):
-        crosses = frozenset((int(r), int(c)) for r, c in crosses)
-        bad = [(r, c) for r, c in crosses if not (1 <= r <= n and 1 <= c <= k)]
-        if bad:
-            raise RectangularityViolation(
-                "crosses outside the %d x %d rectangle: %s" % (n, k, sorted(bad)))
-        object.__setattr__(self, "crosses", crosses)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "excess", int(excess))
-
-    def __setattr__(self, *a):
-        raise AttributeError("WordPipeDream is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, WordPipeDream):
-            return (self.crosses, self.n, self.k, self.labels, self.excess) == \
-                   (other.crosses, other.n, other.k, other.labels, other.excess)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.crosses, self.n, self.k, self.labels, self.excess))
-
-    def sorted_crosses(self):
-        return sorted(self.crosses)
-
-    def weight(self, mode="single"):
-        """Weight with rows relabeled: row r contributes x_{labels[r-1]}.
-        Sign-free, like the permutation-level weight; `excess` records
-        crosses - len(std(conv(w))) for the signed K sums."""
-        return diagram_weight(mode, self.n, self.crosses, self.labels)
-
-    def render(self):
-        lines = []
-        for r in range(1, self.n + 1):
-            row = ["+" if (r, c) in self.crosses else "."
-                   for c in range(1, self.k + 1)]
-            lines.append(" ".join(row) + "   x%d" % self.labels[r - 1])
-        return "\n".join(lines)
-
-    def to_json(self):
-        return json.dumps({
-            "n": self.n, "k": self.k,
-            "crosses": [list(rc) for rc in self.sorted_crosses()],
-            "labels": list(self.labels),
-        })
-
-    def __repr__(self):
-        return "WordPipeDream(%r, n=%d, k=%d)" % (
-            self.sorted_crosses(), self.n, self.k)
+# -- word diagrams ---------------------------------------------------------------
 
 
 def word_row_labels(word):
-    """Row r of a word pipe dream carries the variable x_{sigma(r)}, where
+    """Row r of a word diagram carries the variable x_{sigma(r)}, where
     sigma matches positions of convexify(word) to positions of word."""
     sigma = word.associated_permutation()
     return tuple(sigma(r) for r in range(1, word.n + 1))
 
 
-def truncate_to_word(P, word, w=None):
-    """Restrict a pipe dream of standardize(convexify(word)) to the word's
-    n x k rectangle.  Raises RectangularityViolation if any cross lies
-    outside (the supporting property says none does)."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = w or P.permutation()
-    return WordPipeDream(P.crosses, word.n, word.k, word_row_labels(word),
-                         len(P.crosses) - u.inversions())
+def _outside(cells, nw, n, k):
+    """The cells and NW cells beyond row n or column k, sorted."""
+    return sorted((r, c) for r, c in (*cells, *nw) if r > n or c > k)
+
+
+class WordDiagram:
+    """A parent diagram of u = std(conv(word)) viewed on the word's n x k
+    rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
+    every weight cell lies inside; `excess` counts them beyond `length` = len(u).
+    A family supplies `_diagrams` (the parent enumeration), `_cells`, `_glyph`,
+    `_json_cells`, `_field` and `_signed` (K weights carry (-1)^excess)."""
+
+    __slots__ = ("diagram", "n", "k", "labels", "excess")
+    _signed = False
+
+    def __init__(self, diagram, n, k, labels, length):
+        cells, nw = self._cells(diagram)
+        bad = _outside(cells, nw, n, k)
+        if bad:
+            raise RectangularityViolation(
+                "weight cells outside the %d x %d rectangle: %s" % (n, k, bad))
+        for name, value in zip(WordDiagram.__slots__, (
+                diagram, int(n), int(k), tuple(labels), len(cells) - length)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _key(self):
+        return (getattr(self, self._field), self.n, self.k, self.labels,
+                self.excess)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def weight(self, mode="single"):
+        """`diagram_weight` of the parent's cells, row r read as
+        x_{labels[r-1]}; K weights carry (-1)^excess when `_signed`."""
+        cells, nw = self._cells(self.diagram)
+        p = diagram_weight(mode, self.n, cells, self.labels, nw)
+        return -p if self._signed and mode.startswith("K") and self.excess % 2 else p
+
+    def render(self):
+        """The n x k rectangle, each row followed by its variable."""
+        return "\n".join(" ".join(self._glyph(r, c) for c in range(1, self.k + 1))
+                         + "   x%d" % self.labels[r - 1]
+                         for r in range(1, self.n + 1))
+
+    def to_json(self):
+        return json.dumps({"n": self.n, "k": self.k,
+                           self._field: self._json_cells(),
+                           "labels": list(self.labels)})
+
+    @classmethod
+    def _truncate(cls, D, word, w=None):
+        """View a diagram D of w = standardize(convexify(word)) on the word's
+        rectangle (w defaults to D's traced permutation).  Raises
+        RectangularityViolation if a weight cell lies outside."""
+        word = word if isinstance(word, Word) else Word(word)
+        u = w or D.permutation()
+        return cls(D, word.n, word.k, word_row_labels(word), u.inversions())
+
+    @classmethod
+    def _enumerate(cls, word, reduced):
+        word = word if isinstance(word, Word) else Word(word)
+        u = word.convexify().standardize()
+        labels, ell = word_row_labels(word), u.inversions()
+        return [cls(D, word.n, word.k, labels, ell)
+                for D in cls._diagrams(u, reduced)]
+
+    @classmethod
+    def _violations(cls, word, reduced=False):
+        """The diagrams of standardize(convexify(word)) with a weight cell
+        outside the word's rectangle (expected none; kept as an inspectable
+        finding)."""
+        word = word if isinstance(word, Word) else Word(word)
+        u = word.convexify().standardize()
+        return [D for D in cls._diagrams(u, reduced)
+                if _outside(*cls._cells(D), word.n, word.k)]
+
+
+class WordPipeDream(WordDiagram):
+    """A pipe dream of std(conv(word)) on the word's rectangle; its crosses
+    are the parent's.  Weights are sign-free, as for `PipeDream`: the K sum
+    attaches (-1)^excess."""
+
+    __slots__ = ()
+    _field = "crosses"
+
+    @staticmethod
+    def _diagrams(u, reduced):
+        return enumerate_reduced(u) if reduced else enumerate_all(u)
+
+    @staticmethod
+    def _cells(P):
+        return P.crosses, ()
+
+    @property
+    def crosses(self):
+        return self.diagram.crosses
+
+    def sorted_crosses(self):
+        return sorted(self.crosses)
+
+    def _glyph(self, r, c):
+        return "+" if (r, c) in self.crosses else "."
+
+    def _json_cells(self):
+        return [list(rc) for rc in self.sorted_crosses()]
+
+    def __repr__(self):
+        return "WordPipeDream(%r, n=%d, k=%d)" % (self.sorted_crosses(), self.n, self.k)
+
+
+truncate_to_word = WordPipeDream._truncate
+check_word_rectangularity = WordPipeDream._violations
 
 
 def enumerate_word_pds(word, reduced=True):
-    """Word pipe dreams of a word: enumerate the pipe dreams of
-    standardize(convexify(word)) and truncate each one."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = word.convexify().standardize()
-    pds = enumerate_reduced(u) if reduced else enumerate_all(u)
-    labels, ell = word_row_labels(word), u.inversions()
-    return [WordPipeDream(P.crosses, word.n, word.k, labels,
-                          len(P.crosses) - ell) for P in pds]
-
-
-def check_word_rectangularity(word, reduced=False):
-    """Return the list of pipe dreams of the standardization that leave the
-    word's rectangle (expected empty; kept as an inspectable finding)."""
-    word = word if isinstance(word, Word) else Word(word)
-    u = word.convexify().standardize()
-    pds = enumerate_reduced(u) if reduced else enumerate_all(u)
-    bad = []
-    for P in pds:
-        if any(c > word.k or r > word.n for r, c in P.crosses):
-            bad.append(P)
-    return bad
+    """Word pipe dreams of a word: the pipe dreams of
+    standardize(convexify(word)), each viewed on the word's rectangle."""
+    return WordPipeDream._enumerate(word, reduced)
 
 
 # -- generating functions -------------------------------------------------------

@@ -338,63 +338,34 @@ class Poly:
         return sorted(self.terms.items(),
                       key=lambda ec: (sum(ec[0]), tuple(-v for v in ec[0])))
 
-    def _monomial_text(self, exp):
-        parts = []
-        for i in range(self.nx):
-            if exp[i]:
-                parts.append("x%d" % (i + 1) + ("^%d" % exp[i] if exp[i] > 1 else ""))
-        for j in range(self.ny):
-            a = exp[self.nx + j]
-            if a:
-                parts.append("y%d" % (j + 1) + ("^%d" % a if a > 1 else ""))
-        return "*".join(parts)
+    def _render(self, var, power, join):
+        """Terms in graded order, signs between them; `var` formats a
+        variable from its letter and index, `power` an exponent above 1,
+        and `join` sits between the factors of a term."""
+        names = ([var % ("x", i) for i in range(1, self.nx + 1)]
+                 + [var % ("y", j) for j in range(1, self.ny + 1)])
+        chunks = []
+        for exp, c in self._sorted_terms():
+            mono = join.join(name + (power % a if a > 1 else "")
+                             for name, a in zip(names, exp) if a)
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = "%d%s%s" % (abs(c), join, mono)
+            if not chunks:
+                chunks.append(body if c > 0 else "-" + body)
+            else:
+                chunks.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(chunks) or "0"
 
     def to_text(self):
         """Canonical text form, e.g. 'x1^2*x2*x3 - x2^2 + 1'."""
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp, c in self._sorted_terms():
-            mono = self._monomial_text(exp)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%d*%s" % (abs(c), mono)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return self._render("%s%d", "^%d", "*")
 
     def to_latex(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp, c in self._sorted_terms():
-            parts = []
-            for i in range(self.nx):
-                if exp[i]:
-                    parts.append("x_{%d}" % (i + 1)
-                                 + ("^{%d}" % exp[i] if exp[i] > 1 else ""))
-            for j in range(self.ny):
-                a = exp[self.nx + j]
-                if a:
-                    parts.append("y_{%d}" % (j + 1)
-                                 + ("^{%d}" % a if a > 1 else ""))
-            mono = " ".join(parts)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%d %s" % (abs(c), mono)
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return self._render("%s_{%d}", "^{%d}", " ")
 
     def to_json(self):
         return json.dumps({

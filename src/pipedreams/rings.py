@@ -332,7 +332,7 @@ def _basis_check(ideal, class_rows, dim, expected):
 
 
 def _basis_report(n, k, ideal, torsion_free):
-    words = [Word(u, k=k) for u in enumerate_fubini(n, k)]
+    words = list(enumerate_fubini(n, k))
     expected = fubini_count(n, k)
     dim = k ** n
     report = {

@@ -319,3 +319,34 @@ def test_blank_rectangularity_no_violations_small_words():
                 word = Word(letters, k)
                 assert check_word_bpd_rectangularity(word, reduced=True) == []
                 assert check_word_bpd_rectangularity(word, reduced=False) == []
+
+
+def test_diagram_work_is_bounded(monkeypatch):
+    """Upper bounds on pipe tracing and grid validation, so a change to the
+    closures that re-checks diagrams shows up here."""
+    from pipedreams.combinat import all_permutations, enumerate_fubini
+
+    calls = {"_trace": 0, "validate": 0}
+
+    def counting(name):
+        method = getattr(Bpd, name)
+
+        def wrapper(self):
+            calls[name] += 1
+            return method(self)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Bpd, name, counting(name))
+    for w in all_permutations(4):
+        enumerate_reduced_bpd(w)
+        enumerate_all_bpd(w)
+    assert calls["_trace"] <= 121 and calls["validate"] <= 83, calls
+    calls.update(_trace=0, validate=0)
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            for word in enumerate_fubini(n, k):
+                enumerate_word_bpds(word, reduced=True)
+                enumerate_word_bpds(word, reduced=False)
+    assert calls["_trace"] <= 471 and calls["validate"] <= 323, calls

@@ -260,6 +260,22 @@ def test_reduce_mod_p_failure_exits_2(capsys, tmp_path):
     assert "denominator" in err
 
 
+@pytest.mark.parametrize("n, k", [("2", "0"), ("3", "-1"), ("0", "2")])
+def test_reduce_random_refuses_empty_shapes(n, k):
+    # a shape with no column (or no row) used to retry forever; the child
+    # runs under a timeout so a hang fails this test instead of the suite
+    proc = run_module("text", "reduce", "--random", n, k, timeout=20)
+    assert proc.returncode == 2
+    assert "n = %s, k = %s" % (n, k) in proc.stderr
+
+
+def test_cell_report_refuses_negative_samples():
+    proc = run_module("text", "cell-report", "21231", "--k", "3",
+                      "--samples", "-5", timeout=20)
+    assert proc.returncode == 2
+    assert "samples must be >= 0, got -5" in proc.stderr
+
+
 def test_cell_report_json(capsys):
     rc, out, _ = run(capsys, "cell-report", "2442343", "--k", "4",
                      "--format", "json")
@@ -311,16 +327,17 @@ CONSOLE_SCRIPT = (shutil.which("pipedreams", path=sysconfig.get_path("scripts"))
                   or shutil.which("pipedreams"))
 
 
-def run_module(fmt, *argv, python_flags=()):
+def run_module(fmt, *argv, python_flags=(), timeout=None):
     """Run `python -m pipedreams.cli` with PIPEDREAMS_FORMAT set to `fmt`,
-    importing the same package as this process."""
+    importing the same package as this process; a child still running after
+    `timeout` seconds is killed and raises subprocess.TimeoutExpired."""
     env = dict(os.environ, PIPEDREAMS_FORMAT=fmt)
     package_root = str(Path(pipedreams.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "pipedreams.cli", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.skipif(CONSOLE_SCRIPT is None,
