@@ -315,10 +315,19 @@ def _cmd_fubini(args):
         raise ValueError("--n and --k must be positive")
     count = fubini_count(args.n, args.k)
     if args.format == "json":
-        payload = {"n": args.n, "k": args.k, "count": count}
-        if not args.count:
-            payload["words"] = [str(w) for w in enumerate_fubini(args.n, args.k)]
-        print(json.dumps(payload))
+        head = json.dumps({"n": args.n, "k": args.k, "count": count})
+        if args.count:
+            print(head)
+            return 0
+        # streamed piece by piece: the word list can be far too large to hold,
+        # and the bytes are those of json.dumps on the whole object
+        write = sys.stdout.write
+        write(head[:-1] + ', "words": [')
+        sep = ""
+        for w in enumerate_fubini(args.n, args.k):
+            write(sep + json.dumps(str(w)))
+            sep = ", "
+        write("]}\n")
         return 0
     if args.count:
         print(count)

@@ -295,19 +295,8 @@ class Word:
         >>> str(Word("21231").associated_permutation())
         '13254'
         """
-        conv = self.convexify()
-        available = {}
-        for i, v in enumerate(self.letters, start=1):
-            available.setdefault(v, []).append(i)
-        sigma = []
-        used = [False] * (self.n + 1)
-        for v in conv.letters:
-            for p in available[v]:
-                if not used[p]:
-                    used[p] = True
-                    sigma.append(p)
-                    break
-        return Permutation(sigma)
+        _, sigma = convex_standardization(self.letters, self.k)
+        return Permutation([p + 1 for p in sigma])
 
     def standardize(self):
         """The standardization, a permutation in S_{n+k-m} (m = number of
@@ -381,6 +370,31 @@ class RankTable:
         return "RankTable(%r)" % (str(self.word),)
 
 
+def convex_standardization(letters, k):
+    """(u, sigma) of a word in [k]^n given as a tuple of letters, in one pass.
+
+    u is std(conv(w)) as a one-line tuple, and sigma is the associated
+    permutation 0-based: sigma[j] is the position in w of the j-th letter of
+    conv(w).  The same as ``Word(letters, k).convexify().standardize()`` and
+    ``Word(letters, k).associated_permutation()``, without building either.
+
+    >>> convex_standardization((2, 1, 2, 3, 1), 3)
+    ((2, 4, 1, 5, 3), (0, 2, 1, 4, 3))
+    """
+    runs = {}                   # letter -> its positions; first-occurrence order
+    for p, v in enumerate(letters):
+        runs.setdefault(v, []).append(p)
+    u, sigma = [], []
+    r = k                       # the last k + r handed to a repeated position
+    for v, positions in runs.items():
+        u.append(v)
+        u.extend(range(r + 1, r + len(positions)))
+        r += len(positions) - 1
+        sigma.extend(positions)
+    u.extend(v for v in range(1, k + 1) if v not in runs)
+    return tuple(u), tuple(sigma)
+
+
 # -- enumeration -----------------------------------------------------------
 
 
@@ -418,6 +432,12 @@ def enumerate_fubini(n, k):
     This is a generator; materialize with list() when the full set is
     needed at once.
     """
+    return (Word(letters, k) for letters in fubini_letters(n, k))
+
+
+def fubini_letters(n, k):
+    """Yield the letter tuples of the Fubini words in [k]^n, in the order of
+    ``enumerate_fubini``."""
     if k > n or k < 0:
         return
 
@@ -425,7 +445,7 @@ def enumerate_fubini(n, k):
         pos = len(prefix)
         if pos == n:
             if not missing:
-                yield Word(prefix, k)
+                yield prefix
             return
         for v in range(1, k + 1):
             new_missing = missing - {v} if v in missing else missing

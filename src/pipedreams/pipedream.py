@@ -158,14 +158,24 @@ class PipeDream:
 
     def chute_moves(self):
         """All pipe dreams one chute move away (cross slides down-left)."""
-        return [PipeDream(self.crosses - {src} | {dst}, self.N)
-                for src, dst in self._chute_targets()]
+        return self._moves(slide=True, copy=False)
 
     def k_chute_moves(self):
         """All pipe dreams one K-theoretic chute move away (cross copies
         down-left, original stays)."""
-        return [PipeDream(self.crosses | {dst}, self.N)
-                for src, dst in self._chute_targets()]
+        return self._moves(slide=False, copy=True)
+
+    def _moves(self, slide, copy):
+        """The chute moves (`slide`) and K-chute moves (`copy`) from one walk
+        of the chute targets; the K closure asks for both at once."""
+        P, N = self.crosses, self.N
+        out = []
+        for src, dst in self._chute_targets():
+            if slide:
+                out.append(PipeDream(P - {src} | {dst}, N))
+            if copy:
+                out.append(PipeDream(P | {dst}, N))
+        return out
 
     # -- weights ---------------------------------------------------------------
 
@@ -285,7 +295,7 @@ def enumerate_reduced(w):
 def enumerate_all(w):
     """All K-theoretic pipe dreams of w: closure of the top pipe dream
     under chute and K-chute moves."""
-    return _closure(w, lambda P: P.chute_moves() + P.k_chute_moves())
+    return _closure(w, lambda P: P._moves(slide=True, copy=True))
 
 
 def move_closure(start, moves):

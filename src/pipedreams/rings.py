@@ -17,16 +17,33 @@ a graded Nakayama certificate (see its docstring) that needs only k
 membership tests, not a lattice for I_G; the general ``ideals_equal``
 compares two full lattices.  The lattice class, ``IntegerLattice``, lives in
 ``_lattice_py`` and is re-exported here.
+
+The class of a Fubini word w is G_u relabelled by x_i := x_{sigma(i)}, where
+u = std(conv(w)) and sigma is its associated permutation; ``verify_rings``
+builds every class row of one (n, k) in one pass per word and computes no
+Schubert polynomial.  The Schubert row is the part of the Grothendieck row of
+degree l(u), the inversion number of u, because:
+
+- the lowest-degree part of G_u is S_u, of degree l(u) (Lascoux-
+  Schuetzenberger; Fomin-Kirillov 1994): pi_i f = d_i f - d_i(x_{i+1} f),
+  whose second summand is one degree higher, and the staircase tops agree;
+- relabelling the variables by sigma keeps the degree of every term;
+- projecting to S_{n,k} keeps or kills each term on its own exponents
+  (every exponent < k), so it commutes with taking a homogeneous part.
+
+``schubert_of_word``, ``grothendieck_of_word`` and ``_project_row`` remain
+the oracle for these rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 from ._lattice_py import IntegerLattice
-from .combinat import Word, enumerate_fubini, fubini_count
+from .combinat import (Permutation, Word, convex_standardization,
+                       fubini_count, fubini_letters)
 from .poly import (elementary_symmetric, grassmannian_cycle, grothendieck,
                    grothendieck_of_word, schubert_of_word)
 
@@ -307,9 +324,51 @@ def _certify_ideal_equal(ideal, e_gens, g_gens):
 # -- basis verification ----------------------------------------------------------
 
 
-def _class_rows(words, poly_of_word):
-    """Sparse S_{n,k} rows of the classes of `words` (all of one shape)."""
-    return [_project_row(poly_of_word(w), w.n, w.k) for w in words]
+def _surviving_terms(u, n, k):
+    """The terms of G_u that live in S_{n,k}, as (exponents, coefficient,
+    lowest) triples: every exponent is < k, and `lowest` says whether the
+    term has degree l(u), i.e. belongs to S_u."""
+    length = Permutation(u).inversions()
+    out = []
+    for exp, coeff in grothendieck(u).terms.items():
+        if any(exp[n:]):
+            raise AssertionError(
+                "standardized polynomial uses x_%d beyond word length %d"
+                % (max(i + 1 for i, e in enumerate(exp) if e), n))
+        exp = exp[:n]
+        if max(exp) < k:
+            out.append((exp, coeff, sum(exp) == length))
+    return out
+
+
+def _fubini_class_rows(n, k):
+    """Sparse S_{n,k} rows of the Grothendieck and the Schubert classes of
+    the Fubini words of [k]^n, in ``enumerate_fubini`` order.
+
+    The class of w is G_u relabelled by x_i := x_{sigma(i)}, for u and sigma
+    of ``convex_standardization``; its Schubert row is the degree-l(u) part
+    of its Grothendieck row (module docstring).  G_u is filtered once per u,
+    and a surviving term's monomial index is one sum.
+    """
+    terms_of = {}
+    g_rows, s_rows = [], []
+    for letters in fubini_letters(n, k):
+        u, sigma = convex_standardization(letters, k)
+        terms = terms_of.get(u)
+        if terms is None:
+            terms = terms_of[u] = _surviving_terms(u, n, k)
+        weights = [k ** (n - 1 - p) for p in sigma]
+        g_row, s_row = [], []
+        for exp, coeff, lowest in terms:
+            entry = (sum(map(mul, exp, weights)), coeff)
+            g_row.append(entry)
+            if lowest:
+                s_row.append(entry)
+        g_row.sort()
+        s_row.sort()
+        g_rows.append(tuple(g_row))
+        s_rows.append(tuple(s_row))
+    return g_rows, s_rows
 
 
 def _basis_check(ideal, class_rows, dim, expected):
@@ -332,7 +391,7 @@ def _basis_check(ideal, class_rows, dim, expected):
 
 
 def _basis_report(n, k, ideal, torsion_free):
-    words = list(enumerate_fubini(n, k))
+    g_rows, s_rows = _fubini_class_rows(n, k)
     expected = fubini_count(n, k)
     dim = k ** n
     report = {
@@ -342,10 +401,8 @@ def _basis_report(n, k, ideal, torsion_free):
         "ideal_rank": ideal.rank,
         "quotient_rank": dim - ideal.rank,
         "torsion_free": torsion_free,
-        "grothendieck": _basis_check(
-            ideal, _class_rows(words, grothendieck_of_word), dim, expected),
-        "schubert": _basis_check(
-            ideal, _class_rows(words, schubert_of_word), dim, expected),
+        "grothendieck": _basis_check(ideal, g_rows, dim, expected),
+        "schubert": _basis_check(ideal, s_rows, dim, expected),
     }
     report["basis"] = (report["torsion_free"]
                        and report["quotient_rank"] == expected
@@ -401,6 +458,12 @@ def verify_rings(n, k):
     certificate is sufficient, and a failure is reported, not re-decided
     by another route.  The general ``ideals_equal`` stays available as an
     independent oracle.
+
+    The Schubert basis rows are read off the Grothendieck rows, so only
+    Grothendieck polynomials are computed.  The Schubert class of a word is
+    the degree-l(u) part of its Grothendieck class: the lowest-degree part
+    of G_u is S_u, relabelling x by sigma keeps degrees, and the exponent
+    < k filter of S_{n,k} acts term by term.
     """
     _require_desk_scale(n, k)
     e_gens = elementary_ideal_generators(n, k)

@@ -19,10 +19,12 @@ venv.  An offline `pip install -e .` fails instead (`invalid command
 
 import json
 import os
+import selectors
 import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +320,23 @@ def test_fubini_rejects_nonpositive(capsys):
     assert rc == 2
 
 
+def test_fubini_json_bytes_equal_one_dump(capsys):
+    """The streamed JSON is byte for byte one json.dumps of the object."""
+    for n in range(1, 7):
+        for k in range(1, 8):
+            words = [str(w) for w in pipedreams.enumerate_fubini(n, k)]
+            count = pipedreams.fubini_count(n, k)
+            rc, out, _ = run(capsys, "fubini", "--n", str(n), "--k", str(k),
+                             "--format", "json")
+            assert rc == 0
+            assert out == json.dumps({"n": n, "k": k, "count": count,
+                                      "words": words}) + "\n"
+            rc, out, _ = run(capsys, "fubini", "--n", str(n), "--k", str(k),
+                             "--format", "json", "--count")
+            assert rc == 0
+            assert out == json.dumps({"n": n, "k": k, "count": count}) + "\n"
+
+
 # -- process-level behavior ---------------------------------------------------------
 
 
@@ -338,6 +357,36 @@ def run_module(fmt, *argv, python_flags=(), timeout=None):
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "pipedreams.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_fubini_json_streams_a_huge_listing():
+    """10!*S(11,10) = 199,584,000 words: the first 4 KB must arrive long
+    before the listing could be held in memory."""
+    env = dict(os.environ)
+    package_root = str(Path(pipedreams.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pipedreams.cli", "fubini", "--n", "11",
+         "--k", "10", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    head = b""
+    try:
+        with selectors.DefaultSelector() as sel:
+            sel.register(proc.stdout, selectors.EVENT_READ)
+            deadline = time.monotonic() + 20
+            while len(head) < 4096:
+                left = deadline - time.monotonic()
+                assert left > 0 and sel.select(left), "no 4 KB within 20 s"
+                chunk = os.read(proc.stdout.fileno(), 4096 - len(head))
+                assert chunk, "child closed stdout early"
+                head += chunk
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert head.startswith(b'{"n": 11, "k": 10, "count": 199584000, '
+                           b'"words": ["1,1,2,3,4,5,6,7,8,9,10", ')
 
 
 @pytest.mark.skipif(CONSOLE_SCRIPT is None,

@@ -9,6 +9,7 @@ import pytest
 from pipedreams import Permutation, Word
 from pipedreams.combinat import (
     all_permutations,
+    convex_standardization,
     enumerate_fubini,
     fubini_count,
     fubini_number,
@@ -178,6 +179,23 @@ def test_associated_permutation_rearranges_word_to_convexification():
         sigma = w.associated_permutation()
         conv = w.convexify()
         assert tuple(w.letters[sigma(i) - 1] for i in range(1, w.n + 1)) == conv.letters
+
+
+def test_convex_standardization_matches_word_methods():
+    """Every word in [k]^n with n, k <= 5, Fubini or not, against the Word
+    methods and against sigma as a stable sort of the positions by the
+    first occurrence of their letters."""
+    for n in range(1, 6):
+        for k in range(1, 6):
+            for letters in itertools.product(range(1, k + 1), repeat=n):
+                w = Word(letters, k)
+                u, sigma = convex_standardization(letters, k)
+                assert u == w.convexify().standardize().one_line
+                first = {v: letters.index(v) for v in letters}
+                assert sigma == tuple(sorted(range(n),
+                                             key=lambda p: first[letters[p]]))
+                assert tuple(p + 1 for p in sigma) == \
+                    w.associated_permutation().one_line
 
 
 def test_standardize_goldens():

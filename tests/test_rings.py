@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from pipedreams import Permutation, Word, rings
+from pipedreams import Permutation, Word, poly, rings
 from pipedreams.combinat import enumerate_fubini, stirling2
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck,
                              grothendieck_of_word, schubert, schubert_of_word)
@@ -26,7 +26,8 @@ from pipedreams.rings import (
     verify_grothendieck_basis,
     verify_rings,
     _certify_ideal_equal,
-    _class_rows,
+    _fubini_class_rows,
+    _project_row,
 )
 
 from conftest import random_poly
@@ -226,11 +227,43 @@ def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
 def test_sparse_class_rows_match_dense_classes():
     words = [Word(u, k=3) for u in enumerate_fubini(4, 3)]
     assert len(words) == 36
-    k0_rows = _class_rows(words, grothendieck_of_word)
-    chow_rows = _class_rows(words, schubert_of_word)
-    for w, k0, chow in zip(words, k0_rows, chow_rows):
+    k0_rows, chow_rows = _fubini_class_rows(4, 3)
+    for w, k0, chow in zip(words, k0_rows, chow_rows, strict=True):
         assert list(k0) == k0_class_of_word(w).items()
         assert list(chow) == chow_class_of_word(w).items()
+
+
+def test_fubini_class_rows_match_word_polynomials():
+    """The one-pass rows against the word-polynomial oracle, for every
+    Fubini word of every desk-scale (n, k)."""
+    total = 0
+    for n, k in desk_scale_pairs():
+        g_rows, s_rows = _fubini_class_rows(n, k)
+        words = list(enumerate_fubini(n, k))
+        for w, g_row, s_row in zip(words, g_rows, s_rows, strict=True):
+            assert g_row == _project_row(grothendieck_of_word(w), n, k), w
+            assert s_row == _project_row(schubert_of_word(w), n, k), w
+        total += len(words)
+    assert total == 12660
+
+
+def test_fubini_class_rows_refuse_variables_beyond_n(monkeypatch):
+    def beyond(u):   # a G_u that wrongly involves x_{n+1}
+        return Poly(len(u) + 1, 0, {(0,) * len(u) + (1,): 1})
+
+    monkeypatch.setattr(rings, "grothendieck", beyond)
+    with pytest.raises(AssertionError, match="x_4 beyond word length 3"):
+        _fubini_class_rows(3, 2)
+
+
+def test_verify_rings_computes_no_schubert_polynomial():
+    poly.clear_caches()
+    try:
+        assert verify_rings(5, 3)["ok"]
+        kinds = {kind for _, kind in poly._CACHE}
+        assert "G" in kinds and "S" not in kinds
+    finally:
+        poly.clear_caches()
 
 
 # -- quotient structure -----------------------------------------------------------
