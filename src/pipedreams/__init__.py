@@ -25,6 +25,7 @@ from .poly import (  # noqa: F401
 )
 from .pipedream import (  # noqa: F401
     PipeDream,
+    parent_cache_info,
     RectangularityViolation,
     WordPipeDream,
     enumerate_all,
@@ -80,3 +81,11 @@ from .geometry import (  # noqa: F401
     reduction,
     word_of_matrix,
 )
+from . import pipedream, poly
+
+
+def clear_caches():
+    """Empty the package's caches: the polynomial cache of `poly` and the
+    memo of parent diagrams behind the word pipe dreams and word BPDs."""
+    poly.clear_caches()
+    pipedream._clear_parent_cache()

@@ -223,8 +223,9 @@ class Bpd:
 
     # -- moves ---------------------------------------------------------------------
 
-    def _droop_rewrites(self, k_theoretic):
-        """Yield the rewritten grids of all legal (K-)droop moves.
+    def _droop_rewrites(self, k_trace=None):
+        """Yield the rewritten grids of all legal droop moves, or of all
+        legal K-droop moves when `k_trace` is this BPD's `_trace()`.
 
         A droop takes the SE elbow at (i, j) and a destination (i2, j2)
         with i2 > i, j2 > j; the destination is blank (droop) or another
@@ -236,9 +237,9 @@ class Bpd:
         """
         N = self.N
         ses = _cells(self.tiles, Tile.SE)
-        crossed = se_pipe = None
+        k_theoretic = k_trace is not None
         if k_theoretic:
-            _, crossed, se_pipe = self._trace()
+            _, crossed, se_pipe = k_trace
         for (i, j) in ses:
             for i2 in range(i + 1, N + 1):
                 for j2 in range(j + 1, N + 1):
@@ -319,7 +320,7 @@ class Bpd:
 
     def droop_moves(self):
         """All BPDs one droop move away, canonically ordered."""
-        return sorted(self._droop_rewrites(False), key=Bpd.code_string)
+        return sorted(self._droop_rewrites(), key=Bpd.code_string)
 
     def k_droop_moves(self):
         """All BPDs one K-theoretic droop move away.
@@ -330,10 +331,12 @@ class Bpd:
         not sufficient: if the existing crossing lies downstream of the
         destination, the new tile would become the pair's first crossing
         and rewire the permutation.  Candidates that alter the traced
-        permutation are therefore discarded.
+        permutation are therefore discarded; the source is traced once, for
+        both the candidates and the permutation they must keep.
         """
-        w = self.permutation()
-        return sorted((Q for Q in self._droop_rewrites(True)
+        trace = self._trace()
+        w = Permutation(trace[0])
+        return sorted((Q for Q in self._droop_rewrites(trace)
                        if Q.permutation() == w), key=Bpd.code_string)
 
     # -- weights -----------------------------------------------------------------

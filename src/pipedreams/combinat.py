@@ -40,7 +40,7 @@ class Permutation:
 
     >>> w = Permutation("24153")
     >>> w(2), w.inverse()(2)
-    (4, 4)
+    (4, 1)
     >>> w.inversions()
     4
     >>> w.lehmer_code()
@@ -192,7 +192,7 @@ class Word:
     [1, 2, 4]
     >>> str(w.convexify())
     '22113'
-    >>> str(w.standardize())
+    >>> str(w.convexify().standardize())
     '24153'
     """
 

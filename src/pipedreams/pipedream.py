@@ -11,13 +11,22 @@ weights are sign-free; the K sums attach (-1)^(crosses - len(w)).
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
 `WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.
+
+Many words share u, so the word diagrams read u's diagrams from one memo
+keyed by (family, u, reduced), least recently used entries evicted first.
+It holds at most PARENT_CACHE_DIAGRAMS = 20,000 parent diagrams in all; an
+enumeration larger than that is returned without being stored.  Sharing is
+safe: `PipeDream` and `Bpd` are immutable and the memo stores tuples of them,
+while each call builds its own list of `WordDiagram` views.  See
+`parent_cache_info()`; `pipedreams.clear_caches()` empties it.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
-from .combinat import Permutation, Word
+from .combinat import Permutation, Word, convex_standardization
 from .poly import Poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -27,6 +36,13 @@ class RectangularityViolation(AssertionError):
     """A word diagram's weight-carrying cells leave the n x k rectangle."""
 
 
+def _check_in_staircase(rc, N):
+    r, c = rc
+    if r < 1 or c < 1 or r + c > N:
+        raise ValueError("cross (%d,%d) outside staircase of size %d"
+                         % (r, c, N))
+
+
 class PipeDream:
     """An immutable set of crosses in the staircase of size N."""
 
@@ -34,12 +50,21 @@ class PipeDream:
 
     def __init__(self, crosses, N):
         crosses = frozenset((int(r), int(c)) for r, c in crosses)
-        for r, c in crosses:
-            if r < 1 or c < 1 or r + c > N:
-                raise ValueError("cross (%d,%d) outside staircase of size %d"
-                                 % (r, c, N))
+        for rc in crosses:
+            _check_in_staircase(rc, N)
         object.__setattr__(self, "crosses", crosses)
         object.__setattr__(self, "N", int(N))
+
+    def _child(self, crosses, dst):
+        """A pipe dream of the same size on the frozenset `crosses`: this
+        one's crosses, maybe less one, plus the new cross `dst`.  Only `dst`
+        is checked against the staircase; this one's were checked when it
+        was built."""
+        _check_in_staircase(dst, self.N)
+        P = object.__new__(PipeDream)
+        object.__setattr__(P, "crosses", crosses)
+        object.__setattr__(P, "N", self.N)
+        return P
 
     def __setattr__(self, *a):
         raise AttributeError("PipeDream is immutable")
@@ -70,13 +95,17 @@ class PipeDream:
 
     def permutation(self):
         """Demazure (0-Hecke) product of the reading word, trimmed."""
+        return Permutation(self._demazure())
+
+    def _demazure(self):
+        """`permutation()`'s one-line tuple, with no `Permutation` built."""
         u = list(range(1, self.N + 1))
         for a in self.reading_word():
             if u[a - 1] < u[a]:
                 u[a - 1], u[a] = u[a], u[a - 1]
         while len(u) > 1 and u[-1] == len(u):
             u.pop()
-        return Permutation(u)
+        return tuple(u)
 
     def permutation_by_tracing(self):
         """Trace the pipes, resolving repeated crossings of a pair as bumps.
@@ -168,13 +197,13 @@ class PipeDream:
     def _moves(self, slide, copy):
         """The chute moves (`slide`) and K-chute moves (`copy`) from one walk
         of the chute targets; the K closure asks for both at once."""
-        P, N = self.crosses, self.N
+        P = self.crosses
         out = []
         for src, dst in self._chute_targets():
             if slide:
-                out.append(PipeDream(P - {src} | {dst}, N))
+                out.append(self._child(P - {src} | {dst}, dst))
             if copy:
-                out.append(PipeDream(P | {dst}, N))
+                out.append(self._child(P | {dst}, dst))
         return out
 
     # -- weights ---------------------------------------------------------------
@@ -318,9 +347,9 @@ def _closure(w, moves):
     w = w if isinstance(w, Permutation) else Permutation(w)
     out = sorted(move_closure(top_pipe_dream(w), moves),
                  key=PipeDream.sorted_crosses)
-    wt = w.trim()
+    wt = w.trim().one_line
     for P in out:
-        if P.permutation() != wt:
+        if P._demazure() != wt:
             raise AssertionError("move closure escaped the permutation: %r" % (P,))
     return out
 
@@ -331,8 +360,48 @@ def _closure(w, moves):
 def word_row_labels(word):
     """Row r of a word diagram carries the variable x_{sigma(r)}, where
     sigma matches positions of convexify(word) to positions of word."""
-    sigma = word.associated_permutation()
-    return tuple(sigma(r) for r in range(1, word.n + 1))
+    _, sigma = convex_standardization(word.letters, word.k)
+    return tuple(p + 1 for p in sigma)
+
+
+# The parent diagrams of u, per (family, u one-line tuple, reduced), least
+# recently used first; at most PARENT_CACHE_DIAGRAMS diagrams in all.
+PARENT_CACHE_DIAGRAMS = 20_000
+_PARENTS = OrderedDict()
+_PARENT_STATS = dict.fromkeys(("diagrams", "hits", "misses", "evictions"), 0)
+
+
+def parent_cache_info():
+    """The memo of parent diagrams: its entries, the diagrams they hold, and
+    its hits, misses and evictions since the last `clear_caches()`."""
+    return {"entries": len(_PARENTS), **_PARENT_STATS}
+
+
+def _clear_parent_cache():
+    _PARENTS.clear()
+    _PARENT_STATS.update(dict.fromkeys(_PARENT_STATS, 0))
+
+
+def _parent_diagrams(family, u, reduced):
+    """`family._diagrams` of the permutation with one-line tuple u, as a
+    tuple, through the memo.  An enumeration larger than the whole bound is
+    returned without being stored."""
+    key = (family, u, reduced)
+    found = _PARENTS.get(key)
+    if found is not None:
+        _PARENTS.move_to_end(key)
+        _PARENT_STATS["hits"] += 1
+        return found
+    _PARENT_STATS["misses"] += 1
+    found = tuple(family._diagrams(Permutation(u), reduced))
+    if len(found) <= PARENT_CACHE_DIAGRAMS:
+        _PARENTS[key] = found
+        _PARENT_STATS["diagrams"] += len(found)
+        while _PARENT_STATS["diagrams"] > PARENT_CACHE_DIAGRAMS:
+            _, old = _PARENTS.popitem(last=False)
+            _PARENT_STATS["diagrams"] -= len(old)
+            _PARENT_STATS["evictions"] += 1
+    return found
 
 
 def _outside(cells, nw, n, k):
@@ -405,10 +474,11 @@ class WordDiagram:
     @classmethod
     def _enumerate(cls, word, reduced):
         word = word if isinstance(word, Word) else Word(word)
-        u = word.convexify().standardize()
-        labels, ell = word_row_labels(word), u.inversions()
+        u, sigma = convex_standardization(word.letters, word.k)
+        labels = tuple(p + 1 for p in sigma)
+        ell = Permutation(u).inversions()
         return [cls(D, word.n, word.k, labels, ell)
-                for D in cls._diagrams(u, reduced)]
+                for D in _parent_diagrams(cls, u, reduced)]
 
     @classmethod
     def _violations(cls, word, reduced=False):
@@ -416,8 +486,8 @@ class WordDiagram:
         outside the word's rectangle (expected none; kept as an inspectable
         finding)."""
         word = word if isinstance(word, Word) else Word(word)
-        u = word.convexify().standardize()
-        return [D for D in cls._diagrams(u, reduced)
+        u, _ = convex_standardization(word.letters, word.k)
+        return [D for D in _parent_diagrams(cls, u, reduced)
                 if _outside(*cls._cells(D), word.n, word.k)]
 
 

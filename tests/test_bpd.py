@@ -323,7 +323,10 @@ def test_blank_rectangularity_no_violations_small_words():
 
 def test_diagram_work_is_bounded(monkeypatch):
     """Upper bounds on pipe tracing and grid validation, so a change to the
-    closures that re-checks diagrams shows up here."""
+    closures that re-checks diagrams shows up here.  The memo of parent
+    diagrams starts empty, so a memo warmed by earlier tests cannot hide the
+    closures' work."""
+    from pipedreams import clear_caches
     from pipedreams.combinat import all_permutations, enumerate_fubini
 
     calls = {"_trace": 0, "validate": 0}
@@ -339,14 +342,15 @@ def test_diagram_work_is_bounded(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(Bpd, name, counting(name))
+    clear_caches()
     for w in all_permutations(4):
         enumerate_reduced_bpd(w)
         enumerate_all_bpd(w)
-    assert calls["_trace"] <= 121 and calls["validate"] <= 83, calls
+    assert calls["_trace"] <= 79 and calls["validate"] <= 83, calls
     calls.update(_trace=0, validate=0)
     for n in range(1, 5):
         for k in range(1, n + 1):
             for word in enumerate_fubini(n, k):
                 enumerate_word_bpds(word, reduced=True)
                 enumerate_word_bpds(word, reduced=False)
-    assert calls["_trace"] <= 471 and calls["validate"] <= 323, calls
+    assert calls["_trace"] <= 91 and calls["validate"] <= 103, calls

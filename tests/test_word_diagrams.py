@@ -58,3 +58,119 @@ def test_word_diagrams_are_views_of_their_parents():
     for W in bpds:
         assert W.tiles == tuple(row[:3] for row in W.diagram.tiles[:5])
         assert W.blanks() == W.diagram.blanks()
+
+
+# -- the memo of parent diagrams ---------------------------------------------
+
+
+def small_fubini_words(max_n=4):
+    from pipedreams.combinat import enumerate_fubini
+
+    return [w for n in range(1, max_n + 1) for k in range(1, n + 1)
+            for w in enumerate_fubini(n, k)]
+
+
+@pytest.fixture
+def cold():
+    from pipedreams import clear_caches
+
+    clear_caches()
+    yield clear_caches
+    clear_caches()
+
+
+def word_outputs(word):
+    """Every word diagram's `to_json()` and the four word sums of `word`."""
+    from pipedreams import (word_bpd_grothendieck, word_bpd_schubert,
+                            word_pd_grothendieck, word_pd_schubert)
+
+    lists = [[D.to_json() for D in enumerate_word(word, reduced=reduced)]
+             for enumerate_word in (enumerate_word_pds, enumerate_word_bpds)
+             for reduced in (True, False)]
+    sums = [f(word) for f in (word_pd_schubert, word_pd_grothendieck,
+                              word_bpd_schubert, word_bpd_grothendieck)]
+    return lists, sums
+
+
+def test_returned_lists_do_not_reach_the_memo(cold):
+    from pipedreams.bpd import check_word_bpd_rectangularity
+    from pipedreams.pipedream import _PARENTS, check_word_rectangularity
+
+    word = Word("21231", 3)
+    for f in (enumerate_word_pds, enumerate_word_bpds,
+              check_word_rectangularity, check_word_bpd_rectangularity):
+        for reduced in (True, False):
+            first = f(word, reduced=reduced)
+            expected = list(first)
+            first.reverse()
+            first.append(None)
+            assert f(word, reduced=reduced) == expected
+            first.clear()
+            assert f(word, reduced=reduced) == expected
+    assert _PARENTS and all(type(v) is tuple for v in _PARENTS.values())
+
+
+def test_warm_memo_gives_the_cold_outputs(cold):
+    from pipedreams import parent_cache_info
+
+    words = small_fubini_words()
+    cold_outputs = []
+    for word in words:
+        cold()
+        cold_outputs.append(word_outputs(word))
+    for word in words:
+        word_outputs(word)
+    misses = parent_cache_info()["misses"]
+    assert [word_outputs(word) for word in words] == cold_outputs
+    info = parent_cache_info()
+    assert info["misses"] == misses and info["hits"] > 0, info
+
+
+def test_clear_caches_empties_the_memo(cold):
+    from pipedreams import (grothendieck_of_word, parent_cache_info, poly,
+                            word_pd_grothendieck)
+
+    word = Word("21231", 3)
+    assert word_pd_grothendieck(word) == grothendieck_of_word(word)
+    info = parent_cache_info()
+    assert info["entries"] == 1 and info["diagrams"] > 0 and poly._CACHE
+    cold()
+    assert parent_cache_info() == dict.fromkeys(
+        ("entries", "diagrams", "hits", "misses", "evictions"), 0)
+    assert poly._CACHE == {}
+
+
+def test_memo_holds_at_most_its_bound(cold, monkeypatch):
+    from pipedreams import parent_cache_info, pipedream
+
+    bound = 8
+    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    too_big = 0
+    for word in small_fubini_words():
+        for reduced in (True, False):
+            for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
+                before = parent_cache_info()
+                if len(enumerate_word(word, reduced=reduced)) > bound:
+                    # returned unstored, and nothing evicted to make room
+                    too_big += 1
+                    assert (parent_cache_info()
+                            == dict(before, misses=before["misses"] + 1))
+                info = parent_cache_info()
+                stored = sum(map(len, pipedream._PARENTS.values()))
+                assert info["diagrams"] == stored <= bound, info
+                assert info["entries"] == len(pipedream._PARENTS)
+    assert too_big and parent_cache_info()["evictions"] > 0
+
+
+def test_rectangularity_checks_through_the_memo(cold):
+    from pipedreams import parent_cache_info
+    from pipedreams.bpd import check_word_bpd_rectangularity
+    from pipedreams.pipedream import check_word_rectangularity
+
+    for _ in range(2):
+        for word in small_fubini_words():
+            for reduced in (True, False):
+                assert check_word_rectangularity(word, reduced) == []
+                assert check_word_bpd_rectangularity(word, reduced) == []
+    info = parent_cache_info()
+    assert info["hits"] >= info["misses"] > 0, info
