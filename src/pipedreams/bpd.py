@@ -12,13 +12,36 @@ east row i.
     SE      elbow: enters south, turns east
     NW      elbow: enters west, turns north
 
-The *diagram* BPD of w has an SE elbow at (i, w(i)); its blank cells form
-the Rothe diagram of w.  Droop moves generate all reduced BPDs from the
-diagram BPD; adding K-droop moves (drooping onto another pipe's SE elbow,
-which becomes a second, resolved crossing of the pair) generates all
-K-theoretic BPDs.  A BPD's K weight carries its sign (-1)^(blanks - len(w)),
-and so does that of a `WordBpd`, the `pipedream.WordDiagram` view of a BPD
-of std(conv(word)) on the word's first n rows and k columns.
+Each tile is the set of cell sides its pipes use (`_SIDES`, inverted by
+`_TILE_OF_SIDES`); moves, tracing and the diagram BPD all read that table.
+A non-CROSS tile carries its one pipe from its S or W side to its N or E
+side, and the pipes entering a cell are exactly its S/W sides.
+
+The *diagram* BPD of w has an SE elbow at (i, w(i)), each pipe's vertical
+strand below its elbow and its horizontal strand to the right; its blank
+cells form the Rothe diagram of w.  A droop of the SE elbow at (i, j) to
+(i2, j2), i2 > i and j2 > j, moves the pipe off the top and left edges of
+the rectangle and onto its bottom and right edges:
+
+    cells                       sides dropped   sides added
+    (i, j)                      S, E            -
+    (i, j2)                     W               S
+    (i2, j)                     N               E
+    top edge   (i, j+1..j2-1)   E, W            -
+    left edge  (i+1..i2-1, j)   N, S            -
+    bottom edge                 -               E, W
+    right edge                  -               N, S
+    (i2, j2)                    -               N, W
+
+Each edit needs its dropped sides present and its added sides absent, and
+the rectangle may hold no elbow but (i, j) and (i2, j2).  The destination
+decides the move: a BLANK becomes NW (a droop), another pipe's SE elbow
+becomes CROSS (a K-droop, a second, resolved crossing of the pair).  Droops
+generate all reduced BPDs from the diagram BPD, and droops with K-droops
+all K-theoretic BPDs.  A BPD's K weight carries its sign
+(-1)^(blanks - len(w)), and so does that of a `WordBpd`, the
+`pipedream.WordDiagram` view of a BPD of std(conv(word)) on the word's
+first n rows and k columns.
 """
 
 from __future__ import annotations
@@ -31,6 +54,7 @@ from .pipedream import (
     RectangularityViolation,
     WordDiagram,
     diagram_weight,
+    k_signed,
     move_closure,
     weight_sum,
 )
@@ -55,6 +79,7 @@ _SIDES = {
     Tile.SE: S_ | E_,
     Tile.NW: N_ | W_,
 }
+_TILE_OF_SIDES = {sides: t for t, sides in _SIDES.items()}
 
 _GLYPH = {
     Tile.BLANK: "·",   # ·
@@ -154,7 +179,9 @@ class Bpd:
         Tiles are processed in anti-diagonal order (increasing (N-r)+c), so
         each crossing sees the full prior history of its two pipes; at a
         cross tile whose pipes have already crossed, the tile acts as a
-        bump.  This is the 0-Hecke resolution of redundant crossings.
+        bump.  This is the 0-Hecke resolution of redundant crossings.  A
+        cell whose entering pipes are not exactly its tile's S/W sides
+        raises ValueError.
         """
         N = self.N
         # inputs: south_in[(r,c)] pipe entering from the south edge,
@@ -170,28 +197,26 @@ class Bpd:
                 if not 1 <= c <= N:
                     continue
                 tile = self.tile(r, c)
+                sides = _SIDES[tile]
                 b = south_in.get((r, c))  # heading north
                 a = west_in.get((r, c))   # heading east
-                go_north = go_east = None
-                if tile is Tile.BLANK:
-                    if a is not None or b is not None:
-                        raise ValueError("pipe ran into a blank at (%d,%d)" % (r, c))
-                elif tile is Tile.HOR:
-                    go_east = a
-                elif tile is Tile.VER:
-                    go_north = b
-                elif tile is Tile.SE:
-                    se_pipe[(r, c)] = b
-                    go_east = b
-                elif tile is Tile.NW:
-                    go_north = a
-                else:  # CROSS
+                entering = (S_ if b is not None else 0) | (W_ if a is not None else 0)
+                if entering != sides & (S_ | W_):
+                    raise ValueError("the pipes entering (%d,%d) do not fit its "
+                                     "%s tile" % (r, c, tile.name))
+                if tile is Tile.CROSS:
                     pair = frozenset((a, b))
                     if pair in crossed:
                         go_north, go_east = a, b   # bump
                     else:
                         crossed.add(pair)
                         go_north, go_east = b, a   # transversal crossing
+                else:
+                    pipe = a if b is None else b
+                    go_north = pipe if sides & N_ else None
+                    go_east = pipe if sides & E_ else None
+                    if tile is Tile.SE:
+                        se_pipe[(r, c)] = pipe
                 if go_north is not None:
                     if r == 1:
                         raise ValueError("pipe escaped north at column %d" % c)
@@ -223,121 +248,69 @@ class Bpd:
 
     # -- moves ---------------------------------------------------------------------
 
-    def _droop_rewrites(self, k_trace=None):
-        """Yield the rewritten grids of all legal droop moves, or of all
-        legal K-droop moves when `k_trace` is this BPD's `_trace()`.
+    def _moves(self, droop, k_droop):
+        """The droop moves (`droop`) and K-droop moves (`k_droop`) from one
+        walk over (SE elbow, destination) pairs; the K closure asks for both.
 
-        A droop takes the SE elbow at (i, j) and a destination (i2, j2)
-        with i2 > i, j2 > j; the destination is blank (droop) or another
-        pipe's SE elbow (K-droop, pipes must already cross).  The rectangle
-        may contain no elbow other than source and destination, the
-        corners (i2, j) / (i, j2) must be plain VER / HOR, and every cell
-        on the rectangle edge rewrites by losing or gaining the drooping
-        pipe's strand.
+        A BLANK destination makes a droop.  Another pipe's SE elbow makes a
+        K-droop, whose two pipes must already cross.  Crossing somewhere is
+        necessary but not sufficient: if the existing crossing lies
+        downstream of the destination, the new tile would become the pair's
+        first crossing and rewire the permutation.  K candidates that alter
+        the traced permutation are therefore discarded; the source is traced
+        once, for both the candidates and the permutation they must keep.
         """
-        N = self.N
-        ses = _cells(self.tiles, Tile.SE)
-        k_theoretic = k_trace is not None
-        if k_theoretic:
-            _, crossed, se_pipe = k_trace
-        for (i, j) in ses:
+        if k_droop:
+            one_line, crossed, se_pipe = self._trace()
+            w = Permutation(one_line)
+        N, out = self.N, []
+        for i, j in _cells(self.tiles, Tile.SE):
             for i2 in range(i + 1, N + 1):
                 for j2 in range(j + 1, N + 1):
-                    dest = self.tile(i2, j2)
-                    if k_theoretic:
-                        if dest is not Tile.SE:
+                    dest = self.tiles[i2 - 1][j2 - 1]
+                    onto_se = dest is Tile.SE
+                    if onto_se:
+                        if not (k_droop and frozenset(
+                                (se_pipe[i, j], se_pipe[i2, j2])) in crossed):
                             continue
-                        p, q = se_pipe[(i, j)], se_pipe[(i2, j2)]
-                        if frozenset((p, q)) not in crossed:
-                            continue
-                    else:
-                        if dest is not Tile.BLANK:
-                            continue
-                    grid = self._try_droop(i, j, i2, j2, k_theoretic)
-                    if grid is not None:
-                        yield grid
+                    elif not (droop and dest is Tile.BLANK):
+                        continue
+                    Q = self._droop(i, j, i2, j2)
+                    if Q is not None and (not onto_se or Q.permutation() == w):
+                        out.append(Q)
+        return out
 
-    def _try_droop(self, i, j, i2, j2, k_theoretic):
+    def _droop(self, i, j, i2, j2):
+        """The grid after drooping the SE elbow at (i, j) to (i2, j2) by the
+        module's droop table, or None if the rectangle holds another elbow
+        or a cell lacks a side it must drop or has a side it must add."""
         g = [list(row) for row in self.tiles]
-
-        def get(r, c):
-            return g[r - 1][c - 1]
-
-        def put(r, c, t):
-            g[r - 1][c - 1] = t
-
-        # no stray elbows anywhere in the rectangle
         for r in range(i, i2 + 1):
             for c in range(j, j2 + 1):
-                if (r, c) in ((i, j), (i2, j2)):
-                    continue
-                if get(r, c) in (Tile.SE, Tile.NW):
+                if (g[r - 1][c - 1] in (Tile.SE, Tile.NW)
+                        and (r, c) not in ((i, j), (i2, j2))):
                     return None
-        # corners
-        if get(i2, j) is not Tile.VER or get(i, j2) is not Tile.HOR:
-            return None
-        put(i, j, Tile.BLANK)
-        put(i2, j, Tile.SE)
-        put(i, j2, Tile.SE)
-        put(i2, j2, Tile.CROSS if k_theoretic else Tile.NW)
-        # top edge loses the horizontal strand
-        for c in range(j + 1, j2):
-            t = get(i, c)
-            if t is Tile.HOR:
-                put(i, c, Tile.BLANK)
-            elif t is Tile.CROSS:
-                put(i, c, Tile.VER)
-            else:
+        cols, rows = range(j + 1, j2), range(i + 1, i2)
+        edits = [(i, j, S_ | E_, 0), (i, j2, W_, S_), (i2, j, N_, E_),
+                 (i2, j2, 0, N_ | W_)]
+        edits += [(i, c, E_ | W_, 0) for c in cols]     # top edge
+        edits += [(r, j, N_ | S_, 0) for r in rows]     # left edge
+        edits += [(i2, c, 0, E_ | W_) for c in cols]    # bottom edge
+        edits += [(r, j2, 0, N_ | S_) for r in rows]    # right edge
+        for r, c, drop, add in edits:
+            sides = _SIDES[g[r - 1][c - 1]]
+            if sides & drop != drop or sides & add:
                 return None
-        # left edge loses the vertical strand
-        for r in range(i + 1, i2):
-            t = get(r, j)
-            if t is Tile.VER:
-                put(r, j, Tile.BLANK)
-            elif t is Tile.CROSS:
-                put(r, j, Tile.HOR)
-            else:
-                return None
-        # bottom edge gains a horizontal strand
-        for c in range(j + 1, j2):
-            t = get(i2, c)
-            if t is Tile.BLANK:
-                put(i2, c, Tile.HOR)
-            elif t is Tile.VER:
-                put(i2, c, Tile.CROSS)
-            else:
-                return None
-        # right edge gains a vertical strand
-        for r in range(i + 1, i2):
-            t = get(r, j2)
-            if t is Tile.BLANK:
-                put(r, j2, Tile.VER)
-            elif t is Tile.HOR:
-                put(r, j2, Tile.CROSS)
-            else:
-                return None
+            g[r - 1][c - 1] = _TILE_OF_SIDES[(sides ^ drop) | add]
         return Bpd(g)
 
     def droop_moves(self):
         """All BPDs one droop move away, canonically ordered."""
-        return sorted(self._droop_rewrites(), key=Bpd.code_string)
+        return sorted(self._moves(droop=True, k_droop=False), key=Bpd.code_string)
 
     def k_droop_moves(self):
-        """All BPDs one K-theoretic droop move away.
-
-        A K-droop droops an SE elbow onto the SE elbow of a pipe that
-        already crosses the drooping pipe, turning the destination into a
-        second, redundant crossing.  Crossing somewhere is necessary but
-        not sufficient: if the existing crossing lies downstream of the
-        destination, the new tile would become the pair's first crossing
-        and rewire the permutation.  Candidates that alter the traced
-        permutation are therefore discarded; the source is traced once, for
-        both the candidates and the permutation they must keep.
-        """
-        trace = self._trace()
-        w = Permutation(trace[0])
-        return sorted((Q for Q in self._droop_rewrites(trace)
-                       if Q.permutation() == w), key=Bpd.code_string)
+        """All BPDs one K-theoretic droop move away, canonically ordered."""
+        return sorted(self._moves(droop=False, k_droop=True), key=Bpd.code_string)
 
     # -- weights -----------------------------------------------------------------
 
@@ -353,12 +326,7 @@ class Bpd:
         blanks = self.blanks()
         p = diagram_weight(mode, nx or self.N, blanks, labels, self.nw_elbows())
         if mode.startswith("K"):
-            wperm = w or self.permutation()
-            excess = len(blanks) - wperm.inversions()
-            if excess < 0:
-                raise ValueError("fewer blanks than inversions")
-            if excess % 2:
-                p = -p
+            p = k_signed(p, len(blanks) - (w or self.permutation()).inversions())
         return p
 
     # -- rendering -------------------------------------------------------------
@@ -380,9 +348,9 @@ class Bpd:
 
 
 def diagram_bpd(w):
-    """The diagram BPD: SE elbow at (i, w(i)), verticals below it,
-    horizontals right of it, crossings where both, blanks elsewhere
-    (the blanks form the Rothe diagram)."""
+    """The diagram BPD: SE elbow at (i, w(i)), each pipe's vertical strand
+    below it and horizontal strand right of it (the blanks form the Rothe
+    diagram)."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     N = w.n
     winv = w.inverse()
@@ -390,19 +358,9 @@ def diagram_bpd(w):
     for r in range(1, N + 1):
         row = []
         for c in range(1, N + 1):
-            i = winv(c)
-            vert = i < r
-            horiz = w(r) < c
-            if i == r and w(r) == c:
-                row.append(Tile.SE)
-            elif vert and horiz:
-                row.append(Tile.CROSS)
-            elif vert:
-                row.append(Tile.VER)
-            elif horiz:
-                row.append(Tile.HOR)
-            else:
-                row.append(Tile.BLANK)
+            vert = N_ | S_ if winv(c) < r else 0
+            horiz = E_ | W_ if w(r) < c else 0
+            row.append(Tile.SE if c == w(r) else _TILE_OF_SIDES[vert | horiz])
         g.append(row)
     B = Bpd(g)
     B.validate()
@@ -416,7 +374,7 @@ def enumerate_reduced_bpd(w):
 
 def enumerate_all_bpd(w):
     """All K-theoretic BPDs of w: droop + K-droop closure."""
-    return _bpd_closure(w, lambda B: B.droop_moves() + B.k_droop_moves())
+    return _bpd_closure(w, lambda B: B._moves(droop=True, k_droop=True))
 
 
 def _bpd_closure(w, moves):

@@ -252,7 +252,10 @@ def _parse_field(text):
     if text == "q":
         return None
     if text.startswith("p="):
-        return int(text[2:])
+        try:
+            return int(text[2:])
+        except ValueError:
+            pass
     raise ValueError("--field expects 'q' or 'p=<odd prime>', got %r" % text)
 
 

@@ -288,6 +288,14 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
     return p
 
 
+def k_signed(p, excess):
+    """p with the K sign (-1)^excess of a diagram whose weight cells exceed
+    the length of its permutation by `excess`."""
+    if excess < 0:
+        raise ValueError("%d fewer weight cells than inversions" % -excess)
+    return -p if excess % 2 else p
+
+
 def weight_sum(weights, nx, ny=0):
     """Sum weights into one term dict, so the running total is never
     copied; cancelled terms are dropped."""
@@ -449,7 +457,7 @@ class WordDiagram:
         x_{labels[r-1]}; K weights carry (-1)^excess when `_signed`."""
         cells, nw = self._cells(self.diagram)
         p = diagram_weight(mode, self.n, cells, self.labels, nw)
-        return -p if self._signed and mode.startswith("K") and self.excess % 2 else p
+        return k_signed(p, self.excess) if self._signed and mode.startswith("K") else p
 
     def render(self):
         """The n x k rectangle, each row followed by its variable."""
@@ -551,8 +559,8 @@ def pd_grothendieck(w, double=False):
     w = w if isinstance(w, Permutation) else Permutation(w)
     mode = "K-double" if double else "K-single"
     ell = w.inversions()
-    return weight_sum((-P.weight(mode) if (len(P.crosses) - ell) % 2
-                       else P.weight(mode) for P in enumerate_all(w)),
+    return weight_sum((k_signed(P.weight(mode), len(P.crosses) - ell)
+                       for P in enumerate_all(w)),
                       w.n, w.n if double else 0)
 
 
@@ -567,7 +575,6 @@ def word_pd_schubert(word):
 def word_pd_grothendieck(word):
     """Signed weight sum over all word pipe dreams ((-1)^excess each)."""
     word = word if isinstance(word, Word) else Word(word)
-    return weight_sum((-P.weight("K-single") if P.excess % 2
-                       else P.weight("K-single")
+    return weight_sum((k_signed(P.weight("K-single"), P.excess)
                        for P in enumerate_word_pds(word, reduced=False)),
                       word.n)

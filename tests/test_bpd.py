@@ -1,5 +1,6 @@
 """Bumpless pipe dreams: grid validity, droop moves, weights, words."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -92,6 +93,19 @@ def test_validate_rejects_edge_mismatch():
         Bpd([[S_, H_], [V_, H_]]).validate()
 
 
+@pytest.mark.parametrize("grid, cell", [
+    ([[H_]], r"\(1,1\) do not fit its HOR"),
+    ([[S_, H_], [V_, H_]], r"\(2,2\) do not fit its HOR"),
+    ([[S_, H_], [V_, C_]], r"\(2,2\) do not fit its CROSS"),
+])
+def test_trace_names_the_cell_of_a_malformed_grid(grid, cell):
+    for B in (Bpd(grid), Bpd.from_json(Bpd(grid).to_json())):
+        with pytest.raises(ValueError, match=cell):
+            B.permutation()
+        with pytest.raises(ValueError, match=cell):
+            B.weight("K-single")
+
+
 def test_json_roundtrip():
     B = diagram_bpd(Permutation("24153"))
     assert Bpd.from_json(B.to_json()).code_string() == B.code_string()
@@ -128,6 +142,20 @@ def test_bpd_and_pd_k_sums_agree():
     for p in itertools.permutations(range(1, 5)):
         w = Permutation(p)
         assert bpd_grothendieck(w) == pd_grothendieck(w)
+
+
+def test_enumeration_golden():
+    """SHA-256 of the `to_json()` of every reduced, then every K-theoretic,
+    BPD of each w in S_1..S_5, in itertools.permutations order."""
+    digest, count = hashlib.sha256(), 0
+    for n in range(1, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            for B in enumerate_reduced_bpd(w) + enumerate_all_bpd(w):
+                digest.update(B.to_json().encode())
+                count += 1
+    assert count == 925
+    assert digest.hexdigest() == (
+        "2e69ca469d30836d360384fa3721c38a1a85f5957e407d729ffb41dffe2f4236")
 
 
 def test_enumeration_deterministic():
@@ -216,14 +244,14 @@ def test_bpd_weight_helper_matches_method():
 
 
 def test_bpd_schubert_matches_recursion():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert bpd_schubert(w) == schubert(w).restrict_arity(n)
 
 
 def test_bpd_grothendieck_matches_recursion():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert bpd_grothendieck(w) == grothendieck(w).restrict_arity(n)

@@ -248,6 +248,9 @@ def test_reduce_usage_errors(capsys, tmp_path):
     assert rc == 2 and "not both" in err
     rc, _, err = run(capsys, "reduce", str(path), "--field", "r")
     assert rc == 2 and "--field" in err
+    rc, _, err = run(capsys, "reduce", "--random", "3", "2", "--field", "p=x")
+    assert rc == 2
+    assert "--field expects 'q' or 'p=<odd prime>', got 'p=x'" in err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc, _, err = run(capsys, "reduce", str(bad))
