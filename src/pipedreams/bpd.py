@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from enum import IntEnum
 
-from .combinat import Permutation, Word
+from .combinat import Permutation, Word, json_fields
 from .pipedream import (
     RectangularityViolation,
     WordDiagram,
@@ -340,8 +340,13 @@ class Bpd:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls([[_NAME_TILE[s] for s in row] for row in d["tiles"]])
+        tiles, = json_fields(text, "BPD", "tiles")
+        for r, row in enumerate(tiles, 1):
+            for c, name in enumerate(row, 1):
+                if name not in _NAME_TILE:
+                    raise ValueError("BPD JSON has unknown tile %r at (%d, %d)"
+                                     % (name, r, c))
+        return cls([[_NAME_TILE[s] for s in row] for row in tiles])
 
 
 # -- construction and enumeration ------------------------------------------------

@@ -18,6 +18,18 @@ import math
 from itertools import permutations as _all_perms
 
 
+def json_fields(text, kind, *names):
+    """The named fields of the JSON object `text` describing a `kind`; a
+    ValueError names the first field that is missing."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise ValueError("%s JSON must be an object" % kind)
+    for name in names:
+        if name not in d:
+            raise ValueError("%s JSON lacks the %r field" % (kind, name))
+    return [d[name] for name in names]
+
+
 def _parse_one_line(data):
     """Accept an int-sequence, a digit string, or a comma-separated string."""
     if isinstance(data, str):
@@ -167,7 +179,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, text):
-        return cls(json.loads(text)["one_line"])
+        return cls(*json_fields(text, "permutation", "one_line"))
 
     @classmethod
     def identity(cls, n):
@@ -337,8 +349,7 @@ class Word:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls(d["letters"], d["k"])
+        return cls(*json_fields(text, "word", "letters", "k"))
 
 
 class RankTable:

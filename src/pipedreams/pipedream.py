@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 
-from .combinat import Permutation, Word, convex_standardization
+from .combinat import Permutation, Word, convex_standardization, json_fields
 from .poly import Poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -229,8 +229,8 @@ class PipeDream:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        return cls([tuple(rc) for rc in d["crosses"]], d["N"])
+        crosses, N = json_fields(text, "pipe dream", "crosses", "N")
+        return cls([tuple(rc) for rc in crosses], N)
 
 
 # -- weights --------------------------------------------------------------------
@@ -296,14 +296,8 @@ def k_signed(p, excess):
     return -p if excess % 2 else p
 
 
-def weight_sum(weights, nx, ny=0):
-    """Sum weights into one term dict, so the running total is never
-    copied; cancelled terms are dropped."""
-    terms = {}
-    for p in weights:
-        for e, c in p.terms.items():
-            terms[e] = terms.get(e, 0) + c
-    return Poly(nx, ny, terms)
+# the sum of weights, added into one term dict without copying a total
+weight_sum = Poly.sum_of
 
 
 # -- construction and enumeration ---------------------------------------------

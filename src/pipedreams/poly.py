@@ -1,8 +1,20 @@
 """Exact sparse polynomials and Schubert/Grothendieck calculus.
 
-Polynomials live in Z[x_1..x_nx] or Z[x_1..x_nx; y_1..y_ny]; a monomial is
-an exponent tuple of length nx+ny (x block first), coefficients are Python
-ints, and zero coefficients are never stored.  All arithmetic is exact.
+Polynomials live in Z[x_1..x_nx] or Z[x_1..x_nx; y_1..y_ny]; coefficients
+are Python ints, and zero coefficients are never stored.  All arithmetic is
+exact.
+
+A monomial is one packed int key.  Variable v (x_1..x_nx, then y_1..y_ny,
+counted from 0) owns the byte at bits 8v..8v+7: its exponent in the low
+seven bits and a guard bit on top, so an exponent is at most EXP_MAX = 127.
+Multiplying monomials adds their keys.  Two exponents <= 127 add up to at
+most 254, which may set the guard bit but never carries into the next
+byte, so a product tests the guard bits of its keys once and raises a
+ValueError naming the variable whose exponent passed EXP_MAX.  The divided
+differences never raise an exponent and skip that test.  Only this module
+reads keys: `Poly(nx, ny, {exponent tuple: c})`, `coefficient`,
+`items()` and the text and JSON forms speak exponent tuples.  A term dict
+holds only ints, so the cyclic garbage collector never walks it.
 
 The divided difference uses the telescoping identity
 
@@ -17,16 +29,38 @@ identity term by term, in one pass over f and without forming x_{i+1} f:
     pi_i(x_i^p x_{i+1}^q) = d_i(x_i^p x_{i+1}^q) - d_i(x_i^p x_{i+1}^(q+1))
 
 The two sums have total degrees p+q-1 and p+q, so they never cancel each
-other; the composite form is the test oracle.
+other; the composite form is the test oracle.  Both sums only rewrite the
+bytes of x_i and x_{i+1}, so the key of each of their monomials is the
+term's key xored with a mask that depends on (p, q) alone.  A kernel call
+works the masks out once per (p, q) it meets; a term then costs a shift, a
+mask and one int xor per monomial.
+
+Computed polynomials are cached per (one-line tuple, kind), least recently
+used first, with at most CACHE_TERMS terms in all; the longest elements w0,
+where every recursion starts, are never evicted.  See `cache_info()`.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 
-from .combinat import Permutation, Word
+from .combinat import Permutation, Word, json_fields
+
+EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
+
+
+def _steps(p, q, top, lo, hi, s):
+    """The masks whose xor takes the key of x_i^p x_{i+1}^q, x_i at bit s,
+    to the keys of x_i^t x_{i+1}^(top-t) for t = lo..hi-1."""
+    return tuple((p ^ t) << s | (q ^ top - t) << s + 8 for t in range(lo, hi))
+
+
+def _variable(v, nx):
+    """The name of variable v, counted from 0 with the x block first."""
+    return "x%d" % (v + 1) if v < nx else "y%d" % (v - nx + 1)
 
 
 class Poly:
@@ -37,43 +71,94 @@ class Poly:
     def __init__(self, nx, ny=0, terms=None):
         self.nx = nx
         self.ny = ny
-        self.terms = {}
+        packed = {}
         if terms:
             for exp, c in terms.items():
                 if c:
-                    if len(exp) != nx + ny:
-                        raise ValueError("exponent arity mismatch")
-                    self.terms[tuple(exp)] = self.terms.get(tuple(exp), 0) + c
-            self.terms = {e: c for e, c in self.terms.items() if c}
+                    key = self._key(exp)
+                    packed[key] = packed.get(key, 0) + c
+        self.terms = {e: c for e, c in packed.items() if c}
+
+    @classmethod
+    def _of(cls, nx, ny, terms):
+        """The polynomial whose term dict is `terms`, packed keys and nonzero
+        coefficients, taken as it is."""
+        p = object.__new__(cls)
+        p.nx, p.ny, p.terms = nx, ny, terms
+        return p
+
+    def _key(self, exp):
+        """The packed key of an exponent tuple."""
+        n = self.nx + self.ny
+        if len(exp) != n:
+            raise ValueError("exponent %r has %d entries, not nx + ny = %d"
+                             % (tuple(exp), len(exp), n))
+        try:
+            b = bytes(exp)
+            if n and max(b) > EXP_MAX:
+                raise ValueError
+        except (TypeError, ValueError):
+            v = next(v for v, a in enumerate(exp)
+                     if not isinstance(a, int) or not 0 <= a <= EXP_MAX)
+            raise ValueError("exponent %r of %s is outside 0..%d" % (
+                exp[v], _variable(v, self.nx), EXP_MAX)) from None
+        return int.from_bytes(b, "little")
+
+    def _check_exponents(self, keys):
+        """Raise a ValueError naming a variable whose exponent passed
+        EXP_MAX in one of `keys`, sums of two valid keys."""
+        used = 0
+        for e in keys:
+            used |= e
+        over = used & int.from_bytes(b"\x80" * (self.nx + self.ny), "little")
+        if over:
+            raise ValueError("the exponent of %s passes %d"
+                             % (_variable((over.bit_length() - 1) // 8,
+                                          self.nx), EXP_MAX))
+
+    def items(self):
+        """The terms as (exponent tuple, coefficient) pairs, x block first."""
+        n = self.nx + self.ny
+        for e, c in self.terms.items():
+            yield tuple(e.to_bytes(n, "little")), c
+
+    def _degree(self, e):
+        return sum(e.to_bytes(self.nx + self.ny, "little"))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, nx, ny=0):
-        return cls(nx, ny)
+        return cls._of(nx, ny, {})
 
     @classmethod
     def const(cls, c, nx, ny=0):
-        p = cls(nx, ny)
-        if c:
-            p.terms[(0,) * (nx + ny)] = c
-        return p
+        return cls._of(nx, ny, {0: c} if c else {})
 
     @classmethod
     def x(cls, i, nx, ny=0):
         if not 1 <= i <= nx:
             raise ValueError("x index %d is outside 1..nx = %d" % (i, nx))
-        exp = [0] * (nx + ny)
-        exp[i - 1] = 1
-        return cls(nx, ny, {tuple(exp): 1})
+        return cls._of(nx, ny, {1 << 8 * (i - 1): 1})
 
     @classmethod
     def y(cls, j, nx, ny):
         if not 1 <= j <= ny:
             raise ValueError("y index %d is outside 1..ny = %d" % (j, ny))
-        exp = [0] * (nx + ny)
-        exp[nx + j - 1] = 1
-        return cls(nx, ny, {tuple(exp): 1})
+        return cls._of(nx, ny, {1 << 8 * (nx + j - 1): 1})
+
+    @classmethod
+    def sum_of(cls, polys, nx, ny=0):
+        """The sum of polynomials in (nx, ny) variables, added into one term
+        dict, so the running total is never copied."""
+        terms = {}
+        for p in polys:
+            if p.nx != nx or p.ny != ny:
+                raise ValueError("arity mismatch: (%d,%d) vs (%d,%d)"
+                                 % (p.nx, p.ny, nx, ny))
+            for e, c in p.terms.items():
+                terms[e] = terms.get(e, 0) + c
+        return cls._of(nx, ny, {e: c for e, c in terms.items() if c})
 
     # -- ring ops ------------------------------------------------------------
 
@@ -93,14 +178,11 @@ class Poly:
                 terms[e] = nc
             else:
                 terms.pop(e, None)
-        out = Poly(self.nx, self.ny)
-        out.terms = terms
-        return out
+        return Poly._of(self.nx, self.ny, terms)
 
     def __neg__(self):
-        out = Poly(self.nx, self.ny)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._of(self.nx, self.ny,
+                        {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -114,11 +196,9 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return Poly(self.nx, self.ny)
-            out = Poly(self.nx, self.ny)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return Poly._of(self.nx, self.ny,
+                            {e: c * other for e, c in self.terms.items()}
+                            if other else {})
         self._check_compat(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -126,15 +206,14 @@ class Poly:
         terms = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(map(sum, zip(ea, eb)))
+                e = ea + eb
                 nc = terms.get(e, 0) + ca * cb
                 if nc:
                     terms[e] = nc
                 else:
                     del terms[e]
-        out = Poly(self.nx, self.ny)
-        out.terms = terms
-        return out
+        self._check_exponents(terms)
+        return Poly._of(self.nx, self.ny, terms)
 
     __rmul__ = __mul__
 
@@ -144,8 +223,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -164,18 +244,22 @@ class Poly:
     # -- queries -------------------------------------------------------------
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), 0)
+        # no term has an exponent outside 0..EXP_MAX; a wrong arity raises
+        if (len(exp) == self.nx + self.ny
+                and not all(0 <= a <= EXP_MAX for a in exp)):
+            return 0
+        return self.terms.get(self._key(exp), 0)
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(self._degree, self.terms), default=0)
 
     def min_degree(self):
-        return min((sum(e) for e in self.terms), default=0)
+        return min(map(self._degree, self.terms), default=0)
 
     def homogeneous_component(self, d):
-        out = Poly(self.nx, self.ny)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return out
+        return Poly._of(self.nx, self.ny,
+                        {e: c for e, c in self.terms.items()
+                         if self._degree(e) == d})
 
     def lowest_degree_component(self):
         if not self.terms:
@@ -184,13 +268,10 @@ class Poly:
 
     def max_x_index_used(self):
         """Largest i with x_i appearing (0 if none)."""
-        best = 0
+        used = 0
         for e in self.terms:
-            for i in range(self.nx - 1, best - 1, -1):
-                if e[i]:
-                    best = max(best, i + 1)
-                    break
-        return best
+            used |= e
+        return ((used & ((1 << 8 * self.nx) - 1)).bit_length() + 7) // 8
 
     def evaluate(self, xs, ys=()):
         """Exact evaluation; xs/ys may hold ints or Fractions."""
@@ -198,7 +279,7 @@ class Poly:
             raise ValueError("evaluation point arity mismatch")
         pt = tuple(xs) + tuple(ys)
         total = 0
-        for e, c in self.terms.items():
+        for e, c in self.items():
             v = c
             for b, a in zip(pt, e):
                 if a:
@@ -210,29 +291,21 @@ class Poly:
 
     def specialize_y_zero(self):
         """Set every y_j := 0, returning a pure-x polynomial."""
-        out = Poly(self.nx, 0)
-        t = {}
-        for e, c in self.terms.items():
-            if any(e[self.nx:]):
-                continue
-            t[e[: self.nx]] = c
-        out.terms = t
-        return out
+        limit = 1 << 8 * self.nx      # a key below it has no y exponent
+        return Poly._of(self.nx, 0,
+                        {e: c for e, c in self.terms.items() if e < limit})
 
     def restrict_arity(self, new_nx):
-        """Shrink the x block to new_nx; no dropped variable may occur."""
-        if new_nx > self.nx:
-            # pad instead
-            out = Poly(new_nx, self.ny)
-            pad = (0,) * (new_nx - self.nx)
-            out.terms = {e[: self.nx] + pad + e[self.nx:]: c
-                         for e, c in self.terms.items()}
-            return out
-        if self.max_x_index_used() > new_nx:
+        """Change the x block to new_nx variables; shrinking it, no dropped
+        variable may occur."""
+        if new_nx < self.nx and self.max_x_index_used() > new_nx:
             raise ValueError("polynomial uses x beyond index %d" % new_nx)
-        out = Poly(new_nx, self.ny)
-        out.terms = {e[:new_nx] + e[self.nx:]: c for e, c in self.terms.items()}
-        return out
+        if not self.ny:
+            return Poly._of(new_nx, 0, dict(self.terms))
+        xs, old, new = (1 << 8 * self.nx) - 1, 8 * self.nx, 8 * new_nx
+        return Poly._of(new_nx, self.ny,
+                        {e & xs | e >> old << new: c
+                         for e, c in self.terms.items()})
 
     def permute_x(self, pi):
         """Substitute x_i := x_{pi(i)} for a permutation pi of [nx]."""
@@ -240,102 +313,100 @@ class Poly:
             pi = pi.extend(self.nx)
         else:
             pi = Permutation(pi).extend(self.nx)
-        out = Poly(self.nx, self.ny)
+        n = self.nx + self.ny
+        src = list(range(n))    # the new byte j is the old byte src[j]
+        for i in range(self.nx):
+            src[pi(i + 1) - 1] = i
         t = {}
         for e, c in self.terms.items():
-            ne = [0] * self.nx
-            for i in range(self.nx):
-                ne[pi(i + 1) - 1] = e[i]
-            t[tuple(ne) + e[self.nx:]] = c
-        out.terms = t
-        return out
+            b = e.to_bytes(n, "little")
+            t[int.from_bytes(bytes(map(b.__getitem__, src)), "little")] = c
+        return Poly._of(self.nx, self.ny, t)
 
     # -- divided differences -----------------------------------------------
 
+    def _check_operator_index(self, i, op="d"):
+        if i < 1 or i + 1 > self.nx:
+            raise ValueError("%s_%d needs x_%d in scope" % (op, i, i + 1))
+
     def swap_x(self, i):
         """Exchange the variables x_i and x_{i+1}."""
-        out = Poly(self.nx, self.ny)
-        t = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i - 1], ne[i] = ne[i], ne[i - 1]
-            t[tuple(ne)] = c
-        out.terms = t
-        return out
-
-    def _check_operator_index(self, i):
-        if i < 1 or i + 1 > self.nx:
-            raise ValueError("d_%d needs x_%d in scope" % (i, i + 1))
+        self._check_operator_index(i, "s")
+        s = 8 * (i - 1)
+        d = (1 << s + 8) - (1 << s)     # one unit moved from x_i to x_{i+1}
+        return Poly._of(self.nx, self.ny,
+                        {e + ((e >> s & 0xFF) - (e >> s + 8 & 0xFF)) * d: c
+                         for e, c in self.terms.items()})
 
     def divided_difference(self, i):
         """d_i f = (f - s_i f) / (x_i - x_{i+1}), computed division-free."""
         self._check_operator_index(i)
-        a = i - 1
+        s = 8 * (i - 1)
+        moves = {}      # bytes of x_i, x_{i+1} -> (key changes, negate)
         terms = {}
         for e, c in self.terms.items():
-            p, q = e[a], e[i]
-            if p == q:
-                continue
-            if p < q:
-                p, q, c = q, p, -c
-            base = list(e)
-            top = p + q - 1
-            for t in range(q, p):
-                base[a] = t
-                base[i] = top - t
-                key = tuple(base)
+            pq = e >> s & 0xFFFF
+            mv = moves.get(pq)
+            if mv is None:
+                p, q = pq & 0xFF, pq >> 8
+                mv = moves[pq] = (_steps(p, q, p + q - 1, min(p, q),
+                                         max(p, q), s), p < q)
+            steps, negate = mv
+            if negate:
+                c = -c
+            for step in steps:
+                key = e ^ step
                 nc = terms.get(key, 0) + c
                 if nc:
                     terms[key] = nc
                 else:
                     del terms[key]
-        out = Poly(self.nx, self.ny)
-        out.terms = terms
-        return out
+        return Poly._of(self.nx, self.ny, terms)
 
     def isobaric_divided_difference(self, i):
         """pi_i f = d_i((1 - x_{i+1}) f), in one pass over f; idempotent."""
         self._check_operator_index(i)
-        a = i - 1
-        terms = {}
+        s = 8 * (i - 1)
+        moves = {}      # bytes of x_i, x_{i+1} -> (key changes of the
+        terms = {}      # first sum, of the second, negate)
         for e, c in self.terms.items():
-            p, q = e[a], e[i]
-            base = list(e)
+            pq = e >> s & 0xFFFF
+            mv = moves.get(pq)
+            if mv is None:
+                p, q = pq & 0xFF, pq >> 8
+                mv = moves[pq] = (_steps(p, q, p + q - 1, min(p, q),
+                                         max(p, q), s),
+                                  _steps(p, q, p + q, min(p, q + 1),
+                                         max(p, q + 1), s), p <= q)
             # c d_i(x_i^p x_{i+1}^q), then -c d_i(x_i^p x_{i+1}^(q+1)); the
             # two loops stay unrolled because a loop over both runs costs
             # about 10 % of this kernel
-            lo, hi, s = (q, p, c) if p > q else (p, q, -c)
-            top = p + q - 1
-            for t in range(lo, hi):
-                base[a] = t
-                base[i] = top - t
-                key = tuple(base)
-                nc = terms.get(key, 0) + s
+            first, second, negate = mv
+            if negate:
+                c = -c
+            for step in first:
+                key = e ^ step
+                nc = terms.get(key, 0) + c
                 if nc:
                     terms[key] = nc
                 else:
                     del terms[key]
-            lo, hi, s = (q + 1, p, -c) if p > q else (p, q + 1, c)
-            top += 1
-            for t in range(lo, hi):
-                base[a] = t
-                base[i] = top - t
-                key = tuple(base)
-                nc = terms.get(key, 0) + s
+            c = -c
+            for step in second:
+                key = e ^ step
+                nc = terms.get(key, 0) + c
                 if nc:
                     terms[key] = nc
                 else:
                     del terms[key]
-        out = Poly(self.nx, self.ny)
-        out.terms = terms
-        return out
+        return Poly._of(self.nx, self.ny, terms)
 
     # -- rendering -----------------------------------------------------------
 
     def _sorted_terms(self):
         # graded order: ascending total degree, then descending lex on the
         # exponent tuple (x block first), so x1-heavy monomials print first
-        return sorted(self.terms.items(),
+        return sorted(self.items(),
                       key=lambda ec: (sum(ec[0]), tuple(-v for v in ec[0])))
 
     def _render(self, var, power, join):
@@ -377,12 +448,18 @@ class Poly:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
+        nx, ny, raw = json_fields(text, "polynomial", "nx", "ny", "terms")
         terms = {}
-        for t in d["terms"]:
+        for t in raw:
+            if not isinstance(t, dict) or not {"coeff", "exp"} <= t.keys():
+                raise ValueError("polynomial term %r needs 'coeff' and 'exp'"
+                                 % (t,))
             c = Fraction(t["coeff"])
-            terms[tuple(t["exp"])] = int(c) if c.denominator == 1 else c
-        return cls(d["nx"], d["ny"], terms)
+            if c.denominator != 1:
+                raise ValueError("polynomial term %r: the coefficient is not "
+                                 "an integer" % (t,))
+            terms[tuple(t["exp"])] = int(c)
+        return cls(nx, ny, terms)
 
     def __repr__(self):
         return "Poly(%s)" % (self.to_text(),)
@@ -395,28 +472,36 @@ class Poly:
 
 def elementary_symmetric(j, m, nx=None, ny=0):
     """e_j(x_1, ..., x_m) as a Poly of x-arity nx (default m)."""
-    from itertools import combinations
-
     if nx is None:
         nx = m
+    if m > nx:
+        raise ValueError("e_%d(x_1..x_%d) needs nx >= %d, got %d"
+                         % (j, m, m, nx))
     if j < 0 or j > m:
         return Poly(nx, ny)
-    terms = {}
-    for comb in combinations(range(m), j):
-        e = [0] * (nx + ny)
-        for i in comb:
-            e[i] = 1
-        terms[tuple(e)] = 1
-    return Poly(nx, ny, terms)
+    return Poly._of(nx, ny, {sum(1 << 8 * i for i in comb): 1
+                             for comb in combinations(range(m), j)})
 
 
 # -- Schubert / Grothendieck --------------------------------------------------
 
+# The cached polynomials per (one-line tuple, kind), least recently used
+# first, as a use re-inserts its key; at most CACHE_TERMS terms in all, the
+# tops w0 never evicted.
+CACHE_TERMS = 6_000_000
 _CACHE = {}
+_CACHE_STATS = dict.fromkeys(("terms", "hits", "misses", "evictions"), 0)
+
+
+def cache_info():
+    """The polynomial cache: its entries and their terms, and its hits,
+    misses and evictions since the last `clear_caches()`."""
+    return {"entries": len(_CACHE), **_CACHE_STATS}
 
 
 def clear_caches():
     _CACHE.clear()
+    _CACHE_STATS.update(dict.fromkeys(_CACHE_STATS, 0))
 
 
 def _staircase(n, nx, ny, double, k_theory):
@@ -440,9 +525,12 @@ def _schub_like(w, kind):
     """kind in {'S','G','Sd','Gd'}; returns the cached polynomial for w."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     key = (w.one_line, kind)
-    hit = _CACHE.get(key)
+    hit = _CACHE.pop(key, None)
     if hit is not None:
+        _CACHE[key] = hit
+        _CACHE_STATS["hits"] += 1
         return hit
+    _CACHE_STATS["misses"] += 1
     n = w.n
     double = kind.endswith("d")
     k_theory = kind.startswith("G")
@@ -460,23 +548,33 @@ def _schub_like(w, kind):
         path.append(i)
         v = v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
         keys.append(v)
-    if (v, kind) not in _CACHE:
-        _cache_put((v, kind), _staircase(
-            n, n, n if double else 0, double, k_theory))
-
-    cur = _CACHE[(keys[-1], kind)]
+    cur = _CACHE.pop((v, kind), None)
+    if cur is None:
+        cur = _staircase(n, n, n if double else 0, double, k_theory)
+        _cache_put((v, kind), cur)
+    else:
+        _CACHE[v, kind] = cur
     for idx in range(len(path) - 1, -1, -1):
         i = path[idx]
         cur = (cur.isobaric_divided_difference(i) if k_theory
                else cur.divided_difference(i))
         _cache_put((keys[idx], kind), cur)
-    return _CACHE[key]
+    return cur
 
 
 def _cache_put(key, poly):
-    """Cache a polynomial with read-only terms: every caller shares it."""
+    """Cache a polynomial with read-only terms, as every caller shares it;
+    then evict the least recently used entries past CACHE_TERMS terms."""
     poly.terms = MappingProxyType(poly.terms)
     _CACHE[key] = poly
+    _CACHE_STATS["terms"] += len(poly.terms)
+    while _CACHE_STATS["terms"] > CACHE_TERMS:
+        old = next((k for k in _CACHE
+                    if k[0] != tuple(range(len(k[0]), 0, -1))), None)
+        if old is None:
+            break
+        _CACHE_STATS["terms"] -= len(_CACHE.pop(old).terms)
+        _CACHE_STATS["evictions"] += 1
 
 
 def schubert(w):

@@ -164,7 +164,7 @@ def _project_row(f, n, k):
     nx = f.nx
     pad = (0,) * (n - min(n, nx))
     acc = {}
-    for exp, coeff in f.terms.items():
+    for exp, coeff in f.items():
         if any(exp[nx:]):
             raise ValueError("polynomial must not involve the y-alphabet")
         if any(exp[n:nx]):
@@ -330,7 +330,7 @@ def _surviving_terms(u, n, k):
     term has degree l(u), i.e. belongs to S_u."""
     length = Permutation(u).inversions()
     out = []
-    for exp, coeff in grothendieck(u).terms.items():
+    for exp, coeff in grothendieck(u).items():
         if any(exp[n:]):
             raise AssertionError(
                 "standardized polynomial uses x_%d beyond word length %d"

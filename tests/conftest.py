@@ -27,7 +27,7 @@ def poly_to_sympy(f):
     ys = sympy_ys(f.ny)
     gens = list(xs) + list(ys)
     expr = sympy.Integer(0)
-    for exp, coeff in f.terms.items():
+    for exp, coeff in f.items():
         term = sympy.Rational(coeff)
         for g, e in zip(gens, exp):
             if e:

@@ -152,7 +152,7 @@ def test_criterion_1_worked_example_goldens():
 
 
 def _assert_terms(poly, want):
-    assert dict(poly.terms) == want
+    assert dict(poly.items()) == want
 
 
 def _assert_render(pm, want):

@@ -111,6 +111,18 @@ def test_json_roundtrip():
     assert Bpd.from_json(B.to_json()).code_string() == B.code_string()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1, "tiles": [["FOO"]]}', r"unknown tile 'FOO' at \(1, 1\)"),
+    ('{"n": 2, "tiles": [["SE", "HOR"], ["VER", "BAR"]]}',
+     r"unknown tile 'BAR' at \(2, 2\)"),
+    ('{"n": 1}', "BPD JSON lacks the 'tiles' field"),
+    ('[["SE"]]', "BPD JSON must be an object"),
+], ids=["tile", "tile-2-2", "no-tiles", "not-object"])
+def test_from_json_names_what_is_wrong(text, message):
+    with pytest.raises(ValueError, match=message):
+        Bpd.from_json(text)
+
+
 # -- enumeration ---------------------------------------------------------------
 
 
@@ -234,7 +246,7 @@ def test_k_weight_sign_alternates_by_degree():
     ell = w.inversions()
     for B in enumerate_all_bpd(w):
         f = B.weight("K-single", w=w)
-        for exp, c in f.terms.items():
+        for exp, c in f.items():
             assert c * (-1) ** (sum(exp) - ell) > 0
 
 

@@ -113,6 +113,14 @@ def test_permutation_json_roundtrip():
     assert Permutation.from_json(w.to_json()) == w
 
 
+def test_from_json_names_the_missing_field():
+    with pytest.raises(ValueError,
+                       match="permutation JSON lacks the 'one_line' field"):
+        Permutation.from_json('{"letters": [1]}')
+    with pytest.raises(ValueError, match="word JSON lacks the 'k' field"):
+        Word.from_json('{"letters": [1, 2]}')
+
+
 def test_all_permutations_counts():
     for n in range(1, 6):
         perms = list(all_permutations(n))

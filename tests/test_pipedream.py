@@ -87,6 +87,16 @@ def test_json_roundtrip():
     assert PipeDream.from_json(P.to_json()) == P
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"n": 1}', "crosses"),
+    ('{"crosses": [[1, 1]]}', "N"),
+])
+def test_from_json_names_the_missing_field(text, field):
+    with pytest.raises(ValueError, match="pipe dream JSON lacks the '%s' field"
+                                         % field):
+        PipeDream.from_json(text)
+
+
 def test_crosses_must_lie_in_staircase():
     with pytest.raises(ValueError):
         PipeDream([(3, 3)], 3)

@@ -1,16 +1,22 @@
 """Exact sparse polynomials and the Schubert/Grothendieck recursions."""
 
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pipedreams import Permutation, Word
+import pipedreams
+from pipedreams import Permutation, Word, poly
 from pipedreams.poly import (
     _CACHE,
+    EXP_MAX,
     LemmaViolation,
     Poly,
+    cache_info,
     clear_caches,
     elementary_symmetric,
     grassmannian_cycle,
@@ -59,14 +65,14 @@ def test_ring_axioms_against_sympy(rng):
 def test_zero_and_const():
     z = Poly.zero(3)
     assert z.is_zero()
-    assert (z + Poly.const(5, 3)).terms == {(0, 0, 0): 5}
+    assert dict((z + Poly.const(5, 3)).items()) == {(0, 0, 0): 5}
     assert Poly.const(0, 2).is_zero()
 
 
 def test_fraction_coefficients_survive_arithmetic():
     f = Poly(2, 0, {(1, 0): Fraction(1, 2)})
     g = f + f
-    assert g.terms == {(1, 0): 1}
+    assert dict(g.items()) == {(1, 0): 1}
     assert isinstance(g.coefficient((1, 0)), int) or g.coefficient((1, 0)) == 1
 
 
@@ -111,8 +117,11 @@ def test_restrict_arity():
 def test_json_roundtrip_preserves_everything():
     f = schubert_double(Permutation("231"))
     assert Poly.from_json(f.to_json()) == f
+    # coefficients are integers: a fraction's JSON is refused, naming the term
     g = Poly(2, 0, {(1, 1): Fraction(3, 7)})
-    assert Poly.from_json(g.to_json()) == g
+    with pytest.raises(ValueError, match=r"'exp': \[1, 1\]\}: the coefficient "
+                                         r"is not an integer"):
+        Poly.from_json(g.to_json())
 
 
 def test_text_and_latex_render():
@@ -166,7 +175,7 @@ def test_isobaric_matches_composite_and_sympy(rng, ny, fractions):
         f = random_poly(rng, nx, ny, nterms=6)
         if fractions:
             f = Poly(nx, ny, {e: Fraction(c, rng.randint(1, 4))
-                              for e, c in f.terms.items()})
+                              for e, c in f.items()})
         i = rng.randint(1, nx - 1)
         got = f.isobaric_divided_difference(i)
         assert got == (f - Poly.x(i + 1, nx, ny) * f).divided_difference(i)
@@ -287,7 +296,7 @@ def test_grothendieck_sign_alternation_by_degree():
         w = Permutation(p)
         f = grothendieck(w)
         ell = w.inversions()
-        for exp, c in f.terms.items():
+        for exp, c in f.items():
             d = sum(exp)
             assert c * (-1) ** (d - ell) > 0
 
@@ -480,3 +489,96 @@ def test_cache_is_independent_of_call_order():
         seen.append((polys, set(_CACHE)))
     assert seen[0] == seen[1]
     assert len(seen[0][1]) == 4 * 24
+
+
+# -- the packed term store ----------------------------------------------------
+
+
+def test_from_json_refuses_a_fraction_and_names_the_term():
+    text = '{"nx": 1, "ny": 0, "terms": [{"coeff": "1/2", "exp": [1]}]}'
+    with pytest.raises(ValueError, match=r"term \{'coeff': '1/2', 'exp': \[1\]\}"
+                                         r": the coefficient is not an integer"):
+        Poly.from_json(text)
+
+
+def test_from_json_names_the_missing_field():
+    with pytest.raises(ValueError, match="polynomial JSON lacks the 'terms' field"):
+        Poly.from_json('{"nx": 1, "ny": 0}')
+    with pytest.raises(ValueError, match=r"term \{'exp': \[1\]\} needs 'coeff'"):
+        Poly.from_json('{"nx": 1, "ny": 0, "terms": [{"exp": [1]}]}')
+
+
+def test_exponents_of_the_wrong_arity_are_refused():
+    f = Poly(3, 0, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match=r"\(1, 0\) has 2 entries, not nx \+ ny = 3"):
+        f.coefficient((1, 0))
+    with pytest.raises(ValueError, match=r"has 4 entries, not nx \+ ny = 3"):
+        Poly(3, 0, {(1, 0, 0, 0): 1})
+    assert f.coefficient((1, 0, 0)) == 1
+    assert f.coefficient((200, 0, 0)) == f.coefficient((-1, 0, 0)) == 0
+    with pytest.raises(ValueError, match="s_3 needs x_4 in scope"):
+        f.swap_x(3)
+    with pytest.raises(ValueError, match=r"e_1\(x_1..x_3\) needs nx >= 3"):
+        elementary_symmetric(1, 3, nx=2, ny=1)
+
+
+def test_an_exponent_past_the_field_width_names_its_variable():
+    x1 = Poly.x(1, 1)
+    assert (x1 ** EXP_MAX).coefficient((EXP_MAX,)) == 1
+    for k in (EXP_MAX + 1, 200):
+        with pytest.raises(ValueError, match="exponent of x1 passes %d" % EXP_MAX):
+            x1 ** k
+    y2 = Poly.y(2, 1, 2)
+    with pytest.raises(ValueError, match="exponent of y2 passes %d" % EXP_MAX):
+        (y2 ** 100) * (y2 ** 100)
+    for exp, name in (((0, EXP_MAX + 1), "y1"), ((-1, 0), "x1"),
+                      ((0, 0.5), "y1")):
+        with pytest.raises(ValueError, match="of %s is outside 0..%d"
+                                             % (name, EXP_MAX)):
+            Poly(1, 1, {exp: 1})
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda nx: st.integers(0, 3).flatmap(
+    lambda ny: st.tuples(st.just(nx), st.just(ny), st.dictionaries(
+        st.tuples(*[st.integers(0, EXP_MAX)] * (nx + ny)),
+        st.integers(-10 ** 20, 10 ** 20).filter(bool), max_size=8)))))
+def test_items_give_back_the_constructor_terms(args):
+    nx, ny, terms = args
+    f = Poly(nx, ny, terms)
+    assert dict(f.items()) == terms
+    assert all(f.coefficient(e) == c for e, c in terms.items())
+    assert Poly.from_json(f.to_json()) == f
+
+
+def test_cached_term_dicts_are_not_tracked_by_the_collector():
+    for f in (schubert(Permutation("2413")), grothendieck_double("2413")):
+        store, = gc.get_referents(f.terms)     # the dict behind the proxy
+        assert isinstance(store, dict) and store
+        assert not gc.is_tracked(store)
+
+
+def test_a_bounded_cache_gives_the_unbounded_results(monkeypatch):
+    # the double Grothendieck polynomials of S_5 hold 153k terms; S_4 will do
+    s4, s5 = (list(map(Permutation, itertools.permutations(range(1, n + 1))))
+              for n in (4, 5))
+    calls = [(f, w) for f in (schubert, grothendieck, schubert_double)
+             for w in s5] + [(grothendieck_double, w) for w in s4]
+    clear_caches()
+    want = [f(w) for f, w in calls]
+    assert cache_info()["evictions"] == 0
+    bound = 500
+    monkeypatch.setattr(poly, "CACHE_TERMS", bound)
+    pipedreams.clear_caches()
+    assert cache_info() == dict.fromkeys(
+        ("entries", "terms", "hits", "misses", "evictions"), 0)
+    assert [f(w) for f, w in calls] == want
+    info = cache_info()
+    assert info["evictions"] > 0, info
+    assert info["hits"] + info["misses"] == len(calls), info
+    assert info["terms"] == sum(len(p.terms) for p in _CACHE.values())
+    tops = {(ol, kind) for ol, kind in _CACHE
+            if ol == tuple(range(len(ol), 0, -1))}
+    assert {kind for _, kind in tops} == {"S", "G", "Sd", "Gd"}
+    assert info["terms"] <= bound or set(_CACHE) == tops, info
+    clear_caches()

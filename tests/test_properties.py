@@ -99,7 +99,7 @@ def test_grothendieck_lowest_degree_part_is_schubert(w):
     g = grothendieck(w).restrict_arity(w.n)
     ell = w.inversions()
     lowest = Poly(w.n, 0,
-                  {e: c for e, c in g.terms.items() if sum(e) == ell})
+                  {e: c for e, c in g.items() if sum(e) == ell})
     assert lowest == schubert(w).restrict_arity(w.n)
 
 
