@@ -36,6 +36,16 @@ METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
 SIDES = ("base", "change")
 
 
+# the topic of each workload's committed BENCH_<topic>.json, where it is not
+# the workload's own name
+TOPICS = {"poly-table": "poly"}
+
+
+def default_out(workload):
+    """The committed record of `workload`: BENCH_<topic>.json in the repo."""
+    return ROOT / ("BENCH_%s.json" % TOPICS.get(workload, workload))
+
+
 def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -90,11 +100,12 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--base", default="HEAD",
                    help="git ref of the base commit (default HEAD)")
-    p.add_argument("--out", help="default BENCH_<workload>.json in the repo")
+    p.add_argument("--out", help="default: the workload's committed record "
+                   "in the repo, BENCH_<topic>.json (see default_out)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2 to give quartiles")
-    out = Path(args.out or ROOT / ("BENCH_%s.json" % args.workload))
+    out = Path(args.out or default_out(args.workload))
 
     base_dir = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:

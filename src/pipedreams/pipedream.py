@@ -8,6 +8,23 @@ contributing the simple transposition s_{r+c-1}.  A pipe dream is *reduced*
 when its cross count equals the length of its permutation.  Pipe dream
 weights are sign-free; the K sums attach (-1)^(crosses - len(w)).
 
+A `PipeDream` holds its crosses as one int, `bits`: the cross (r, c) is bit
+(r-1)*N + (c-1), so row r is the N - r bits from bit (r-1)*N up and the
+bits run in row-major order.  The (K-)chute closure (the moves of
+Bergeron-Billey and Knutson-Miller) runs on these ints and builds one
+`PipeDream` per diagram found; sorting the ints by their ascending bit
+indices gives the sorted cross list order.  The Demazure product reads each
+row's bits from high to low.  `crosses`, the frozenset of (r, c) cells, is
+built on first use.
+
+The single and K-single sums over pipe dreams (`pd_schubert`,
+`pd_grothendieck` and the word sums) build no `Poly` per diagram: a
+weight is the packed `Poly` key sum_r popcount(row r) << 8*(label_r - 1),
+added with its sign into one term dict, and the row labels are checked
+once per sum.  `diagram_weight`, which the BPD weights share, expands the
+(1 - x_r) factors of NW cells on packed keys as well; the double modes
+multiply `Poly` factors.
+
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
 `WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.
@@ -27,7 +44,7 @@ import json
 from collections import OrderedDict
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
-from .poly import Poly
+from .poly import EXP_MAX, Poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
 
@@ -43,48 +60,132 @@ def _check_in_staircase(rc, N):
                          % (r, c, N))
 
 
-class PipeDream:
-    """An immutable set of crosses in the staircase of size N."""
+def _indices(bits):
+    """The indices of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
-    __slots__ = ("crosses", "N")
+
+def _cells_of(bits, N):
+    """The cells of the set bits, in sorted (row-major) order."""
+    return [(i // N + 1, i % N + 1) for i in _indices(bits)]
+
+
+def _demazure(bits, N):
+    """The trimmed one-line tuple of the Demazure product of the reading
+    word of the crosses `bits`: rows top to bottom, each row's bits high to
+    low."""
+    u = list(range(1, N + 1))
+    for r in range(N - 1):
+        row = bits & (1 << N - 1 - r) - 1     # row r + 1 has N - 1 - r cells
+        bits >>= N
+        while row:
+            c = row.bit_length() - 1
+            row ^= 1 << c
+            # the cross (r+1, c+1) is s_{r+c+1}: it swaps u[r+c], u[r+c+1]
+            a = r + c
+            x, y = u[a], u[a + 1]
+            if x < y:
+                u[a], u[a + 1] = y, x
+    while len(u) > 1 and u[-1] == len(u):
+        u.pop()
+    return tuple(u)
+
+
+def _chute_children(bits, N, slide, copy):
+    """The crosses one chute move (`slide`) or K-chute move (`copy`) away
+    from the crosses `bits` of a pipe dream of size N.
+
+    A move takes a cross at (k, j+1), j >= 1, with (k+1, j+1) empty; rows k
+    and k+1 are full across columns i+1..j and empty at column i, and
+    (k+1, i) lies in the staircase.  A chute move slides the cross to
+    (k+1, i); a K-chute move copies it there, the original staying.
+    """
+    if not bits:
+        return []
+    out = []
+    below = bits >> N                   # bit t: is the cell under t a cross
+    both, either = bits & below, bits | below
+    first_column = ((1 << N * N) - 1) // ((1 << N) - 1)
+    rest = bits & ~below & ~first_column
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        b = low.bit_length() - 1
+        k, j = divmod(b, N)             # the cross (k+1, j+1), 0-based
+        t = b - 1                       # the cell (k+1, i), i from j down
+        while t >= b - j and both >> t & 1:
+            t -= 1
+        if t >= b - j and not either >> t & 1 and k + t - (b - j) + 3 <= N:
+            if slide:
+                out.append(bits ^ low | 1 << t + N)
+            if copy:
+                out.append(bits | 1 << t + N)
+    return out
+
+
+class PipeDream:
+    """An immutable set of crosses in the staircase of size N, held as one
+    int `bits`: the cross (r, c) is bit (r-1)*N + (c-1)."""
+
+    __slots__ = ("bits", "N", "_crosses")
 
     def __init__(self, crosses, N):
-        crosses = frozenset((int(r), int(c)) for r, c in crosses)
-        for rc in crosses:
-            _check_in_staircase(rc, N)
-        object.__setattr__(self, "crosses", crosses)
-        object.__setattr__(self, "N", int(N))
+        N = int(N)
+        bits = 0
+        for r, c in crosses:
+            r, c = int(r), int(c)
+            _check_in_staircase((r, c), N)
+            bits |= 1 << (r - 1) * N + c - 1
+        self._set(bits, N)
 
-    def _child(self, crosses, dst):
-        """A pipe dream of the same size on the frozenset `crosses`: this
-        one's crosses, maybe less one, plus the new cross `dst`.  Only `dst`
-        is checked against the staircase; this one's were checked when it
-        was built."""
-        _check_in_staircase(dst, self.N)
-        P = object.__new__(PipeDream)
-        object.__setattr__(P, "crosses", crosses)
-        object.__setattr__(P, "N", self.N)
+    @classmethod
+    def _of(cls, bits, N):
+        """The pipe dream of size N whose crosses are `bits`, unchecked."""
+        P = object.__new__(cls)
+        P._set(bits, N)
         return P
+
+    def _set(self, bits, N):
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "_crosses", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PipeDream is immutable")
 
+    @property
+    def crosses(self):
+        """The crosses as a frozenset of (row, column) cells, built on first
+        use."""
+        if self._crosses is None:
+            object.__setattr__(self, "_crosses",
+                               frozenset(_cells_of(self.bits, self.N)))
+        return self._crosses
+
     def __eq__(self, other):
         if isinstance(other, PipeDream):
-            return self.crosses == other.crosses and self.N == other.N
+            return self.bits == other.bits and self.N == other.N
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.crosses, self.N))
+        return hash((self.bits, self.N))
 
     def __len__(self):
-        return len(self.crosses)
+        return self.bits.bit_count()
 
     def sorted_crosses(self):
-        return sorted(self.crosses)
+        return _cells_of(self.bits, self.N)
 
     def __repr__(self):
         return "PipeDream(%r, N=%d)" % (self.sorted_crosses(), self.N)
+
+    def _has(self, r, c):
+        return self.bits >> (r - 1) * self.N + c - 1 & 1
 
     # -- permutation ---------------------------------------------------------
 
@@ -99,13 +200,7 @@ class PipeDream:
 
     def _demazure(self):
         """`permutation()`'s one-line tuple, with no `Permutation` built."""
-        u = list(range(1, self.N + 1))
-        for a in self.reading_word():
-            if u[a - 1] < u[a]:
-                u[a - 1], u[a] = u[a], u[a - 1]
-        while len(u) > 1 and u[-1] == len(u):
-            u.pop()
-        return tuple(u)
+        return _demazure(self.bits, self.N)
 
     def permutation_by_tracing(self):
         """Trace the pipes, resolving repeated crossings of a pair as bumps.
@@ -131,7 +226,7 @@ class PipeDream:
                 b = north_in.get((r, c))  # southbound input, heading north
                 if a is None and b is None:
                     continue
-                if (r, c) in self.crosses:
+                if self._has(r, c):
                     pair = frozenset((a, b)) if a is not None and b is not None else None
                     if pair is not None and pair not in crossed:
                         crossed.add(pair)
@@ -156,55 +251,20 @@ class PipeDream:
 
     def is_reduced(self, w=None):
         w = w or self.permutation()
-        return len(self.crosses) == w.inversions()
+        return len(self) == w.inversions()
 
     # -- moves ---------------------------------------------------------------
 
-    def _chute_targets(self):
-        """Yield (src, dst) for legal (K-)chute moves.
-
-        A move needs a cross at (k, j+1), empty (k, i), (k+1, i), (k+1, j+1),
-        and full rows k, k+1 of crosses across columns i+1..j.
-        """
-        P = self.crosses
-        for (k, jp1) in P:
-            j = jp1 - 1
-            if j < 1:
-                continue
-            if (k + 1, jp1) in P:
-                continue
-            i = j
-            while i >= 1:
-                top, bot = (k, i) in P, (k + 1, i) in P
-                if not top and not bot:
-                    if (k + 1) + i <= self.N:
-                        yield (k, jp1), (k + 1, i)
-                    break
-                if top and bot:
-                    i -= 1
-                    continue
-                break
-
     def chute_moves(self):
         """All pipe dreams one chute move away (cross slides down-left)."""
-        return self._moves(slide=True, copy=False)
+        return [PipeDream._of(b, self.N)
+                for b in _chute_children(self.bits, self.N, True, False)]
 
     def k_chute_moves(self):
         """All pipe dreams one K-theoretic chute move away (cross copies
         down-left, original stays)."""
-        return self._moves(slide=False, copy=True)
-
-    def _moves(self, slide, copy):
-        """The chute moves (`slide`) and K-chute moves (`copy`) from one walk
-        of the chute targets; the K closure asks for both at once."""
-        P = self.crosses
-        out = []
-        for src, dst in self._chute_targets():
-            if slide:
-                out.append(self._child(P - {src} | {dst}, dst))
-            if copy:
-                out.append(self._child(P | {dst}, dst))
-        return out
+        return [PipeDream._of(b, self.N)
+                for b in _chute_children(self.bits, self.N, False, True)]
 
     # -- weights ---------------------------------------------------------------
 
@@ -219,7 +279,7 @@ class PipeDream:
 
     def render(self):
         """ASCII picture: '+' crosses, '.' elbows."""
-        return "\n".join(" ".join("+" if (r, c) in self.crosses else "."
+        return "\n".join(" ".join("+" if self._has(r, c) else "."
                                   for c in range(1, self.N - r + 2))
                          for r in range(1, self.N + 1))
 
@@ -254,16 +314,6 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
     if not mode.startswith("K"):
         nw = ()
 
-    def var(r):
-        if labels and r > len(labels):
-            raise ValueError("row %d has no label: %d labels given"
-                             % (r, len(labels)))
-        i = labels[r - 1] if labels else r
-        if not 1 <= i <= nx:
-            raise ValueError("row %d has label %d, outside 1..nx = %d"
-                             % (r, i, nx))
-        return i
-
     if ny:
         for r, c in (*cells, *nw):
             if c > nx:
@@ -271,21 +321,88 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
                                  "1..nx = %d" % (r, c, c, nx))
         p = Poly.const(1, nx, ny)
         for r, c in cells:
-            x, y = Poly.x(var(r), nx, ny), Poly.y(c, nx, ny)
+            x, y = Poly.x(_label(labels, r, nx), nx, ny), Poly.y(c, nx, ny)
             p = p * (x - y if mode == "double" else x + y - x * y)
         for r, c in nw:
-            p = p * ((1 - Poly.x(var(r), nx, ny)) * (1 - Poly.y(c, nx, ny)))
+            p = p * ((1 - Poly.x(_label(labels, r, nx), nx, ny))
+                     * (1 - Poly.y(c, nx, ny)))
         return p
     rows = {}
     for r, _ in cells:
         rows[r] = rows.get(r, 0) + 1
     exp = [0] * nx
     for r, m in rows.items():
-        exp[var(r) - 1] += m
+        exp[_label(labels, r, nx) - 1] += m
     p = Poly(nx, 0, {tuple(exp): 1})
+    if not nw:
+        return p
+    # expand the (1 - x_v) factors on packed keys: a factor keeps every term
+    # and subtracts it shifted up by x_v's unit.  The coefficient of a key
+    # has the sign (-1)^(its degree - the monomial's), so nothing cancels.
+    units = []
     for r, _ in nw:
-        p = p * (1 - Poly.x(var(r), nx))
-    return p
+        v = _label(labels, r, nx) - 1
+        exp[v] += 1
+        units.append(1 << 8 * v)
+    top = max(exp)
+    if top > EXP_MAX:
+        raise ValueError("the exponent of x%d passes %d"
+                         % (exp.index(top) + 1, EXP_MAX))
+    terms = dict(p.terms)
+    for unit in units:
+        for e, c in list(terms.items()):
+            terms[e + unit] = terms.get(e + unit, 0) - c
+    return Poly._of(nx, 0, terms)
+
+
+def _label(labels, r, nx):
+    """The index of the variable that row r carries: labels[r-1], or r
+    without labels."""
+    if labels and r > len(labels):
+        raise ValueError("row %d has no label: %d labels given"
+                         % (r, len(labels)))
+    i = labels[r - 1] if labels else r
+    if not 1 <= i <= nx:
+        raise ValueError("row %d has label %d, outside 1..nx = %d"
+                         % (r, i, nx))
+    return i
+
+
+def _pd_sum(diagrams, nx, labels=None, ell=None):
+    """The sum of the single weights of `diagrams`, a nonempty list of pipe
+    dreams of one size N, row r read as x_{labels[r-1]} (x_r without
+    labels); with `ell`, a diagram with c crosses is signed (-1)^(c - ell),
+    its K-single weight.
+
+    A weight is the packed key sum_r popcount(row r) << 8*(label_r - 1),
+    added into one term dict: no `Poly` per diagram.  The labels are
+    checked once, for each row that can hold a cross.  A field holds its
+    row's count exactly while the rows read as one variable have at most
+    255 cells; the guard bits of the keys then show an exponent past
+    EXP_MAX."""
+    N = diagrams[0].N
+    rows, room = [], [0] * nx
+    for r in range(N - 1):      # row r + 1 has N - 1 - r cells
+        v = _label(labels, r + 1, nx) - 1
+        rows.append((r * N, (1 << N - 1 - r) - 1, 8 * v))
+        room[v] += N - 1 - r
+    most = max(room)
+    if most > 2 * EXP_MAX + 1:
+        raise ValueError("the rows read as x%d have %d cells, more than a "
+                         "packed exponent counts" % (room.index(most) + 1, most))
+    terms, used = {}, 0
+    for P in diagrams:
+        b = P.bits
+        key = 0
+        for shift, mask, field in rows:
+            key += (b >> shift & mask).bit_count() << field
+        used |= key
+        c = 1
+        if ell is not None:
+            c = k_signed(1, b.bit_count() - ell)
+        terms[key] = terms.get(key, 0) + c
+    Poly.zero(nx)._check_exponents((used,))
+    return Poly._of(nx, 0, {e: c for e, c in terms.items() if c})
 
 
 def k_signed(p, excess):
@@ -320,18 +437,20 @@ def top_pipe_dream(w):
 def enumerate_reduced(w):
     """All reduced pipe dreams of w: breadth-first chute closure of the
     top pipe dream, returned in canonical (sorted cross list) order."""
-    return _closure(w, PipeDream.chute_moves)
+    return _closure(w, slide=True, copy=False)
 
 
 def enumerate_all(w):
     """All K-theoretic pipe dreams of w: closure of the top pipe dream
     under chute and K-chute moves."""
-    return _closure(w, lambda P: P._moves(slide=True, copy=True))
+    return _closure(w, slide=True, copy=True)
 
 
 def move_closure(start, moves):
     """The set of diagrams reachable from `start` by `moves`, a function
-    from a diagram to the list of diagrams one move away (breadth first)."""
+    from a diagram to the list of diagrams one move away (breadth first).
+    A diagram is any hashable value: a `Bpd`, or a pipe dream's int of
+    cross bits."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -345,14 +464,22 @@ def move_closure(start, moves):
     return seen
 
 
-def _closure(w, moves):
+def _closure(w, slide, copy):
+    """The move closure of w's top pipe dream, run on the ints of cross
+    bits; a `PipeDream` is built once per diagram found, in sorted cross
+    list order (ascending bit indices, as the bits are row-major), and its
+    Demazure product checked against w."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    out = sorted(move_closure(top_pipe_dream(w), moves),
-                 key=PipeDream.sorted_crosses)
+    N = w.n
+    seen = move_closure(top_pipe_dream(w).bits,
+                        lambda bits: _chute_children(bits, N, slide, copy))
     wt = w.trim().one_line
-    for P in out:
-        if P._demazure() != wt:
+    out = []
+    for bits in sorted(seen, key=_indices):
+        P = PipeDream._of(bits, N)
+        if _demazure(bits, N) != wt:
             raise AssertionError("move closure escaped the permutation: %r" % (P,))
+        out.append(P)
     return out
 
 
@@ -406,11 +533,6 @@ def _parent_diagrams(family, u, reduced):
     return found
 
 
-def _outside(cells, nw, n, k):
-    """The cells and NW cells beyond row n or column k, sorted."""
-    return sorted((r, c) for r, c in (*cells, *nw) if r > n or c > k)
-
-
 class WordDiagram:
     """A parent diagram of u = std(conv(word)) viewed on the word's n x k
     rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
@@ -422,14 +544,21 @@ class WordDiagram:
     _signed = False
 
     def __init__(self, diagram, n, k, labels, length):
-        cells, nw = self._cells(diagram)
-        bad = _outside(cells, nw, n, k)
+        size, bad = self._fit(diagram, n, k)
         if bad:
             raise RectangularityViolation(
                 "weight cells outside the %d x %d rectangle: %s" % (n, k, bad))
         for name, value in zip(WordDiagram.__slots__, (
-                diagram, int(n), int(k), tuple(labels), len(cells) - length)):
+                diagram, int(n), int(k), tuple(labels), size - length)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _fit(cls, D, n, k):
+        """The number of D's weight cells, and its weight and NW cells
+        beyond row n or column k, sorted."""
+        cells, nw = cls._cells(D)
+        return len(cells), sorted((r, c) for r, c in (*cells, *nw)
+                                  if r > n or c > k)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -490,7 +619,7 @@ class WordDiagram:
         word = word if isinstance(word, Word) else Word(word)
         u, _ = convex_standardization(word.letters, word.k)
         return [D for D in _parent_diagrams(cls, u, reduced)
-                if _outside(*cls._cells(D), word.n, word.k)]
+                if cls._fit(D, word.n, word.k)[1]]
 
 
 class WordPipeDream(WordDiagram):
@@ -508,6 +637,14 @@ class WordPipeDream(WordDiagram):
     @staticmethod
     def _cells(P):
         return P.crosses, ()
+
+    @staticmethod
+    def _fit(P, n, k):
+        """`WordDiagram._fit` as one AND of P's bits with the mask of the
+        cells beyond row n or column k."""
+        width = (1 << min(k, P.N)) - 1
+        inside = sum(width << r * P.N for r in range(min(n, P.N)))
+        return len(P), _cells_of(P.bits & ~inside, P.N)
 
     @property
     def crosses(self):
@@ -542,33 +679,38 @@ def enumerate_word_pds(word, reduced=True):
 def pd_schubert(w, double=False):
     """Schubert polynomial as the weight sum over reduced pipe dreams."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    mode = "double" if double else "single"
-    return weight_sum((P.weight(mode) for P in enumerate_reduced(w)),
-                      w.n, w.n if double else 0)
+    if double:
+        return weight_sum((P.weight("double") for P in enumerate_reduced(w)),
+                          w.n, w.n)
+    return _pd_sum(enumerate_reduced(w), w.n)
 
 
 def pd_grothendieck(w, double=False):
     """Grothendieck polynomial as the signed weight sum over all pipe
     dreams: a diagram with c crosses contributes with sign (-1)^(c - len(w))."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    mode = "K-double" if double else "K-single"
     ell = w.inversions()
-    return weight_sum((k_signed(P.weight(mode), len(P.crosses) - ell)
-                       for P in enumerate_all(w)),
-                      w.n, w.n if double else 0)
+    if double:
+        return weight_sum((k_signed(P.weight("K-double"), len(P) - ell)
+                           for P in enumerate_all(w)), w.n, w.n)
+    return _pd_sum(enumerate_all(w), w.n, ell=ell)
+
+
+def _word_pd_sum(word, reduced):
+    """`_pd_sum` over the word pipe dreams of `word`, read through their
+    labels; the K sum signs each by (-1)^excess."""
+    word = word if isinstance(word, Word) else Word(word)
+    views = enumerate_word_pds(word, reduced=reduced)
+    W = views[0]    # u's top pipe dream, at least
+    return _pd_sum([V.diagram for V in views], word.n, W.labels,
+                   None if reduced else len(W.diagram) - W.excess)
 
 
 def word_pd_schubert(word):
     """Weight sum over the reduced word pipe dreams."""
-    word = word if isinstance(word, Word) else Word(word)
-    return weight_sum((P.weight("single")
-                       for P in enumerate_word_pds(word, reduced=True)),
-                      word.n)
+    return _word_pd_sum(word, reduced=True)
 
 
 def word_pd_grothendieck(word):
     """Signed weight sum over all word pipe dreams ((-1)^excess each)."""
-    word = word if isinstance(word, Word) else Word(word)
-    return weight_sum((k_signed(P.weight("K-single"), P.excess)
-                       for P in enumerate_word_pds(word, reduced=False)),
-                      word.n)
+    return _word_pd_sum(word, reduced=False)

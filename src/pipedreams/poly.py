@@ -2,7 +2,9 @@
 
 Polynomials live in Z[x_1..x_nx] or Z[x_1..x_nx; y_1..y_ny]; coefficients
 are Python ints, and zero coefficients are never stored.  All arithmetic is
-exact.
+exact.  The constructor and the arithmetic also carry `Fraction`
+coefficients, but the text and JSON forms refuse a coefficient that is not
+an integer, naming its term.
 
 A monomial is one packed int key.  Variable v (x_1..x_nx, then y_1..y_ny,
 counted from 0) owns the byte at bits 8v..8v+7: its exponent in the low
@@ -404,10 +406,18 @@ class Poly:
     # -- rendering -----------------------------------------------------------
 
     def _sorted_terms(self):
-        # graded order: ascending total degree, then descending lex on the
-        # exponent tuple (x block first), so x1-heavy monomials print first
-        return sorted(self.items(),
-                      key=lambda ec: (sum(ec[0]), tuple(-v for v in ec[0])))
+        """The terms in graded order: ascending total degree, then
+        descending lex on the exponent tuple (x block first), so x1-heavy
+        monomials print first.  The text and JSON forms write integers, so
+        a coefficient that is not one raises a ValueError naming its term."""
+        terms = sorted(self.items(),
+                       key=lambda ec: (sum(ec[0]), tuple(-v for v in ec[0])))
+        for e, c in terms:
+            if c % 1:
+                raise ValueError("polynomial term %r: the coefficient is not "
+                                 "an integer" % ({"coeff": str(c),
+                                                  "exp": list(e)},))
+        return terms
 
     def _render(self, var, power, join):
         """Terms in graded order, signs between them; `var` formats a

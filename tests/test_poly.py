@@ -582,3 +582,21 @@ def test_a_bounded_cache_gives_the_unbounded_results(monkeypatch):
     assert {kind for _, kind in tops} == {"S", "G", "Sd", "Gd"}
     assert info["terms"] <= bound or set(_CACHE) == tops, info
     clear_caches()
+
+
+@pytest.mark.parametrize("write", ["to_json", "to_text", "to_latex"])
+def test_writers_refuse_a_coefficient_that_is_not_an_integer(write):
+    f = Poly(2, 0, {(1, 1): Fraction(3, 7), (0, 0): 2})
+    with pytest.raises(ValueError, match=r"polynomial term \{'coeff': '3/7', "
+                                         r"'exp': \[1, 1\]\}: the coefficient "
+                                         r"is not an integer"):
+        getattr(f, write)()
+    half = Poly(1, 0, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"'1/2', 'exp': \[1\]"):
+        getattr(half, write)()
+
+
+def test_writers_take_an_integral_fraction_as_its_integer():
+    f = Poly(1, 0, {(1,): Fraction(4, 2)})
+    assert f.to_text() == "2*x1"
+    assert Poly.from_json(f.to_json()) == Poly(1, 0, {(1,): 2})

@@ -42,3 +42,36 @@ def test_lattice_names_the_tracer_reads():
     assert params == ["self", "ncols", "sparse_rows"]
     assert IntegerLattice.kernel_name == "pure"
     assert _backend.KERNEL_COMPILED is False
+
+
+
+def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
+    # the tracer wraps the enumerations in the module namespace and counts
+    # their diagrams (`pipedream.diagrams`); a sum that enumerated through
+    # a private helper would drop out of that count silently
+    from pipedreams import Permutation, Word, clear_caches, pipedream
+
+    w, word = Permutation("2143"), Word("21231", 3)
+    sizes = {"enumerate_reduced": len(pipedream.enumerate_reduced(w)),
+             "enumerate_all": len(pipedream.enumerate_all(w))}
+    # every parent diagram of 21231 fits its rectangle: one view each
+    views = [len(pipedream.enumerate_word_pds(word, reduced))
+             for reduced in (True, False)]
+    calls = {}
+    for name in (*sizes, "enumerate_word_pds"):
+        def counted(*args, _real=getattr(pipedream, name), _name=name, **kw):
+            out = _real(*args, **kw)
+            calls.setdefault(_name, []).append(len(out))
+            return out
+        monkeypatch.setattr(pipedream, name, counted)
+
+    for double in (False, True):
+        pipedream.pd_schubert(w, double=double)
+        pipedream.pd_grothendieck(w, double=double)
+    assert calls == {name: [size] * 2 for name, size in sizes.items()}
+    calls.clear()
+    clear_caches()      # the word views enumerate their parents on a miss
+    pipedream.word_pd_schubert(word)
+    pipedream.word_pd_grothendieck(word)
+    assert calls == {"enumerate_word_pds": views,
+                     "enumerate_reduced": views[:1], "enumerate_all": views[1:]}

@@ -150,3 +150,30 @@ def test_weight_sum_drops_cancelled_terms():
     x1, x2 = Poly.x(1, 2), Poly.x(2, 2)
     assert dict(weight_sum([x1, x2, -x1], 2).items()) == {(0, 1): 1}
 
+
+
+# -- the K-single NW expansion on packed keys -----------------------------------
+
+
+def test_k_single_nw_expansion_equals_the_product_of_poly_factors():
+    from pipedreams.pipedream import diagram_weight
+
+    cells = [(1, 1), (1, 2), (3, 1)]
+    nw = [(1, 3), (2, 1), (2, 2), (3, 2), (3, 3)]
+    for labels in (None, (3, 1, 3), (2, 4, 1)):
+        for k in range(len(nw) + 1):
+            got = diagram_weight("K-single", 4, cells, labels, nw[:k])
+            assert got == reference_weight("K-single", 4, cells, labels, nw[:k])
+    # a repeated label: the terms of (1 - x_3)^3 collect into one key each
+    assert dict(diagram_weight("K-single", 1, [], None,
+                               [(1, 1)] * 3).items()) == {
+        (0,): 1, (1,): -3, (2,): 3, (3,): -1}
+
+
+def test_k_single_nw_exponent_past_the_guard_bit_is_refused():
+    from pipedreams.pipedream import diagram_weight
+
+    with pytest.raises(ValueError, match="the exponent of x2 passes 127"):
+        diagram_weight("K-single", 2, [(2, 1)] * 100, None, [(2, 2)] * 28)
+    assert diagram_weight("K-single", 2, [(2, 1)] * 100, None,
+                          [(2, 2)] * 27).coefficient((0, 127)) == -1
