@@ -21,9 +21,7 @@ The single and K-single sums over pipe dreams (`pd_schubert`,
 `pd_grothendieck` and the word sums) build no `Poly` per diagram: a
 weight is the packed `Poly` key sum_r popcount(row r) << 8*(label_r - 1),
 added with its sign into one term dict, and the row labels are checked
-once per sum.  `diagram_weight`, which the BPD weights share, expands the
-(1 - x_r) factors of NW cells on packed keys as well; the double modes
-multiply `Poly` factors.
+once per sum, for the rows where some diagram has a cross.
 
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
@@ -334,25 +332,9 @@ def diagram_weight(mode, nx, cells, labels=None, nw=()):
     for r, m in rows.items():
         exp[_label(labels, r, nx) - 1] += m
     p = Poly(nx, 0, {tuple(exp): 1})
-    if not nw:
-        return p
-    # expand the (1 - x_v) factors on packed keys: a factor keeps every term
-    # and subtracts it shifted up by x_v's unit.  The coefficient of a key
-    # has the sign (-1)^(its degree - the monomial's), so nothing cancels.
-    units = []
     for r, _ in nw:
-        v = _label(labels, r, nx) - 1
-        exp[v] += 1
-        units.append(1 << 8 * v)
-    top = max(exp)
-    if top > EXP_MAX:
-        raise ValueError("the exponent of x%d passes %d"
-                         % (exp.index(top) + 1, EXP_MAX))
-    terms = dict(p.terms)
-    for unit in units:
-        for e, c in list(terms.items()):
-            terms[e + unit] = terms.get(e + unit, 0) - c
-    return Poly._of(nx, 0, terms)
+        p = p * (1 - Poly.x(_label(labels, r, nx), nx))
+    return p
 
 
 def _label(labels, r, nx):
@@ -376,17 +358,23 @@ def _pd_sum(diagrams, nx, labels=None, ell=None):
 
     A weight is the packed key sum_r popcount(row r) << 8*(label_r - 1),
     added into one term dict: no `Poly` per diagram.  The labels are
-    checked once, for each row that can hold a cross.  A field holds its
-    row's count exactly while the rows read as one variable have at most
-    255 cells; the guard bits of the keys then show an exponent past
-    EXP_MAX."""
+    checked once, for each row where some diagram has a cross.  A field
+    holds its variable's count exactly while those rows have at most 255
+    cells with a cross in some diagram; the guard bits of the keys then
+    show an exponent past EXP_MAX."""
     N = diagrams[0].N
+    union = 0
+    for P in diagrams:
+        union |= P.bits
     rows, room = [], [0] * nx
     for r in range(N - 1):      # row r + 1 has N - 1 - r cells
-        v = _label(labels, r + 1, nx) - 1
-        rows.append((r * N, (1 << N - 1 - r) - 1, 8 * v))
-        room[v] += N - 1 - r
-    most = max(room)
+        mask = (1 << N - 1 - r) - 1
+        crossed = union >> r * N & mask
+        if crossed:
+            v = _label(labels, r + 1, nx) - 1
+            rows.append((r * N, mask, 8 * v))
+            room[v] += crossed.bit_count()
+    most = max(room, default=0)
     if most > 2 * EXP_MAX + 1:
         raise ValueError("the rows read as x%d have %d cells, more than a "
                          "packed exponent counts" % (room.index(most) + 1, most))
@@ -636,22 +624,16 @@ class WordPipeDream(WordDiagram):
 
     @staticmethod
     def _cells(P):
-        return P.crosses, ()
-
-    @staticmethod
-    def _fit(P, n, k):
-        """`WordDiagram._fit` as one AND of P's bits with the mask of the
-        cells beyond row n or column k."""
-        width = (1 << min(k, P.N)) - 1
-        inside = sum(width << r * P.N for r in range(min(n, P.N)))
-        return len(P), _cells_of(P.bits & ~inside, P.N)
+        """P's crosses as a new list, so that the pipe dreams the parent
+        memo holds do not each keep a frozenset of cells."""
+        return P.sorted_crosses(), ()
 
     @property
     def crosses(self):
         return self.diagram.crosses
 
     def sorted_crosses(self):
-        return sorted(self.crosses)
+        return self.diagram.sorted_crosses()
 
     def _glyph(self, r, c):
         return "+" if (r, c) in self.crosses else "."

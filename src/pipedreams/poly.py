@@ -3,8 +3,9 @@
 Polynomials live in Z[x_1..x_nx] or Z[x_1..x_nx; y_1..y_ny]; coefficients
 are Python ints, and zero coefficients are never stored.  All arithmetic is
 exact.  The constructor and the arithmetic also carry `Fraction`
-coefficients, but the text and JSON forms refuse a coefficient that is not
-an integer, naming its term.
+coefficients; the text, LaTeX and JSON forms refuse a coefficient that is
+not an integer, naming its term, while `str` and `repr` write it as a
+fraction.
 
 A monomial is one packed int key.  Variable v (x_1..x_nx, then y_1..y_ny,
 counted from 0) owns the byte at bits 8v..8v+7: its exponent in the low
@@ -405,28 +406,30 @@ class Poly:
 
     # -- rendering -----------------------------------------------------------
 
-    def _sorted_terms(self):
+    def _sorted_terms(self, exact=True):
         """The terms in graded order: ascending total degree, then
         descending lex on the exponent tuple (x block first), so x1-heavy
         monomials print first.  The text and JSON forms write integers, so
-        a coefficient that is not one raises a ValueError naming its term."""
+        when `exact` a coefficient that is not one raises a ValueError
+        naming its term."""
         terms = sorted(self.items(),
                        key=lambda ec: (sum(ec[0]), tuple(-v for v in ec[0])))
         for e, c in terms:
-            if c % 1:
+            if exact and c % 1:
                 raise ValueError("polynomial term %r: the coefficient is not "
                                  "an integer" % ({"coeff": str(c),
                                                   "exp": list(e)},))
         return terms
 
-    def _render(self, var, power, join):
+    def _render(self, var, power, join, exact=True):
         """Terms in graded order, signs between them; `var` formats a
         variable from its letter and index, `power` an exponent above 1,
-        and `join` sits between the factors of a term."""
+        and `join` sits between the factors of a term.  Without `exact`, a
+        coefficient that is not an integer is written as a fraction."""
         names = ([var % ("x", i) for i in range(1, self.nx + 1)]
                  + [var % ("y", j) for j in range(1, self.ny + 1)])
         chunks = []
-        for exp, c in self._sorted_terms():
+        for exp, c in self._sorted_terms(exact):
             mono = join.join(name + (power % a if a > 1 else "")
                              for name, a in zip(names, exp) if a)
             if not mono:
@@ -434,7 +437,7 @@ class Poly:
             elif abs(c) == 1:
                 body = mono
             else:
-                body = "%d%s%s" % (abs(c), join, mono)
+                body = "%s%s%s" % (abs(c), join, mono)
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
             else:
@@ -471,10 +474,13 @@ class Poly:
             terms[tuple(t["exp"])] = int(c)
         return cls(nx, ny, terms)
 
-    def __repr__(self):
-        return "Poly(%s)" % (self.to_text(),)
+    def __str__(self):
+        """`to_text`, but a coefficient that is not an integer is written
+        as a fraction instead of refused."""
+        return self._render("%s%d", "^%d", "*", exact=False)
 
-    __str__ = to_text
+    def __repr__(self):
+        return "Poly(%s)" % (self,)
 
 
 # -- symmetric functions -----------------------------------------------------

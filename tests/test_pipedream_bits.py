@@ -9,7 +9,7 @@ ints.  The packed weight sums are checked against `weight_sum` of
 
 import pytest
 
-from pipedreams import Permutation, Word
+from pipedreams import Permutation, Poly, Word
 from pipedreams.combinat import all_permutations, enumerate_fubini
 from pipedreams.pipedream import (
     PipeDream,
@@ -171,9 +171,28 @@ def test_packed_sum_refuses_an_exponent_past_the_guard_bit():
         _pd_sum([row], 130)
     with pytest.raises(ValueError, match="exponent 128 of x1 is outside"):
         diagram_weight("single", 130, row.crosses)
-    # a row of 257 cells could carry into the next variable's field
-    with pytest.raises(ValueError, match="rows read as x1 have 257 cells"):
-        _pd_sum([PipeDream([(1, 1)], 258)], 258)
+    # 257 cells crossed in some diagram, in the rows read as x1, could
+    # carry into the next variable's field
+    rows = [PipeDream([(r, c) for c in range(1, 87)], 300) for r in (1, 2, 3)]
+    with pytest.raises(ValueError, match="rows read as x1 have 258 cells"):
+        _pd_sum(rows, 2, (1, 1, 1))
+    assert _pd_sum(rows[:2], 2, (1, 1, 1)) == Poly(2, 0, {(86, 0): 2})
+
+
+def test_packed_sums_label_and_count_only_the_crossed_rows():
+    # s_1 in S_257: the staircase has far more than 255 cells, the one
+    # diagram a single cross
+    s1 = Permutation([2, 1] + list(range(3, 258)))
+    assert pd_schubert(s1) == pd_grothendieck(s1) == Poly.x(1, 257)
+    # words that are not Fubini: u = std(conv(w)) is larger than the n
+    # labels reach, but its diagrams cross only labelled rows
+    for word in (Word("21", 4), Word("1", 3), Word("12", 5), Word("31", 4)):
+        reduced = [W.diagram for W in enumerate_word_pds(word, reduced=True)]
+        every = enumerate_word_pds(word, reduced=False)
+        labels, ell = every[0].labels, len(every[0].diagram) - every[0].excess
+        assert word_pd_schubert(word) == poly_way_sum(reduced, word.n, labels)
+        assert word_pd_grothendieck(word) == poly_way_sum(
+            [W.diagram for W in every], word.n, labels, ell)
 
 
 def test_word_rectangle_check_names_the_sorted_cells():

@@ -600,3 +600,10 @@ def test_writers_take_an_integral_fraction_as_its_integer():
     f = Poly(1, 0, {(1,): Fraction(4, 2)})
     assert f.to_text() == "2*x1"
     assert Poly.from_json(f.to_json()) == Poly(1, 0, {(1,): 2})
+
+
+def test_repr_and_str_write_a_fraction_coefficient():
+    f = Poly(2, 0, {(1, 1): Fraction(3, 7), (0, 0): 2})
+    assert str(f) == "2 + 3/7*x1*x2"
+    assert repr(f) == "Poly(2 + 3/7*x1*x2)"
+    assert repr(Poly(1, 0, {(1,): 3})) == "Poly(3*x1)"

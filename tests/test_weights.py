@@ -151,11 +151,10 @@ def test_weight_sum_drops_cancelled_terms():
     assert dict(weight_sum([x1, x2, -x1], 2).items()) == {(0, 1): 1}
 
 
+# -- K-single NW factors ----------------------------------------------------------
 
-# -- the K-single NW expansion on packed keys -----------------------------------
 
-
-def test_k_single_nw_expansion_equals_the_product_of_poly_factors():
+def test_k_single_nw_factors_equal_the_reference_product():
     from pipedreams.pipedream import diagram_weight
 
     cells = [(1, 1), (1, 2), (3, 1)]
