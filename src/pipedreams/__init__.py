@@ -26,6 +26,7 @@ from .poly import (  # noqa: F401
 from .pipedream import (  # noqa: F401
     PipeDream,
     parent_cache_info,
+    row_cache_info,
     RectangularityViolation,
     WordPipeDream,
     enumerate_all,
@@ -85,7 +86,8 @@ from . import pipedream, poly
 
 
 def clear_caches():
-    """Empty the package's caches: the polynomial cache of `poly` and the
-    memo of parent diagrams behind the word pipe dreams and word BPDs."""
+    """Empty the package's caches: the polynomial cache of `poly`, the
+    memo of parent diagrams behind the word pipe dreams and word BPDs, and
+    the row recursion's memo behind the pipe dream enumerations."""
     poly.clear_caches()
-    pipedream._clear_parent_cache()
+    pipedream._clear_memos()

@@ -42,6 +42,13 @@ all K-theoretic BPDs.  A BPD's K weight carries its sign
 (-1)^(blanks - len(w)), and so does that of a `WordBpd`, the
 `pipedream.WordDiagram` view of a BPD of std(conv(word)) on the word's
 first n rows and k columns.
+
+A BPD reads its blanks and NW elbows in one pass over its tiles, on first
+use, into two ints of bits (`Bpd._marks`, the cell (r, c) at bit
+(r-1)*N + c-1, as for pipe dreams); the parents that the word views share
+are read once per process.  The word BPD sums hand those ints to
+`pipedream._packed_sum`, the routine of the pipe dream sums, which expands
+each NW factor 1 - x on packed keys: no `Poly` per view.
 """
 
 from __future__ import annotations
@@ -53,6 +60,8 @@ from .combinat import Permutation, Word, json_fields
 from .pipedream import (
     RectangularityViolation,
     WordDiagram,
+    _cells_of,
+    _packed_sum,
     diagram_weight,
     k_signed,
     move_closure,
@@ -105,7 +114,7 @@ def _cells(tiles, kind):
 class Bpd:
     """An immutable N x N grid of tiles."""
 
-    __slots__ = ("tiles", "N")
+    __slots__ = ("tiles", "N", "_marked")
 
     def __init__(self, tiles):
         tiles = tuple(tuple(Tile(t) for t in row) for row in tiles)
@@ -114,9 +123,13 @@ class Bpd:
             raise ValueError("tile grid must be square")
         object.__setattr__(self, "tiles", tiles)
         object.__setattr__(self, "N", N)
+        object.__setattr__(self, "_marked", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Bpd is immutable")
+
+    def __reduce__(self):
+        return Bpd, (self.tiles,)
 
     def __eq__(self, other):
         if isinstance(other, Bpd):
@@ -236,11 +249,27 @@ class Bpd:
 
     # -- cells of interest -------------------------------------------------------
 
+    def _marks(self):
+        """The blanks and the NW elbows as two ints, the cell (r, c) at bit
+        (r-1)*N + c-1, read in one pass over the tiles on first use."""
+        if self._marked is None:
+            blank = nw = 0
+            bit = 1
+            for row in self.tiles:
+                for t in row:
+                    if t is Tile.BLANK:
+                        blank |= bit
+                    elif t is Tile.NW:
+                        nw |= bit
+                    bit <<= 1
+            object.__setattr__(self, "_marked", (blank, nw))
+        return self._marked
+
     def blanks(self):
-        return _cells(self.tiles, Tile.BLANK)
+        return _cells_of(self._marks()[0], self.N)
 
     def nw_elbows(self):
-        return _cells(self.tiles, Tile.NW)
+        return _cells_of(self._marks()[1], self.N)
 
     def is_reduced(self, w=None):
         w = w or self.permutation()
@@ -413,9 +442,7 @@ class WordBpd(WordDiagram):
     def _diagrams(u, reduced):
         return enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
 
-    @staticmethod
-    def _cells(B):
-        return B.blanks(), B.nw_elbows()
+    _marks = staticmethod(Bpd._marks)
 
     @property
     def tiles(self):
@@ -469,17 +496,27 @@ def bpd_grothendieck(w, double=False):
                       w.n, w.n if double else 0)
 
 
+def _word_bpd_sum(word, reduced):
+    """`_packed_sum` over the word BPDs of `word`: each parent's blanks and,
+    for the K sum, its NW elbows, read once per parent (`Bpd._marks`); the
+    K sum signs each by (-1)^excess."""
+    word = word if isinstance(word, Word) else Word(word)
+    views = enumerate_word_bpds(word, reduced=reduced)
+    marks = [V.diagram._marks() for V in views]
+    blanks = [b for b, _ in marks]
+    W = views[0]    # u's diagram BPD, at least
+    if reduced:
+        return _packed_sum(W.diagram.N, blanks, word.n, W.labels)
+    return _packed_sum(W.diagram.N, blanks, word.n, W.labels,
+                       blanks[0].bit_count() - W.excess,
+                       [nw for _, nw in marks])
+
+
 def word_bpd_schubert(word):
     """Weight sum over the reduced word BPDs."""
-    word = word if isinstance(word, Word) else Word(word)
-    return weight_sum((B.weight("single")
-                       for B in enumerate_word_bpds(word, reduced=True)),
-                      word.n)
+    return _word_bpd_sum(word, reduced=True)
 
 
 def word_bpd_grothendieck(word):
     """wt_K sum over all word BPDs (signs intrinsic via excess)."""
-    word = word if isinstance(word, Word) else Word(word)
-    return weight_sum((B.weight("K-single")
-                       for B in enumerate_word_bpds(word, reduced=False)),
-                      word.n)
+    return _word_bpd_sum(word, reduced=False)

@@ -70,6 +70,9 @@ class Permutation:
     def __setattr__(self, *a):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return Permutation, (self.one_line,)
+
     @property
     def n(self):
         return len(self.one_line)
@@ -221,6 +224,9 @@ class Word:
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return Word, (self.letters, self.k)
 
     @property
     def n(self):

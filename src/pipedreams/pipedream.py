@@ -10,36 +10,88 @@ weights are sign-free; the K sums attach (-1)^(crosses - len(w)).
 
 A `PipeDream` holds its crosses as one int, `bits`: the cross (r, c) is bit
 (r-1)*N + (c-1), so row r is the N - r bits from bit (r-1)*N up and the
-bits run in row-major order.  The (K-)chute closure (the moves of
-Bergeron-Billey and Knutson-Miller) runs on these ints and builds one
-`PipeDream` per diagram found; sorting the ints by their ascending bit
+bits run in row-major order; sorting the ints by their ascending bit
 indices gives the sorted cross list order.  The Demazure product reads each
 row's bits from high to low.  `crosses`, the frozenset of (r, c) cells, is
-built on first use.
+built on first use.  The (K-)chute moves of Bergeron-Billey and
+Knutson-Miller stay as `chute_moves` and `k_chute_moves`; the test suite
+checks the enumeration against their closure.
+
+Enumeration by rows (compatible sequences, Billey-Jockusch-Stanley 1993;
+the Demazure product view of Knutson-Miller 2005).  Write delta(D) for the
+Demazure product of a diagram D, * for the Demazure product, and 1 x v for
+the permutation fixing 1 and sending i + 1 to v(i) + 1.  The reading word
+of D is row 1 read right to left, then rows 2 and below.  A cross (r, c)
+with r >= 2 is s_{r+c-1}; the same cross moved up one row, in the diagram
+D' of rows 2, 3, ... (a staircase one smaller), is s_{r+c-2}.  So
+
+    delta(D) = delta(C) * (1 x delta(D')),   delta(C) = s_{c_m} ... s_{c_1}
+
+for C = {c_1 < ... < c_m} the columns of row 1.  As s * y is s y when s is
+not a left descent of y and y when it is, s * y = z has the solutions z
+and s z when s is a left descent of z, and none otherwise; a reduced
+diagram allows only y = s z, its length growing by one.  Peeling the
+letters of delta(C) off z one at a time thus finds every y with
+delta(C) * y in a set X, and the diagrams whose delta lies in X are the
+disjoint union, over the row-1 sets C, of the diagrams C u D' (D' moved
+down a row) with delta(D') in X'_C = {v : delta(C) * (1 x v) in X}.  The
+recursion ends at the identity, whose only diagram is the empty one.
+`_first_rows` finds the C with X'_C nonempty, and `_diagram_bits` recurses
+on the X'_C.  The sets hold inverse one-line tuples, so that s_c acting on
+the left swaps two entries.
+
+Every (C, x) pair is also checked forward (`_check_block`): delta(C) *
+(1 x v), for v the permutation with inverse x, is computed letter by letter
+from the right and must lie in X, each letter raising the length in the
+reduced case.  By induction on the rows, every diagram returned has its
+Demazure product in X, and a reduced one has as many crosses as its length;
+at the top X = {w}.  Every letter of a word lies in the support of its
+Demazure product, so a diagram of w in S_N keeps inside the staircase of
+size N.
+
+Order.  The bit indices of C u D' are those of C, all below N, then those
+of D' raised by N.  Between two such lists the first differing index
+decides; when C is a prefix of C2, the next index of C u D' is the first of
+D', above every column, or there is none when D' is empty.  So the blocks
+sort by (C, then -infinity if D' is empty and +infinity otherwise), and
+inside a block the diagrams keep the order of the list of D'.  Only the row-1
+sets that occur are sorted, and no diagram gets a sort key.
+
+Memo.  The list of ints of each (X, reduced, row stride N) below the top is
+kept in `_ROWS`, least recently used evicted first, an int weighing one and
+one more for each full 64 bits it holds, at most PARENT_CACHE_DIAGRAMS in
+all; the top list goes to the caller unstored.  The 720 permutations of S_6
+share nearly all their rows below the first this way.  See
+`row_cache_info()`; `pipedreams.clear_caches()` empties it.
 
 The single and K-single sums over pipe dreams (`pd_schubert`,
-`pd_grothendieck` and the word sums) build no `Poly` per diagram: a
-weight is the packed `Poly` key sum_r popcount(row r) << 8*(label_r - 1),
-added with its sign into one term dict, and the row labels are checked
-once per sum, for the rows where some diagram has a cross.
+`pd_grothendieck` and the word sums) and the word BPD sums build no `Poly`
+per diagram (`_packed_sum`): a weight is the packed `Poly` key
+sum_r popcount(row r) << 8*(label_r - 1), times the factors 1 - x of its NW
+cells expanded on keys, added with its sign into one term dict, and the row
+labels are checked once per sum, for the rows where some diagram has a
+cell.
 
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
 `WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.
 
-Many words share u, so the word diagrams read u's diagrams from one memo
-keyed by (family, u, reduced), least recently used entries evicted first.
-It holds at most PARENT_CACHE_DIAGRAMS = 20,000 parent diagrams in all; an
-enumeration larger than that is returned without being stored.  Sharing is
-safe: `PipeDream` and `Bpd` are immutable and the memo stores tuples of them,
-while each call builds its own list of `WordDiagram` views.  See
-`parent_cache_info()`; `pipedreams.clear_caches()` empties it.
+Many words share u, so the word diagrams read u's diagrams from a second
+memo, `_PARENTS`, keyed by (family, u, reduced), least recently used
+entries evicted first.  It holds at most PARENT_CACHE_DIAGRAMS = 20,000
+parent diagrams in all; an enumeration larger than that is returned without
+being stored.  Sharing is safe: `PipeDream` and `Bpd` are immutable and the
+memo stores tuples of them, while each call builds its own list of
+`WordDiagram` views.  See `parent_cache_info()`; `pipedreams.clear_caches()`
+empties it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from itertools import repeat
+from math import comb
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
 from .poly import EXP_MAX, Poly
@@ -155,6 +207,9 @@ class PipeDream:
 
     def __setattr__(self, *a):
         raise AttributeError("PipeDream is immutable")
+
+    def __reduce__(self):
+        return PipeDream._of, (self.bits, self.N)
 
     @property
     def crosses(self):
@@ -351,44 +406,60 @@ def _label(labels, r, nx):
 
 
 def _pd_sum(diagrams, nx, labels=None, ell=None):
-    """The sum of the single weights of `diagrams`, a nonempty list of pipe
-    dreams of one size N, row r read as x_{labels[r-1]} (x_r without
-    labels); with `ell`, a diagram with c crosses is signed (-1)^(c - ell),
-    its K-single weight.
+    """`_packed_sum` of the crosses of `diagrams`, a nonempty list of pipe
+    dreams of one size."""
+    return _packed_sum(diagrams[0].N, [P.bits for P in diagrams], nx,
+                       labels, ell)
+
+
+def _packed_sum(N, cells, nx, labels=None, ell=None, nw=None):
+    """The sum over i of the single weight of the cells `cells[i]`, an int
+    with the cell (r, c) at bit (r-1)*N + c-1, row r read as
+    x_{labels[r-1]} (x_r without labels).  With `ell`, term i is signed
+    (-1)^(popcount(cells[i]) - ell); with `nw`, ints of the same form, it
+    is multiplied by the factor 1 - x_{labels[r-1]} of each cell of nw[i]:
+    the K-single weight of a diagram with those NW cells.
 
     A weight is the packed key sum_r popcount(row r) << 8*(label_r - 1),
-    added into one term dict: no `Poly` per diagram.  The labels are
-    checked once, for each row where some diagram has a cross.  A field
-    holds its variable's count exactly while those rows have at most 255
-    cells with a cross in some diagram; the guard bits of the keys then
-    show an exponent past EXP_MAX."""
-    N = diagrams[0].N
+    times the binomial expansion of its NW factors on the keys, added into
+    one term dict: no `Poly` per diagram.  The labels are checked once, for
+    each row where some diagram has a cell.  A field holds its variable's
+    count exactly while those rows have at most 255 cells in some diagram;
+    the guard bits of the keys then show an exponent past EXP_MAX."""
+    full = (1 << N) - 1
     union = 0
-    for P in diagrams:
-        union |= P.bits
+    for b in (*cells, *(nw or ())):
+        union |= b
     rows, room = [], [0] * nx
-    for r in range(N - 1):      # row r + 1 has N - 1 - r cells
-        mask = (1 << N - 1 - r) - 1
-        crossed = union >> r * N & mask
+    for r in range(N):
+        crossed = union >> r * N & full
         if crossed:
             v = _label(labels, r + 1, nx) - 1
-            rows.append((r * N, mask, 8 * v))
+            rows.append((r * N, 8 * v))
             room[v] += crossed.bit_count()
     most = max(room, default=0)
     if most > 2 * EXP_MAX + 1:
         raise ValueError("the rows read as x%d have %d cells, more than a "
                          "packed exponent counts" % (room.index(most) + 1, most))
     terms, used = {}, 0
-    for P in diagrams:
-        b = P.bits
+    for b, m in zip(cells, nw or repeat(0)):
         key = 0
-        for shift, mask, field in rows:
-            key += (b >> shift & mask).bit_count() << field
-        used |= key
-        c = 1
-        if ell is not None:
-            c = k_signed(1, b.bit_count() - ell)
-        terms[key] = terms.get(key, 0) + c
+        for shift, field in rows:
+            key += (b >> shift & full).bit_count() << field
+        c = 1 if ell is None else k_signed(1, b.bit_count() - ell)
+        if not m:
+            used |= key
+            terms[key] = terms.get(key, 0) + c
+            continue
+        part = [(key, c)]
+        for shift, field in rows:
+            k = (m >> shift & full).bit_count()
+            if k:           # times (1 - x)^k = sum_j (-1)^j C(k, j) x^j
+                part = [(e + (j << field), (-1) ** j * comb(k, j) * a)
+                        for e, a in part for j in range(k + 1)]
+        for e, a in part:
+            used |= e
+            terms[e] = terms.get(e, 0) + a
     Poly.zero(nx)._check_exponents((used,))
     return Poly._of(nx, 0, {e: c for e, c in terms.items() if c})
 
@@ -403,6 +474,86 @@ def k_signed(p, excess):
 
 # the sum of weights, added into one term dict without copying a total
 weight_sum = Poly.sum_of
+
+
+# -- memos ------------------------------------------------------------------------
+
+# The bound of each memo: parent diagrams in `_PARENTS`, ints (weighed by
+# `_int_words`) in `_ROWS`.
+PARENT_CACHE_DIAGRAMS = 20_000
+
+
+class _Memo(OrderedDict):
+    """Tuples by key, least recently used first, weighing at most
+    PARENT_CACHE_DIAGRAMS in all, a tuple weighing `weigh(tuple)`; a tuple
+    heavier than that is not stored.  `info()` gives its entries, the
+    weight they hold ("diagrams"), and its hits, misses and evictions since
+    the last `clear()`."""
+
+    def __init__(self, weigh):
+        super().__init__()
+        self.weigh = weigh
+        self.stats = dict.fromkeys(("diagrams", "hits", "misses",
+                                    "evictions"), 0)
+
+    def info(self):
+        return {"entries": len(self), **self.stats}
+
+    def clear(self):
+        super().clear()
+        self.stats.update(dict.fromkeys(self.stats, 0))
+
+    def lookup(self, key):
+        """The stored tuple of `key`, or None (a miss)."""
+        found = self.get(key)
+        if found is None:
+            self.stats["misses"] += 1
+        else:
+            self.move_to_end(key)
+            self.stats["hits"] += 1
+        return found
+
+    def store(self, key, found):
+        """Store the tuple `found` under `key` if it fits; return it."""
+        stats, weight = self.stats, self.weigh(found)
+        if weight <= PARENT_CACHE_DIAGRAMS:
+            self[key] = found
+            stats["diagrams"] += weight
+            while stats["diagrams"] > PARENT_CACHE_DIAGRAMS:
+                _, old = self.popitem(last=False)
+                stats["diagrams"] -= self.weigh(old)
+                stats["evictions"] += 1
+        return found
+
+
+def _int_words(ints):
+    """The weight of a tuple of ints: one per int and one more per full 64
+    bits it holds, so that a large stride cannot fill memory."""
+    return sum(b.bit_length() >> 6 for b in ints) + len(ints)
+
+
+# The parent diagrams of u, per (family, u one-line tuple, reduced), for the
+# word diagrams; the ints of cross bits per (set of inverse one-line tuples,
+# reduced, stride), for the row recursion.
+_PARENTS = _Memo(len)
+_ROWS = _Memo(_int_words)
+
+
+def parent_cache_info():
+    """The memo of parent diagrams: its entries, the diagrams they hold, and
+    its hits, misses and evictions since the last `clear_caches()`."""
+    return _PARENTS.info()
+
+
+def row_cache_info():
+    """The same report for the row recursion's memo, whose entries hold
+    ints of cross bits."""
+    return _ROWS.info()
+
+
+def _clear_memos():
+    _PARENTS.clear()
+    _ROWS.clear()
 
 
 # -- construction and enumeration ---------------------------------------------
@@ -423,15 +574,146 @@ def top_pipe_dream(w):
 
 
 def enumerate_reduced(w):
-    """All reduced pipe dreams of w: breadth-first chute closure of the
-    top pipe dream, returned in canonical (sorted cross list) order."""
-    return _closure(w, slide=True, copy=False)
+    """All reduced pipe dreams of w, in canonical (sorted cross list)
+    order, by the row recursion of the module docstring."""
+    return _enumerate(w, reduced=True)
 
 
 def enumerate_all(w):
-    """All K-theoretic pipe dreams of w: closure of the top pipe dream
-    under chute and K-chute moves."""
-    return _closure(w, slide=True, copy=True)
+    """All K-theoretic pipe dreams of w, in canonical order, by the row
+    recursion of the module docstring."""
+    return _enumerate(w, reduced=False)
+
+
+def _enumerate(w, reduced):
+    w = w if isinstance(w, Permutation) else Permutation(w)
+    N, X = w.n, frozenset({w.trim().inverse().one_line})
+    return [PipeDream._of(b, N) for b in _diagram_bits(X, reduced, N)]
+
+
+# the set of the identity, whose one diagram is the empty one
+_IDENTITY = frozenset({(1,)})
+
+
+def _trimmed(t):
+    """The one-line sequence t as a tuple without trailing fixed points."""
+    n = len(t)
+    while n > 1 and t[n - 1] == n:
+        n -= 1
+    return tuple(t[:n])
+
+
+def _diagram_bits(X, reduced, N):
+    """The ints of cross bits, row stride N, of the (reduced) pipe dreams
+    whose Demazure product has its inverse in X, a frozenset of trimmed
+    one-line tuples, in sorted cross list order.
+
+    The recursion runs on an explicit stack, children first, so that its
+    depth (one level per row) meets no Python recursion limit; a child's
+    list is dropped once every set that reads it is built.  X's own list is
+    not stored: the caller turns it into pipe dreams, and the word views
+    keep theirs in `_PARENTS`."""
+    done = {_IDENTITY: (0,)}
+    readers = {}
+    todo = [(X, None)]
+    while todo:
+        Y, rows = todo.pop()
+        if rows is None:
+            if Y in done:
+                continue
+            found = _ROWS.lookup((Y, reduced, N))
+            if found is not None:
+                done[Y] = found
+                continue
+            rows = _first_rows(Y, reduced)
+            todo.append((Y, rows))
+            for _, below in rows:
+                readers[below] = readers.get(below, 0) + 1
+                if below not in done:
+                    todo.append((below, None))
+            continue
+        found = tuple(_first_row_blocks(Y, rows, done, reduced, N))
+        done[Y] = found if Y is X else _ROWS.store((Y, reduced, N), found)
+        for _, below in rows:
+            readers[below] -= 1
+            if not readers[below] and below != _IDENTITY:
+                del readers[below], done[below]
+    return done[X]
+
+
+def _first_row_blocks(X, rows, done, reduced, N):
+    """The diagrams of X, as the blocks C | (D' << N) for (C, X'_C) in
+    `rows`, D' from the list done[X'_C], ordered as the module docstring
+    says.  Each (C, x) pair is checked forward."""
+    blocks = []
+    for cols, below in rows:
+        for x in below:
+            _check_block(cols, x, X, reduced)
+        row = 0
+        for c in cols:
+            row |= 1 << c - 1
+        sub = done[below]
+        if sub[0] == 0:         # D' empty: C alone sorts before C's supersets
+            blocks.append((cols + (0,), (row,)))
+            sub = sub[1:]
+        if sub:
+            blocks.append((cols + (N,), [row | d << N for d in sub]))
+    blocks.sort(key=lambda block: block[0])
+    return [bits for _, block in blocks for bits in block]
+
+
+def _first_rows(X, reduced):
+    """(C, X'_C) for every row-1 column set C, ascending, whose preimage
+    set X'_C is not empty: the inverses of the v with
+    delta(C) * (1 x v) in X, for X and X'_C sets of inverse one-line
+    tuples.  C is grown from its largest column down, peeling one letter
+    at a time: s_c * y = z has the solutions z and s_c z (only s_c z when
+    reduced) when s_c is a left descent of z, that is z^-1(c) > z^-1(c+1),
+    and none otherwise.
+
+    Only the y with y(1) = 1 are kept at the end.  s_c changes y(1) only
+    when c = y(1) - 1, lowering it by one, and the columns still to come lie
+    below the last one taken; so y can reach y(1) = 1 only through the
+    columns y(1) - 1, ..., 1, each taken in turn.  Columns below y(1) - 1
+    are not tried for y, and y itself is kept past column c only when
+    c > y(1) - 1."""
+    found = []
+    stack = [((), X, max(map(len, X)))]
+    while stack:
+        cols, Y, top = stack.pop()
+        below = frozenset(tuple(a - 1 for a in v[1:]) or (1,)
+                          for v in Y if v[0] == 1)
+        if below:
+            found.append((cols[::-1], below))
+        steps = {}
+        for v in Y:
+            p = v.index(1)          # y(1) - 1, for y the inverse of v
+            for c in range(p or 1, min(len(v), top)):
+                if v[c - 1] > v[c]:
+                    t = v[:c - 1] + (v[c], v[c - 1]) + v[c + 1:]
+                    pre = steps.setdefault(c, set())
+                    pre.add(_trimmed(t) if c + 1 == len(v) else t)
+                    if not reduced and c > p:
+                        pre.add(v)
+        for c, pre in steps.items():
+            stack.append((cols + (c,), frozenset(pre), c))
+    return found
+
+
+def _check_block(cols, x, X, reduced):
+    """Raise unless delta(C) * (1 x v) has its inverse in X, for v the
+    permutation with inverse x and C the ascending columns `cols`, and,
+    when reduced, every letter of C raises the length."""
+    y = [1] + [a + 1 for a in x]
+    y += range(len(y) + 1, (cols[-1] if cols else 0) + 2)
+    for c in cols:              # s_c * y, innermost letter first
+        if y[c - 1] < y[c]:
+            y[c - 1], y[c] = y[c], y[c - 1]
+        elif reduced:
+            raise AssertionError("row %r over %r is not reduced" % (cols, x))
+    if _trimmed(y) not in X:
+        raise AssertionError("row %r over %r leaves the set %r"
+                             % (cols, x, sorted(X)))
 
 
 def move_closure(start, moves):
@@ -452,25 +734,6 @@ def move_closure(start, moves):
     return seen
 
 
-def _closure(w, slide, copy):
-    """The move closure of w's top pipe dream, run on the ints of cross
-    bits; a `PipeDream` is built once per diagram found, in sorted cross
-    list order (ascending bit indices, as the bits are row-major), and its
-    Demazure product checked against w."""
-    w = w if isinstance(w, Permutation) else Permutation(w)
-    N = w.n
-    seen = move_closure(top_pipe_dream(w).bits,
-                        lambda bits: _chute_children(bits, N, slide, copy))
-    wt = w.trim().one_line
-    out = []
-    for bits in sorted(seen, key=_indices):
-        P = PipeDream._of(bits, N)
-        if _demazure(bits, N) != wt:
-            raise AssertionError("move closure escaped the permutation: %r" % (P,))
-        out.append(P)
-    return out
-
-
 # -- word diagrams ---------------------------------------------------------------
 
 
@@ -481,43 +744,15 @@ def word_row_labels(word):
     return tuple(p + 1 for p in sigma)
 
 
-# The parent diagrams of u, per (family, u one-line tuple, reduced), least
-# recently used first; at most PARENT_CACHE_DIAGRAMS diagrams in all.
-PARENT_CACHE_DIAGRAMS = 20_000
-_PARENTS = OrderedDict()
-_PARENT_STATS = dict.fromkeys(("diagrams", "hits", "misses", "evictions"), 0)
-
-
-def parent_cache_info():
-    """The memo of parent diagrams: its entries, the diagrams they hold, and
-    its hits, misses and evictions since the last `clear_caches()`."""
-    return {"entries": len(_PARENTS), **_PARENT_STATS}
-
-
-def _clear_parent_cache():
-    _PARENTS.clear()
-    _PARENT_STATS.update(dict.fromkeys(_PARENT_STATS, 0))
-
-
 def _parent_diagrams(family, u, reduced):
     """`family._diagrams` of the permutation with one-line tuple u, as a
     tuple, through the memo.  An enumeration larger than the whole bound is
     returned without being stored."""
     key = (family, u, reduced)
-    found = _PARENTS.get(key)
-    if found is not None:
-        _PARENTS.move_to_end(key)
-        _PARENT_STATS["hits"] += 1
-        return found
-    _PARENT_STATS["misses"] += 1
-    found = tuple(family._diagrams(Permutation(u), reduced))
-    if len(found) <= PARENT_CACHE_DIAGRAMS:
-        _PARENTS[key] = found
-        _PARENT_STATS["diagrams"] += len(found)
-        while _PARENT_STATS["diagrams"] > PARENT_CACHE_DIAGRAMS:
-            _, old = _PARENTS.popitem(last=False)
-            _PARENT_STATS["diagrams"] -= len(old)
-            _PARENT_STATS["evictions"] += 1
+    found = _PARENTS.lookup(key)
+    if found is None:
+        found = _PARENTS.store(
+            key, tuple(family._diagrams(Permutation(u), reduced)))
     return found
 
 
@@ -525,8 +760,10 @@ class WordDiagram:
     """A parent diagram of u = std(conv(word)) viewed on the word's n x k
     rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
     every weight cell lies inside; `excess` counts them beyond `length` = len(u).
-    A family supplies `_diagrams` (the parent enumeration), `_cells`, `_glyph`,
-    `_json_cells`, `_field` and `_signed` (K weights carry (-1)^excess)."""
+    A family supplies `_diagrams` (the parent enumeration), `_marks` (the
+    weight cells and the NW cells of a parent, as ints of bits in the
+    parent's row stride N), `_glyph`, `_json_cells`, `_field` and `_signed`
+    (K weights carry (-1)^excess)."""
 
     __slots__ = ("diagram", "n", "k", "labels", "excess")
     _signed = False
@@ -536,17 +773,31 @@ class WordDiagram:
         if bad:
             raise RectangularityViolation(
                 "weight cells outside the %d x %d rectangle: %s" % (n, k, bad))
-        for name, value in zip(WordDiagram.__slots__, (
-                diagram, int(n), int(k), tuple(labels), size - length)):
+        self._set(diagram, int(n), int(k), tuple(labels), size - length)
+
+    def _set(self, *values):
+        for name, value in zip(WordDiagram.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """The view with these slot values, unchecked."""
+        V = object.__new__(cls)
+        V._set(*values)
+        return V
+
+    def __reduce__(self):
+        return type(self)._of, tuple(getattr(self, name)
+                                     for name in WordDiagram.__slots__)
 
     @classmethod
     def _fit(cls, D, n, k):
         """The number of D's weight cells, and its weight and NW cells
         beyond row n or column k, sorted."""
-        cells, nw = cls._cells(D)
-        return len(cells), sorted((r, c) for r, c in (*cells, *nw)
-                                  if r > n or c > k)
+        cells, nw = cls._marks(D)
+        N = D.N
+        inside = ((1 << min(k, N)) - 1) * (((1 << n * N) - 1) // ((1 << N) - 1))
+        return cells.bit_count(), _cells_of((cells | nw) & ~inside, N)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -566,7 +817,8 @@ class WordDiagram:
     def weight(self, mode="single"):
         """`diagram_weight` of the parent's cells, row r read as
         x_{labels[r-1]}; K weights carry (-1)^excess when `_signed`."""
-        cells, nw = self._cells(self.diagram)
+        D = self.diagram
+        cells, nw = (_cells_of(bits, D.N) for bits in self._marks(D))
         p = diagram_weight(mode, self.n, cells, self.labels, nw)
         return k_signed(p, self.excess) if self._signed and mode.startswith("K") else p
 
@@ -623,10 +875,8 @@ class WordPipeDream(WordDiagram):
         return enumerate_reduced(u) if reduced else enumerate_all(u)
 
     @staticmethod
-    def _cells(P):
-        """P's crosses as a new list, so that the pipe dreams the parent
-        memo holds do not each keep a frozenset of cells."""
-        return P.sorted_crosses(), ()
+    def _marks(P):
+        return P.bits, 0
 
     @property
     def crosses(self):

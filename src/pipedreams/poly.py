@@ -90,6 +90,10 @@ class Poly:
         p.nx, p.ny, p.terms = nx, ny, terms
         return p
 
+    def __reduce__(self):
+        # a cached polynomial's terms are a read-only proxy: copy them out
+        return Poly._of, (self.nx, self.ny, dict(self.terms))
+
     def _key(self, exp):
         """The packed key of an exponent tuple."""
         n = self.nx + self.ny

@@ -394,3 +394,70 @@ def test_diagram_work_is_bounded(monkeypatch):
                 enumerate_word_bpds(word, reduced=True)
                 enumerate_word_bpds(word, reduced=False)
     assert calls["_trace"] <= 91 and calls["validate"] <= 103, calls
+
+
+# -- word BPD sums on ints ---------------------------------------------------
+
+
+def poly_way_word_bpd_sum(word, reduced):
+    """The word BPD sum one `Poly` per view: `diagram_weight` of the
+    blanks and NW elbows found by scanning the tiles, signed by
+    `k_signed`."""
+    from pipedreams.bpd import _cells
+    from pipedreams.pipedream import diagram_weight, k_signed, weight_sum
+
+    mode = "single" if reduced else "K-single"
+    return weight_sum(
+        (k_signed(diagram_weight(mode, word.n,
+                                 _cells(V.diagram.tiles, Tile.BLANK), V.labels,
+                                 _cells(V.diagram.tiles, Tile.NW)),
+                  0 if reduced else V.excess)
+         for V in enumerate_word_bpds(word, reduced=reduced)), word.n)
+
+
+def test_packed_word_bpd_sums_equal_the_poly_sums():
+    from pipedreams.combinat import enumerate_fubini
+
+    words = [word for n in range(1, 5) for k in range(1, n + 1)
+             for word in enumerate_fubini(n, k)]
+    # not Fubini: u = std(conv(w)) is larger than the n labels reach
+    words += [Word("21", 4), Word("1", 3), Word("12", 5), Word("31", 4)]
+    for word in words:
+        assert word_bpd_schubert(word) == poly_way_word_bpd_sum(word, True)
+        assert word_bpd_grothendieck(word) == poly_way_word_bpd_sum(word, False)
+
+
+@pytest.mark.parametrize("nx, labels, message", [
+    (1, (2, 1, 1), "row 1 has label 2, outside 1..nx = 1"),
+    # row 3 holds only an NW elbow: the NW rows are labelled too
+    (3, (1, 2), "row 3 has no label: 2 labels given"),
+])
+def test_bad_label_raises_the_diagram_weight_error_from_a_packed_bpd_sum(
+        nx, labels, message):
+    from pipedreams.pipedream import _packed_sum, diagram_weight
+
+    B = next(B for B in enumerate_all_bpd(Permutation("2143"))
+             if B.blanks() == [(1, 1), (1, 2)])
+    assert B.nw_elbows() == [(3, 3)]
+    blank, nw = B._marks()
+    with pytest.raises(ValueError) as poly_way:
+        diagram_weight("K-single", nx, B.blanks(), labels, B.nw_elbows())
+    with pytest.raises(ValueError) as packed:
+        _packed_sum(B.N, [blank], nx, labels, 2, [nw])
+    assert str(packed.value) == str(poly_way.value) == message
+
+
+def test_marks_are_the_blanks_and_nw_elbows_of_the_tiles():
+    from pipedreams.bpd import _cells
+    from pipedreams.combinat import all_permutations
+
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            for B in enumerate_all_bpd(w):
+                blank, nw = B._marks()
+                assert B._marks() is B._marks()
+                for bits, kind in ((blank, Tile.BLANK), (nw, Tile.NW)):
+                    assert bits == sum(1 << (r - 1) * B.N + c - 1
+                                       for r, c in _cells(B.tiles, kind))
+                assert B.blanks() == _cells(B.tiles, Tile.BLANK)
+                assert B.nw_elbows() == _cells(B.tiles, Tile.NW)

@@ -2,10 +2,13 @@
 
 `oracle_closure` runs the (K-)chute closure on frozensets of (row, column)
 cells, one set difference and union per move, the way the moves are
-stated; it shares no code with the closure in `pipedream`, which runs on
-ints.  The packed weight sums are checked against `weight_sum` of
+stated; it shares no code with the row recursion in `pipedream`, which
+runs on ints.  The packed weight sums are checked against `weight_sum` of
 `diagram_weight`, one `Poly` per diagram.
 """
+
+import random
+import time
 
 import pytest
 
@@ -66,8 +69,8 @@ def oracle_closure(w, k_theory):
     return sorted(sorted(P) for P in seen)
 
 
-PERMS = ([w for n in range(1, 6) for w in all_permutations(n)]
-         + list(all_permutations(6))[::9])
+PERMS = ([w for n in range(1, 7) for w in all_permutations(n)]
+         + random.Random(2512).sample(list(all_permutations(7)), 150))
 
 
 def small_diagrams(max_n=5):
@@ -206,3 +209,86 @@ def test_word_rectangle_check_names_the_sorted_cells():
     inside = PipeDream([(1, 1), (1, 2), (2, 1)], 3)
     W = truncate_to_word(inside, Word("3121", 3), Permutation("321"))
     assert W.excess == 0 and W.crosses is inside.crosses
+
+
+def test_long_permutations_enumerate_without_a_table_of_row_sets():
+    # trimmed sizes 20 and 257: the row recursion tries only the columns
+    # that a left descent offers, never every subset of a row
+    start = time.process_time()
+    s19 = Permutation(list(range(1, 19)) + [20, 19])
+    assert ([P.sorted_crosses() for P in enumerate_reduced(s19)]
+            == [[(r, 20 - r)] for r in range(1, 20)])
+    # w0 of S_20: every column of every row is a descent somewhere, yet
+    # one diagram, the full staircase
+    w0 = Permutation.longest(20)
+    for enumerate_ in (enumerate_reduced, enumerate_all):
+        only, = enumerate_(w0)
+        assert len(only) == 190 == w0.inversions()
+    s1 = Permutation([2, 1] + list(range(3, 258)))
+    for enumerate_ in (enumerate_reduced, enumerate_all):
+        assert [P.sorted_crosses() for P in enumerate_(s1)] == [[(1, 1)]]
+    assert time.process_time() - start < 2.0
+
+
+def test_deep_row_recursion_meets_no_recursion_limit():
+    from pipedreams import clear_caches, pipedream, row_cache_info
+    from pipedreams.pipedream import _int_words
+
+    # one level per row: 600 rows is past Python's default recursion limit
+    clear_caches()
+    s599 = Permutation(list(range(1, 599)) + [600, 599])
+    diagrams = enumerate_reduced(s599)
+    assert len(diagrams) == 599
+    assert diagrams[0].sorted_crosses() == [(1, 599)]
+    assert diagrams[-1].sorted_crosses() == [(599, 1)]
+    # the memo weighs an int by its size: these are up to 360,000 bits
+    stored = pipedream._ROWS.values()
+    info = row_cache_info()
+    assert info["diagrams"] == sum(map(_int_words, stored))
+    assert info["diagrams"] <= pipedream.PARENT_CACHE_DIAGRAMS
+    assert info["diagrams"] > 10 * sum(map(len, stored)) and info["evictions"]
+    assert _int_words((0, (1 << 63) - 1, 1 << 63, 1 << 200)) == 1 + 1 + 2 + 4
+    clear_caches()
+
+
+def test_row_memo_holds_at_most_its_bound(monkeypatch):
+    from pipedreams import clear_caches, pipedream, row_cache_info
+
+    perms = [w for n in range(1, 6) for w in all_permutations(n)]
+    clear_caches()
+    unbounded = [[P.bits for P in f(w)] for w in perms
+                 for f in (enumerate_reduced, enumerate_all)]
+    assert row_cache_info()["evictions"] == 0
+    clear_caches()
+    bound = 60
+    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    for _ in range(2):
+        got = []
+        for w in perms:
+            for f in (enumerate_reduced, enumerate_all):
+                got.append([P.bits for P in f(w)])
+                info = row_cache_info()
+                stored = sum(map(len, pipedream._ROWS.values()))
+                assert info["diagrams"] == stored <= bound, info
+                assert info["entries"] == len(pipedream._ROWS)
+                assert all(type(v) is tuple for v in pipedream._ROWS.values())
+        assert got == unbounded
+    info = row_cache_info()
+    assert info["evictions"] > 0 and info["hits"] > 0, info
+    clear_caches()
+    assert row_cache_info() == dict.fromkeys(
+        ("entries", "diagrams", "hits", "misses", "evictions"), 0)
+    assert not pipedream._ROWS
+
+
+def test_a_block_outside_the_set_is_refused():
+    from pipedreams.pipedream import _check_block
+
+    # the cross (1, 1) over the empty diagram is s_1, not the identity
+    with pytest.raises(AssertionError, match="leaves the set"):
+        _check_block((1,), (1,), frozenset({(1,)}), True)
+    # s_2 over 1 x s_1 = 132: s_2 is a left descent of 132, so the product
+    # stays 132 and the row is not reduced, while a K row may do that
+    with pytest.raises(AssertionError, match="is not reduced"):
+        _check_block((2,), (2, 1), frozenset({(1, 3, 2)}), True)
+    _check_block((2,), (2, 1), frozenset({(1, 3, 2)}), False)

@@ -75,3 +75,29 @@ def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
     pipedream.word_pd_grothendieck(word)
     assert calls == {"enumerate_word_pds": views,
                      "enumerate_reduced": views[:1], "enumerate_all": views[1:]}
+
+
+def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
+    # `bpd.diagrams` counts the BPD enumerations the tracer wraps in the
+    # module namespace; a word BPD sum must reach them through it
+    from pipedreams import Word, bpd, clear_caches
+
+    word = Word("21231", 3)
+    # a view per parent BPD: a parent outside the rectangle would raise
+    views = [len(bpd.enumerate_word_bpds(word, reduced))
+             for reduced in (True, False)]
+    calls = {}
+    for name in ("enumerate_word_bpds", "enumerate_reduced_bpd",
+                 "enumerate_all_bpd"):
+        def counted(*args, _real=getattr(bpd, name), _name=name, **kw):
+            out = _real(*args, **kw)
+            calls.setdefault(_name, []).append(len(out))
+            return out
+        monkeypatch.setattr(bpd, name, counted)
+
+    clear_caches()      # the word views enumerate their parents on a miss
+    bpd.word_bpd_schubert(word)
+    bpd.word_bpd_grothendieck(word)
+    assert calls == {"enumerate_word_bpds": views,
+                     "enumerate_reduced_bpd": views[:1],
+                     "enumerate_all_bpd": views[1:]}
