@@ -45,10 +45,10 @@ first n rows and k columns.
 
 A BPD reads its blanks and NW elbows in one pass over its tiles, on first
 use, into two ints of bits (`Bpd._marks`, the cell (r, c) at bit
-(r-1)*N + c-1, as for pipe dreams); the parents that the word views share
-are read once per process.  The word BPD sums hand those ints to
-`pipedream._packed_sum`, the routine of the pipe dream sums, which expands
-each NW factor 1 - x on packed keys: no `Poly` per view.
+(r-1)*N + c-1, as for pipe dreams); the parents that the word diagrams
+share are read once per process.  The single and K-single BPD sums, of a
+permutation or a word, hand them to `pipedream._packed_sum`, the routine of
+the pipe dream sums: only the double sums build a `Poly` per diagram.
 """
 
 from __future__ import annotations
@@ -56,12 +56,13 @@ from __future__ import annotations
 import json
 from enum import IntEnum
 
-from .combinat import Permutation, Word, json_fields
+from .combinat import Permutation, json_fields
 from .pipedream import (
     RectangularityViolation,
     WordDiagram,
     _cells_of,
     _packed_sum,
+    _word_sum,
     diagram_weight,
     k_signed,
     move_closure,
@@ -415,15 +416,14 @@ def _bpd_closure(w, moves):
     w = w if isinstance(w, Permutation) else Permutation(w)
     start = diagram_bpd(w)  # validated there
     seen = move_closure(start, moves)
+    # tracing raises on every grid `validate()` rejects: each cell's entering
+    # pipes must be its tile's S/W sides (edges match, the bottom row has S
+    # sides, column 1 no W side), no pipe escapes north, and as every tile
+    # passes on the pipes entering it, each row exits east
     for B in seen - {start}:
-        B.validate()
         if B.permutation() != w:
             raise AssertionError("droop closure escaped the permutation")
     return sorted(seen, key=Bpd.code_string)
-
-
-def bpd_weight(B, mode="single", w=None):
-    return B.weight(mode, w=w)
 
 
 # -- word BPDs ----------------------------------------------------------------------
@@ -441,8 +441,6 @@ class WordBpd(WordDiagram):
     @staticmethod
     def _diagrams(u, reduced):
         return enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
-
-    _marks = staticmethod(Bpd._marks)
 
     @property
     def tiles(self):
@@ -482,41 +480,26 @@ def enumerate_word_bpds(word, reduced=True):
 def bpd_schubert(w, double=False):
     """Schubert polynomial as the blank-weight sum over reduced BPDs."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    mode = "double" if double else "single"
-    return weight_sum((B.weight(mode, w=w) for B in enumerate_reduced_bpd(w)),
-                      w.n, w.n if double else 0)
+    if not double:
+        return _packed_sum(enumerate_reduced_bpd(w), w.n)
+    return weight_sum((B.weight("double") for B in enumerate_reduced_bpd(w)), w.n, w.n)
 
 
 def bpd_grothendieck(w, double=False):
-    """Grothendieck polynomial as the wt_K sum over all BPDs (each weight
-    already carries its sign (-1)^(blanks - len(w)))."""
+    """Grothendieck polynomial as the wt_K sum over all BPDs, each signed
+    (-1)^(blanks - len(w))."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    mode = "K-double" if double else "K-single"
-    return weight_sum((B.weight(mode, w=w) for B in enumerate_all_bpd(w)),
-                      w.n, w.n if double else 0)
-
-
-def _word_bpd_sum(word, reduced):
-    """`_packed_sum` over the word BPDs of `word`: each parent's blanks and,
-    for the K sum, its NW elbows, read once per parent (`Bpd._marks`); the
-    K sum signs each by (-1)^excess."""
-    word = word if isinstance(word, Word) else Word(word)
-    views = enumerate_word_bpds(word, reduced=reduced)
-    marks = [V.diagram._marks() for V in views]
-    blanks = [b for b, _ in marks]
-    W = views[0]    # u's diagram BPD, at least
-    if reduced:
-        return _packed_sum(W.diagram.N, blanks, word.n, W.labels)
-    return _packed_sum(W.diagram.N, blanks, word.n, W.labels,
-                       blanks[0].bit_count() - W.excess,
-                       [nw for _, nw in marks])
+    if not double:
+        return _packed_sum(enumerate_all_bpd(w), w.n, ell=w.inversions())
+    return weight_sum((B.weight("K-double", w=w) for B in enumerate_all_bpd(w)),
+                      w.n, w.n)
 
 
 def word_bpd_schubert(word):
     """Weight sum over the reduced word BPDs."""
-    return _word_bpd_sum(word, reduced=True)
+    return _word_sum(WordBpd, word, reduced=True)
 
 
 def word_bpd_grothendieck(word):
     """wt_K sum over all word BPDs (signs intrinsic via excess)."""
-    return _word_bpd_sum(word, reduced=False)
+    return _word_sum(WordBpd, word, reduced=False)

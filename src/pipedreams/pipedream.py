@@ -64,13 +64,12 @@ all; the top list goes to the caller unstored.  The 720 permutations of S_6
 share nearly all their rows below the first this way.  See
 `row_cache_info()`; `pipedreams.clear_caches()` empties it.
 
-The single and K-single sums over pipe dreams (`pd_schubert`,
-`pd_grothendieck` and the word sums) and the word BPD sums build no `Poly`
-per diagram (`_packed_sum`): a weight is the packed `Poly` key
-sum_r popcount(row r) << 8*(label_r - 1), times the factors 1 - x of its NW
-cells expanded on keys, added with its sign into one term dict, and the row
-labels are checked once per sum, for the rows where some diagram has a
-cell.
+Every single and K-single sum, over pipe dreams or BPDs, of a permutation
+or a word, is one `_packed_sum` call with no `Poly` per diagram.  It reads
+each diagram's weight and NW cells as ints (`_marks()`); a weight is the
+packed `Poly` key sum_r popcount(row r) << 8*(label_r - 1), times the
+factors 1 - x of its NW cells expanded on keys, added with its sign into one
+term dict, and the row labels are checked once per sum.
 
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
@@ -81,16 +80,15 @@ memo, `_PARENTS`, keyed by (family, u, reduced), least recently used
 entries evicted first.  It holds at most PARENT_CACHE_DIAGRAMS = 20,000
 parent diagrams in all; an enumeration larger than that is returned without
 being stored.  Sharing is safe: `PipeDream` and `Bpd` are immutable and the
-memo stores tuples of them, while each call builds its own list of
-`WordDiagram` views.  See `parent_cache_info()`; `pipedreams.clear_caches()`
-empties it.
+memo stores tuples of them.  Only `enumerate_word_pds` and
+`bpd.enumerate_word_bpds` build `WordDiagram` views; the word sums read the
+parents.  See `parent_cache_info()`; `pipedreams.clear_caches()` empties it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from itertools import repeat
 from math import comb
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
@@ -239,6 +237,11 @@ class PipeDream:
 
     def _has(self, r, c):
         return self.bits >> (r - 1) * self.N + c - 1 & 1
+
+    def _marks(self):
+        """The weight cells and the NW cells as ints of bits: the crosses,
+        and none."""
+        return self.bits, 0
 
     # -- permutation ---------------------------------------------------------
 
@@ -405,20 +408,13 @@ def _label(labels, r, nx):
     return i
 
 
-def _pd_sum(diagrams, nx, labels=None, ell=None):
-    """`_packed_sum` of the crosses of `diagrams`, a nonempty list of pipe
-    dreams of one size."""
-    return _packed_sum(diagrams[0].N, [P.bits for P in diagrams], nx,
-                       labels, ell)
-
-
-def _packed_sum(N, cells, nx, labels=None, ell=None, nw=None):
-    """The sum over i of the single weight of the cells `cells[i]`, an int
-    with the cell (r, c) at bit (r-1)*N + c-1, row r read as
-    x_{labels[r-1]} (x_r without labels).  With `ell`, term i is signed
-    (-1)^(popcount(cells[i]) - ell); with `nw`, ints of the same form, it
-    is multiplied by the factor 1 - x_{labels[r-1]} of each cell of nw[i]:
-    the K-single weight of a diagram with those NW cells.
+def _packed_sum(diagrams, nx, labels=None, ell=None):
+    """The sum of the single weights of `diagrams`, a nonempty list of pipe
+    dreams or BPDs of one size N, in x_1..x_nx, row r read as x_{labels[r-1]}
+    (x_r without labels); with `ell`, of the K-single weights, each times the
+    factor 1 - x of its NW cells and signed (-1)^(weight cells - ell).  A
+    diagram's `_marks()` gives its weight and NW cells as ints, the cell
+    (r, c) at bit (r-1)*N + c-1.
 
     A weight is the packed key sum_r popcount(row r) << 8*(label_r - 1),
     times the binomial expansion of its NW factors on the keys, added into
@@ -426,10 +422,14 @@ def _packed_sum(N, cells, nx, labels=None, ell=None, nw=None):
     each row where some diagram has a cell.  A field holds its variable's
     count exactly while those rows have at most 255 cells in some diagram;
     the guard bits of the keys then show an exponent past EXP_MAX."""
+    N = diagrams[0].N
     full = (1 << N) - 1
+    marks = [D._marks() for D in diagrams]
+    if ell is None:             # the single weight has no NW factors
+        marks = [(b, 0) for b, _ in marks]
     union = 0
-    for b in (*cells, *(nw or ())):
-        union |= b
+    for b, m in marks:
+        union |= b | m
     rows, room = [], [0] * nx
     for r in range(N):
         crossed = union >> r * N & full
@@ -442,7 +442,7 @@ def _packed_sum(N, cells, nx, labels=None, ell=None, nw=None):
         raise ValueError("the rows read as x%d have %d cells, more than a "
                          "packed exponent counts" % (room.index(most) + 1, most))
     terms, used = {}, 0
-    for b, m in zip(cells, nw or repeat(0)):
+    for b, m in marks:
         key = 0
         for shift, field in rows:
             key += (b >> shift & full).bit_count() << field
@@ -744,6 +744,26 @@ def word_row_labels(word):
     return tuple(p + 1 for p in sigma)
 
 
+def _outside(bits, n, k, N):
+    """The cells of `bits`, row stride N, beyond row n or column k, sorted."""
+    inside = ((1 << min(k, N)) - 1) * (((1 << n * N) - 1) // ((1 << N) - 1))
+    return _cells_of(bits & ~inside, N)
+
+
+def _rectangle_violation(cells, n, k):
+    return RectangularityViolation(
+        "weight cells outside the %d x %d rectangle: %s" % (n, k, cells))
+
+
+def _word_parents(family, word, reduced):
+    """(word, u, labels, parents) of a word: u = std(conv(word)) as a
+    one-line tuple, the row labels, and `family`'s parent diagrams of u."""
+    word = word if isinstance(word, Word) else Word(word)
+    u, sigma = convex_standardization(word.letters, word.k)
+    return (word, u, tuple(p + 1 for p in sigma),
+            _parent_diagrams(family, u, reduced))
+
+
 def _parent_diagrams(family, u, reduced):
     """`family._diagrams` of the permutation with one-line tuple u, as a
     tuple, through the memo.  An enumeration larger than the whole bound is
@@ -759,11 +779,10 @@ def _parent_diagrams(family, u, reduced):
 class WordDiagram:
     """A parent diagram of u = std(conv(word)) viewed on the word's n x k
     rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
-    every weight cell lies inside; `excess` counts them beyond `length` = len(u).
-    A family supplies `_diagrams` (the parent enumeration), `_marks` (the
-    weight cells and the NW cells of a parent, as ints of bits in the
-    parent's row stride N), `_glyph`, `_json_cells`, `_field` and `_signed`
-    (K weights carry (-1)^excess)."""
+    every weight cell and NW cell (the parent's `_marks()`) lies inside;
+    `excess` counts the weight cells beyond `length` = len(u).  A family
+    supplies `_diagrams` (the parent enumeration), `_glyph`, `_json_cells`,
+    `_field` and `_signed` (K weights carry (-1)^excess)."""
 
     __slots__ = ("diagram", "n", "k", "labels", "excess")
     _signed = False
@@ -771,8 +790,7 @@ class WordDiagram:
     def __init__(self, diagram, n, k, labels, length):
         size, bad = self._fit(diagram, n, k)
         if bad:
-            raise RectangularityViolation(
-                "weight cells outside the %d x %d rectangle: %s" % (n, k, bad))
+            raise _rectangle_violation(bad, n, k)
         self._set(diagram, int(n), int(k), tuple(labels), size - length)
 
     def _set(self, *values):
@@ -790,14 +808,12 @@ class WordDiagram:
         return type(self)._of, tuple(getattr(self, name)
                                      for name in WordDiagram.__slots__)
 
-    @classmethod
-    def _fit(cls, D, n, k):
+    @staticmethod
+    def _fit(D, n, k):
         """The number of D's weight cells, and its weight and NW cells
         beyond row n or column k, sorted."""
-        cells, nw = cls._marks(D)
-        N = D.N
-        inside = ((1 << min(k, N)) - 1) * (((1 << n * N) - 1) // ((1 << N) - 1))
-        return cells.bit_count(), _cells_of((cells | nw) & ~inside, N)
+        cells, nw = D._marks()
+        return cells.bit_count(), _outside(cells | nw, n, k, D.N)
 
     def __setattr__(self, *a):
         raise AttributeError("%s is immutable" % type(self).__name__)
@@ -818,7 +834,7 @@ class WordDiagram:
         """`diagram_weight` of the parent's cells, row r read as
         x_{labels[r-1]}; K weights carry (-1)^excess when `_signed`."""
         D = self.diagram
-        cells, nw = (_cells_of(bits, D.N) for bits in self._marks(D))
+        cells, nw = (_cells_of(bits, D.N) for bits in D._marks())
         p = diagram_weight(mode, self.n, cells, self.labels, nw)
         return k_signed(p, self.excess) if self._signed and mode.startswith("K") else p
 
@@ -844,22 +860,17 @@ class WordDiagram:
 
     @classmethod
     def _enumerate(cls, word, reduced):
-        word = word if isinstance(word, Word) else Word(word)
-        u, sigma = convex_standardization(word.letters, word.k)
-        labels = tuple(p + 1 for p in sigma)
+        word, u, labels, parents = _word_parents(cls, word, reduced)
         ell = Permutation(u).inversions()
-        return [cls(D, word.n, word.k, labels, ell)
-                for D in _parent_diagrams(cls, u, reduced)]
+        return [cls(D, word.n, word.k, labels, ell) for D in parents]
 
     @classmethod
     def _violations(cls, word, reduced=False):
         """The diagrams of standardize(convexify(word)) with a weight cell
         outside the word's rectangle (expected none; kept as an inspectable
         finding)."""
-        word = word if isinstance(word, Word) else Word(word)
-        u, _ = convex_standardization(word.letters, word.k)
-        return [D for D in _parent_diagrams(cls, u, reduced)
-                if cls._fit(D, word.n, word.k)[1]]
+        word, _, _, parents = _word_parents(cls, word, reduced)
+        return [D for D in parents if cls._fit(D, word.n, word.k)[1]]
 
 
 class WordPipeDream(WordDiagram):
@@ -873,10 +884,6 @@ class WordPipeDream(WordDiagram):
     @staticmethod
     def _diagrams(u, reduced):
         return enumerate_reduced(u) if reduced else enumerate_all(u)
-
-    @staticmethod
-    def _marks(P):
-        return P.bits, 0
 
     @property
     def crosses(self):
@@ -914,7 +921,7 @@ def pd_schubert(w, double=False):
     if double:
         return weight_sum((P.weight("double") for P in enumerate_reduced(w)),
                           w.n, w.n)
-    return _pd_sum(enumerate_reduced(w), w.n)
+    return _packed_sum(enumerate_reduced(w), w.n)
 
 
 def pd_grothendieck(w, double=False):
@@ -925,24 +932,30 @@ def pd_grothendieck(w, double=False):
     if double:
         return weight_sum((k_signed(P.weight("K-double"), len(P) - ell)
                            for P in enumerate_all(w)), w.n, w.n)
-    return _pd_sum(enumerate_all(w), w.n, ell=ell)
+    return _packed_sum(enumerate_all(w), w.n, ell=ell)
 
 
-def _word_pd_sum(word, reduced):
-    """`_pd_sum` over the word pipe dreams of `word`, read through their
-    labels; the K sum signs each by (-1)^excess."""
-    word = word if isinstance(word, Word) else Word(word)
-    views = enumerate_word_pds(word, reduced=reduced)
-    W = views[0]    # u's top pipe dream, at least
-    return _pd_sum([V.diagram for V in views], word.n, W.labels,
-                   None if reduced else len(W.diagram) - W.excess)
+def _word_sum(family, word, reduced):
+    """The (K-)single weight sum of `family`'s word diagrams of `word`,
+    with no view built: one rectangle check on the union of the parents'
+    cells, then `_packed_sum` of the parents."""
+    word, u, labels, parents = _word_parents(family, word, reduced)
+    union = 0
+    for D in parents:
+        b, m = D._marks()
+        union |= b | m
+    bad = _outside(union, word.n, word.k, parents[0].N)
+    if bad:
+        raise _rectangle_violation(bad, word.n, word.k)
+    return _packed_sum(parents, word.n, labels,
+                       None if reduced else Permutation(u).inversions())
 
 
 def word_pd_schubert(word):
     """Weight sum over the reduced word pipe dreams."""
-    return _word_pd_sum(word, reduced=True)
+    return _word_sum(WordPipeDream, word, reduced=True)
 
 
 def word_pd_grothendieck(word):
     """Signed weight sum over all word pipe dreams ((-1)^excess each)."""
-    return _word_pd_sum(word, reduced=False)
+    return _word_sum(WordPipeDream, word, reduced=False)

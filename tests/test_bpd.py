@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from pipedreams.bpd import (
     Tile,
     bpd_grothendieck,
     bpd_schubert,
-    bpd_weight,
     check_word_bpd_rectangularity,
     diagram_bpd,
     enumerate_all_bpd,
@@ -250,11 +250,6 @@ def test_k_weight_sign_alternates_by_degree():
             assert c * (-1) ** (sum(exp) - ell) > 0
 
 
-def test_bpd_weight_helper_matches_method():
-    B = diagram_bpd(Permutation("231"))
-    assert bpd_weight(B, "double") == B.weight("double")
-
-
 def test_bpd_schubert_matches_recursion():
     for n in (2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
@@ -361,6 +356,44 @@ def test_blank_rectangularity_no_violations_small_words():
                 assert check_word_bpd_rectangularity(word, reduced=False) == []
 
 
+def test_tracing_refuses_exactly_the_grids_validate_refuses():
+    """The closures check each BPD by tracing it alone: `_trace` must raise
+    on every grid `validate()` rejects, and on no other.  Every grid of size
+    1 and 2, and one- and two-tile mutations of K-BPDs of S_3..S_5."""
+    from pipedreams.combinat import all_permutations
+
+    outcomes = set()
+
+    def agree(tiles):
+        B = Bpd(tiles)
+        try:
+            valid = B.validate()
+        except ValueError:
+            valid = False
+        try:
+            traced = B._trace() is not None
+        except ValueError:
+            traced = False
+        assert valid == traced, B
+        outcomes.add(valid)
+
+    for N in (1, 2):
+        for flat in itertools.product(Tile, repeat=N * N):
+            agree([flat[r * N:(r + 1) * N] for r in range(N)])
+    rng = random.Random(2512)
+    mutants = 0
+    for n in (3, 4, 5):
+        for w in all_permutations(n):
+            for B in enumerate_all_bpd(w):
+                for edits in (1, 2, 2):
+                    g = [list(row) for row in B.tiles]
+                    for _ in range(edits):
+                        g[rng.randrange(n)][rng.randrange(n)] = rng.choice(list(Tile))
+                    agree(g)
+                    mutants += 1
+    assert outcomes == {True, False} and mutants > 1000
+
+
 def test_diagram_work_is_bounded(monkeypatch):
     """Upper bounds on pipe tracing and grid validation, so a change to the
     closures that re-checks diagrams shows up here.  The memo of parent
@@ -439,11 +472,10 @@ def test_bad_label_raises_the_diagram_weight_error_from_a_packed_bpd_sum(
     B = next(B for B in enumerate_all_bpd(Permutation("2143"))
              if B.blanks() == [(1, 1), (1, 2)])
     assert B.nw_elbows() == [(3, 3)]
-    blank, nw = B._marks()
     with pytest.raises(ValueError) as poly_way:
         diagram_weight("K-single", nx, B.blanks(), labels, B.nw_elbows())
     with pytest.raises(ValueError) as packed:
-        _packed_sum(B.N, [blank], nx, labels, 2, [nw])
+        _packed_sum([B], nx, labels, 2)
     assert str(packed.value) == str(poly_way.value) == message
 
 

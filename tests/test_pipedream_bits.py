@@ -16,7 +16,7 @@ from pipedreams import Permutation, Poly, Word
 from pipedreams.combinat import all_permutations, enumerate_fubini
 from pipedreams.pipedream import (
     PipeDream,
-    _pd_sum,
+    _packed_sum,
     diagram_weight,
     enumerate_all,
     enumerate_reduced,
@@ -119,7 +119,7 @@ def test_tracing_agrees_with_the_bit_demazure_product():
 
 
 def poly_way_sum(diagrams, nx, labels=None, ell=None):
-    """`_pd_sum` one `Poly` per diagram: `diagram_weight`, `k_signed`."""
+    """`_packed_sum` one `Poly` per diagram: `diagram_weight`, `k_signed`."""
     mode = "single" if ell is None else "K-single"
     return weight_sum((k_signed(diagram_weight(mode, nx, P.crosses, labels),
                                 0 if ell is None else len(P) - ell)
@@ -135,9 +135,9 @@ def test_packed_pd_sums_equal_the_poly_sums():
             assert pd_grothendieck(w) == poly_way_sum(every, n, ell=ell)
             # rows reversed into one extra variable
             labels = tuple(range(n, 0, -1))
-            assert (_pd_sum(reduced, n + 1, labels)
+            assert (_packed_sum(reduced, n + 1, labels)
                     == poly_way_sum(reduced, n + 1, labels))
-            assert (_pd_sum(every, n + 1, labels, ell)
+            assert (_packed_sum(every, n + 1, labels, ell)
                     == poly_way_sum(every, n + 1, labels, ell))
 
 
@@ -164,22 +164,22 @@ def test_bad_label_raises_the_diagram_weight_error_from_a_packed_sum(
     with pytest.raises(ValueError) as poly_way:
         diagram_weight("single", nx, P.crosses, labels)
     with pytest.raises(ValueError) as packed:
-        _pd_sum([P], nx, labels)
+        _packed_sum([P], nx, labels)
     assert str(packed.value) == str(poly_way.value) == message
 
 
 def test_packed_sum_refuses_an_exponent_past_the_guard_bit():
     row = PipeDream([(1, c) for c in range(1, 129)], 130)
     with pytest.raises(ValueError, match="the exponent of x1 passes 127"):
-        _pd_sum([row], 130)
+        _packed_sum([row], 130)
     with pytest.raises(ValueError, match="exponent 128 of x1 is outside"):
         diagram_weight("single", 130, row.crosses)
     # 257 cells crossed in some diagram, in the rows read as x1, could
     # carry into the next variable's field
     rows = [PipeDream([(r, c) for c in range(1, 87)], 300) for r in (1, 2, 3)]
     with pytest.raises(ValueError, match="rows read as x1 have 258 cells"):
-        _pd_sum(rows, 2, (1, 1, 1))
-    assert _pd_sum(rows[:2], 2, (1, 1, 1)) == Poly(2, 0, {(86, 0): 2})
+        _packed_sum(rows, 2, (1, 1, 1))
+    assert _packed_sum(rows[:2], 2, (1, 1, 1)) == Poly(2, 0, {(86, 0): 2})
 
 
 def test_packed_sums_label_and_count_only_the_crossed_rows():

@@ -58,7 +58,7 @@ def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
     views = [len(pipedream.enumerate_word_pds(word, reduced))
              for reduced in (True, False)]
     calls = {}
-    for name in (*sizes, "enumerate_word_pds"):
+    for name in sizes:
         def counted(*args, _real=getattr(pipedream, name), _name=name, **kw):
             out = _real(*args, **kw)
             calls.setdefault(_name, []).append(len(out))
@@ -73,8 +73,7 @@ def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
     clear_caches()      # the word views enumerate their parents on a miss
     pipedream.word_pd_schubert(word)
     pipedream.word_pd_grothendieck(word)
-    assert calls == {"enumerate_word_pds": views,
-                     "enumerate_reduced": views[:1], "enumerate_all": views[1:]}
+    assert calls == {"enumerate_reduced": views[:1], "enumerate_all": views[1:]}
 
 
 def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
@@ -87,8 +86,7 @@ def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
     views = [len(bpd.enumerate_word_bpds(word, reduced))
              for reduced in (True, False)]
     calls = {}
-    for name in ("enumerate_word_bpds", "enumerate_reduced_bpd",
-                 "enumerate_all_bpd"):
+    for name in ("enumerate_reduced_bpd", "enumerate_all_bpd"):
         def counted(*args, _real=getattr(bpd, name), _name=name, **kw):
             out = _real(*args, **kw)
             calls.setdefault(_name, []).append(len(out))
@@ -98,6 +96,27 @@ def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
     clear_caches()      # the word views enumerate their parents on a miss
     bpd.word_bpd_schubert(word)
     bpd.word_bpd_grothendieck(word)
-    assert calls == {"enumerate_word_bpds": views,
-                     "enumerate_reduced_bpd": views[:1],
+    assert calls == {"enumerate_reduced_bpd": views[:1],
                      "enumerate_all_bpd": views[1:]}
+
+
+def test_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
+    # the single and double permutation BPD sums reach the enumerations
+    # the tracer wraps, so `bpd.diagrams` counts them
+    from pipedreams import Permutation, bpd
+
+    w = Permutation("2143")
+    sizes = {"enumerate_reduced_bpd": len(bpd.enumerate_reduced_bpd(w)),
+             "enumerate_all_bpd": len(bpd.enumerate_all_bpd(w))}
+    calls = {}
+    for name in sizes:
+        def counted(*args, _real=getattr(bpd, name), _name=name, **kw):
+            out = _real(*args, **kw)
+            calls.setdefault(_name, []).append(len(out))
+            return out
+        monkeypatch.setattr(bpd, name, counted)
+
+    for double in (False, True):
+        bpd.bpd_schubert(w, double=double)
+        bpd.bpd_grothendieck(w, double=double)
+    assert calls == {name: [size] * 2 for name, size in sizes.items()}

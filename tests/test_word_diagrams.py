@@ -174,3 +174,82 @@ def test_rectangularity_checks_through_the_memo(cold):
                 assert check_word_bpd_rectangularity(word, reduced) == []
     info = parent_cache_info()
     assert info["hits"] >= info["misses"] > 0, info
+
+
+# -- the word sums, with no view built -----------------------------------------
+
+
+def test_a_permutation_is_its_own_fubini_word():
+    # w in S_n is the word w in [n]^n: u = w, labels 1..n
+    from pipedreams import (bpd_grothendieck, bpd_schubert, pd_grothendieck,
+                            pd_schubert, word_bpd_grothendieck,
+                            word_bpd_schubert, word_pd_grothendieck,
+                            word_pd_schubert)
+    from pipedreams.combinat import all_permutations
+
+    pairs = ((word_pd_schubert, pd_schubert),
+             (word_pd_grothendieck, pd_grothendieck),
+             (word_bpd_schubert, bpd_schubert),
+             (word_bpd_grothendieck, bpd_grothendieck))
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            word = Word(w.one_line, n)
+            for of_word, of_permutation in pairs:
+                assert of_word(word) == of_permutation(w), (w, of_word)
+
+
+def test_word_sums_check_the_rectangle_on_every_parent(cold):
+    # u = 12345 for the word 12 in [5]^2: injected parents with cells in
+    # rows 3 and 4 lie outside the 2 x 5 rectangle
+    from pipedreams import word_bpd_grothendieck, word_pd_schubert
+    from pipedreams.bpd import Bpd, Tile
+    from pipedreams.pipedream import _PARENTS, PipeDream
+
+    word, u = Word("12", 5), (1, 2, 3, 4, 5)
+    message = r"outside the 2 x 5 rectangle: \[\(3, 2\), \(4, 1\)\]"
+    pds = enumerate_word_pds(word, reduced=True)
+    _PARENTS.store((WordPipeDream, u, True), (
+        pds[0].diagram, PipeDream([(4, 1)], 5), PipeDream([(3, 2)], 5)))
+    with pytest.raises(RectangularityViolation, match=message):
+        word_pd_schubert(word)
+
+    def bpd_marked(r, c, tile):
+        tiles = [[Tile.HOR] * 5 for _ in range(5)]
+        tiles[r - 1][c - 1] = tile
+        return Bpd(tiles)
+
+    bpds = enumerate_word_bpds(word, reduced=False)
+    _PARENTS.store((WordBpd, u, False), (
+        bpds[0].diagram, bpd_marked(4, 1, Tile.BLANK), bpd_marked(3, 2, Tile.NW)))
+    with pytest.raises(RectangularityViolation, match=message):
+        word_bpd_grothendieck(word)
+
+
+def test_word_sums_build_no_views(cold, monkeypatch):
+    from pipedreams import (word_bpd_grothendieck, word_bpd_schubert,
+                            word_pd_grothendieck, word_pd_schubert)
+    from pipedreams.pipedream import WordDiagram
+
+    built = []
+    init, of = WordDiagram.__init__, WordDiagram._of.__func__
+
+    def counted_init(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    def counted_of(cls, *values):
+        built.append(cls)
+        return of(cls, *values)
+
+    monkeypatch.setattr(WordDiagram, "__init__", counted_init)
+    monkeypatch.setattr(WordDiagram, "_of", classmethod(counted_of))
+    for _ in range(2):      # cold memo, then warm
+        for word in small_fubini_words():
+            for f in (word_pd_schubert, word_pd_grothendieck,
+                      word_bpd_schubert, word_bpd_grothendieck):
+                f(word)
+    assert built == []
+    # the counters see the views that the enumerations build
+    enumerate_word_pds(Word("21", 2))
+    enumerate_word_bpds(Word("21", 2))
+    assert built == [WordPipeDream, WordBpd]
