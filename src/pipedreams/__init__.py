@@ -27,6 +27,7 @@ from .pipedream import (  # noqa: F401
     PipeDream,
     parent_cache_info,
     row_cache_info,
+    sum_cache_info,
     RectangularityViolation,
     WordPipeDream,
     enumerate_all,
@@ -44,6 +45,7 @@ from .bpd import (  # noqa: F401
     BpdRectangularityViolation,
     WordBpd,
     bpd_grothendieck,
+    bpd_row_cache_info,
     bpd_schubert,
     diagram_bpd,
     enumerate_all_bpd,
@@ -82,12 +84,15 @@ from .geometry import (  # noqa: F401
     reduction,
     word_of_matrix,
 )
-from . import pipedream, poly
+from . import bpd, pipedream, poly
 
 
 def clear_caches():
     """Empty the package's caches: the polynomial cache of `poly`, the
-    memo of parent diagrams behind the word pipe dreams and word BPDs, and
-    the row recursion's memo behind the pipe dream enumerations."""
+    memo of parent diagrams behind the word pipe dreams and word BPDs, the
+    row recursion's memo behind the pipe dream enumerations, the memo of
+    the sums by rows (`sum_cache_info()`), and the BPD row memo of
+    labelled states (`bpd_row_cache_info()`)."""
     poly.clear_caches()
     pipedream._clear_memos()
+    bpd._clear_memos()

@@ -45,29 +45,81 @@ first n rows and k columns.
 
 A BPD reads its blanks and NW elbows in one pass over its tiles, on first
 use, into two ints of bits (`Bpd._marks`, the cell (r, c) at bit
-(r-1)*N + c-1, as for pipe dreams); the parents that the word diagrams
-share are read once per process.  The single and K-single BPD sums, of a
-permutation or a word, hand them to `pipedream._packed_sum`, the routine of
-the pipe dream sums: only the double sums build a `Poly` per diagram.
+(r-1)*N + c-1, as for pipe dreams).  Only the double sums and the word
+views read them; the single and K-single sums list no BPD.
+
+Sums by rows (the row transfer of Brubaker-Frechette-Hardt-Tibor-Weber,
+"Frozen pipes", 2020; K-BPDs as in Weigandt, "Bumpless pipe dreams encode
+Grothendieck polynomials", 2020).  Label each pipe by its south column and
+read the grid from the bottom row up, each row left to right.  Row r takes
+pipes in from the south at a column set A, |A| = r, sends r - 1 of them
+north and one east, and its scan carries at most one pipe from the west:
+
+    carrying  in A   tile   north         carrying after
+    no        yes    VER    the pipe      no
+    no        yes    SE     -             the pipe
+    no        no     BLANK  -             no
+    a         b      CROSS  max(a, b)     min(a, b)
+    a         no     NW     a             no
+    a         no     HOR    -             a
+
+The row must end carrying w(r), and row 1 then sends nothing north.  Two
+facts make this exact for K-BPDs with no memory of which pairs crossed:
+
+* A CROSS tile with pipe a entering from the west and b from the south is
+  a genuine crossing iff a < b, and a bump otherwise; either way max(a, b)
+  leaves north.  Proof: two pipes share only CROSS tiles, so between two
+  shared tiles one of them lies north-west of the other, and at a shared
+  tile the north-western one enters from the west.  A genuine crossing
+  swaps the sides and a bump keeps them.  At the bottom the smaller label
+  lies west, so at a pair's first meeting a < b and `Bpd._trace` crosses
+  them; afterwards the larger label lies north-west, every later meeting
+  has a > b, and `_trace` bumps it as an already crossed pair.
+* blanks = CROSS tiles.  Proof: the pipe from (N, p) to (r, N) moves only
+  north and east, so it visits 2N - p - r + 1 cells; over the N pipes
+  these add up to N(2N + 1) - N(N + 1) = N^2.  A CROSS tile is visited
+  twice, a blank never, any other tile once, so N^2 = N^2 - blanks +
+  crosses.  By the first fact a pair crosses genuinely at most once, and
+  it does iff it ends inverted, so there are len(w) genuine crossings:
+  blanks - len(w) counts the bumps, and the reduced BPDs are the K-BPDs
+  with no bump.
+
+So the (K-)single sums come from one scan per row: `_row_scans` lists, per
+labelled state (the label on each column of A, or 0), every row that it
+can scan to, with the label it sends east, the next state, the blanks, the
+NW elbows and the bumps, and keeps them in the BPD row memo `_ROWS` (see
+`bpd_row_cache_info()`).  Only the order of the labels matters, so a node
+holds them as ranks, with the ranks of w(1), .., w(r) that rows r, .., 1
+must send east.  `_bpd_sums` adds the rows by `pipedream._transfer`: row r
+gives x_r^blanks, and in the K sum (-1)^blanks (1 - x_r)^NW, with no bump
+when reduced; the top sign (-1)^len(w) makes the K sign (-1)^bumps.  A
+state may have no completion (a pipe that must leave east has a smaller
+label to its east); its sum is empty, as the terms of least degree of a
+nonempty sum, from its diagrams with the fewest blanks, share one sign and
+do not cancel, and its cells stay out of the union.
 """
 
 from __future__ import annotations
 
 import json
 from enum import IntEnum
+from math import comb
 
 from .combinat import Permutation, json_fields
 from .pipedream import (
     RectangularityViolation,
     WordDiagram,
     _cells_of,
-    _packed_sum,
+    _Memo,
+    _sum_poly,
+    _transfer,
     _word_sum,
     diagram_weight,
     k_signed,
     move_closure,
     weight_sum,
 )
+from .poly import EXP_MAX
 
 
 class Tile(IntEnum):
@@ -426,6 +478,80 @@ def _bpd_closure(w, moves):
     return sorted(seen, key=Bpd.code_string)
 
 
+# -- sums by rows -----------------------------------------------------------------
+
+# The rows of each labelled state, per state (see `_row_scans`).
+_ROWS = _Memo(len)
+
+
+def bpd_row_cache_info():
+    """The BPD row memo: its entries, the rows they hold ("diagrams"), and
+    its hits, misses and evictions since the last `clear_caches()`."""
+    return _ROWS.info()
+
+
+def _clear_memos():
+    _ROWS.clear()
+
+
+def _row_scans(s):
+    """Every row that the labelled state s (a label per column, 0 for no
+    pipe) scans to by the module's tile table: (label sent east, next state
+    with the labels above it lowered by one, blanks, NW elbows, bumps), the
+    cells as ints of column bits.  Memoized per state in `_ROWS`."""
+    found = _ROWS.lookup(s)
+    if found is not None:
+        return found
+    partial = [(0, (), 0, 0, 0)]    # carry, north labels, blanks, NW, bumps
+    for c, b in enumerate(s):
+        bit, grown = 1 << c, []
+        for carry, north, blank, nw, bumps in partial:
+            if not carry:
+                if b:
+                    grown.append((0, north + (b,), blank, nw, bumps))   # VER
+                    grown.append((b, north + (0,), blank, nw, bumps))   # SE
+                else:
+                    grown.append((0, north + (0,), blank | bit, nw, bumps))
+            elif b:                                                     # CROSS
+                grown.append((min(carry, b), north + (max(carry, b),),
+                              blank, nw, bumps + (carry > b)))
+            else:
+                grown.append((0, north + (carry,), blank, nw | bit, bumps))  # NW
+                grown.append((carry, north + (0,), blank, nw, bumps))       # HOR
+        partial = grown
+    return _ROWS.store(s, tuple(
+        (e, tuple(a - (a > e) for a in north), blank, nw, bumps)
+        for e, north, blank, nw, bumps in partial if e))
+
+
+def _bpd_sums(u, reduced):
+    """(terms, union) of the (reduced) BPDs of the permutation with one-line
+    tuple u, by rows from the bottom: the K terms carry (-1)^blanks, not yet
+    the top sign (-1)^len(u)."""
+    N = len(u)
+
+    def expand(node):
+        s, t = node
+        r, e = len(t), t[-1]
+        field, below = 8 * (r - 1), tuple(a - (a > e) for a in t[:-1])
+        parts = []
+        for sent, north, blank, nw, bumps in _row_scans(s):
+            if sent != e or reduced and bumps:
+                continue
+            b, k = blank.bit_count(), 0 if reduced else nw.bit_count()
+            if b + k > EXP_MAX:
+                raise ValueError("a row of %d blanks and NW elbows: a packed "
+                                 "exponent is at most %d" % (b + k, EXP_MAX))
+            sign = -1 if b % 2 and not reduced else 1
+            factor = tuple(((b + j) << field, sign * (-1) ** j * comb(k, j))
+                           for j in range(k + 1))
+            parts.append(((north, below), factor, (blank | nw) << (r - 1) * N))
+        return parts
+
+    return _transfer((tuple(range(1, N + 1)), tuple(u)), ((0,) * N, ()),
+                     ("bpd", reduced, N), expand)
+
+
 # -- word BPDs ----------------------------------------------------------------------
 
 
@@ -441,6 +567,8 @@ class WordBpd(WordDiagram):
     @staticmethod
     def _diagrams(u, reduced):
         return enumerate_reduced_bpd(u) if reduced else enumerate_all_bpd(u)
+
+    _sums = staticmethod(_bpd_sums)
 
     @property
     def tiles(self):
@@ -481,7 +609,7 @@ def bpd_schubert(w, double=False):
     """Schubert polynomial as the blank-weight sum over reduced BPDs."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     if not double:
-        return _packed_sum(enumerate_reduced_bpd(w), w.n)
+        return _sum_poly(_bpd_sums(w.one_line, True), w.n)
     return weight_sum((B.weight("double") for B in enumerate_reduced_bpd(w)), w.n, w.n)
 
 
@@ -490,7 +618,7 @@ def bpd_grothendieck(w, double=False):
     (-1)^(blanks - len(w))."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     if not double:
-        return _packed_sum(enumerate_all_bpd(w), w.n, ell=w.inversions())
+        return _sum_poly(_bpd_sums(w.one_line, False), w.n, w.inversions() % 2)
     return weight_sum((B.weight("K-double", w=w) for B in enumerate_all_bpd(w)),
                       w.n, w.n)
 

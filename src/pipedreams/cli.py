@@ -190,11 +190,11 @@ def _identity_failures_for(n, include_heavy):
             failures.append("pd-schubert %s" % w)
         if pd_grothendieck(w) != grothendieck(w).restrict_arity(n):
             failures.append("pd-grothendieck %s" % w)
+        if bpd_schubert(w) != schubert(w).restrict_arity(n):
+            failures.append("bpd-schubert %s" % w)
+        if bpd_grothendieck(w) != grothendieck(w).restrict_arity(n):
+            failures.append("bpd-grothendieck %s" % w)
         if include_heavy:
-            if bpd_schubert(w) != schubert(w).restrict_arity(n):
-                failures.append("bpd-schubert %s" % w)
-            if bpd_grothendieck(w) != grothendieck(w).restrict_arity(n):
-                failures.append("bpd-grothendieck %s" % w)
             if pd_schubert(w, double=True) != schubert_double(w):
                 failures.append("pd-schubert-double %s" % w)
             if pd_grothendieck(w, double=True) != grothendieck_double(w):
@@ -220,10 +220,10 @@ def _cmd_verify_identities(args):
         failures = _identity_failures_for(m, include_heavy)
         all_failures.extend(failures)
         sizes.append({"n": m, "bpd_and_double": include_heavy,
-                      "failures": failures})
+                      "bpd_single": True, "failures": failures})
         print("verify identities S_%d (%s): %s"
               % (m,
-                 "PD+BPD+double" if include_heavy else "PD only",
+                 "PD+BPD+double" if include_heavy else "PD+BPD",
                  "ok" if not failures else "FAIL %d" % len(failures)))
     ok = not all_failures
     print(json.dumps({"command": "verify-identities", "n": n,

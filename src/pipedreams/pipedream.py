@@ -64,32 +64,45 @@ all; the top list goes to the caller unstored.  The 720 permutations of S_6
 share nearly all their rows below the first this way.  See
 `row_cache_info()`; `pipedreams.clear_caches()` empties it.
 
-Every single and K-single sum, over pipe dreams or BPDs, of a permutation
-or a word, is one `_packed_sum` call with no `Poly` per diagram.  It reads
-each diagram's weight and NW cells as ints (`_marks()`); a weight is the
-packed `Poly` key sum_r popcount(row r) << 8*(label_r - 1), times the
-factors 1 - x of its NW cells expanded on keys, added with its sign into one
-term dict, and the row labels are checked once per sum.
+Sums by rows.  The single and K-single sums list no diagram.  The same
+first-row split gives, for x the inverse of w,
+
+    sum_D wt(D) = sum_(C, v) x_1^|C| * (sum_D' wt(D') with x_i -> x_(i+1))
+
+over the pairs (C, v) that `_first_rows` finds, v in X'_C, and the K sum
+takes one more factor (-1)^|C| per row and (-1)^len(w) at the top, as a
+diagram with c crosses is signed (-1)^(c - len(w)).  On packed `Poly` keys,
+row r in field r - 1, the shift of variables is `key << 8`, so `_row_sum`
+adds `(key_v << 8) + |C|` over the keys of each v, memoized per single
+permutation; `_check_block` certifies every (C, v) as for the enumeration.
+A sum is `(terms, union)`: the terms without the top sign, and the OR of
+every weight and NW cell at stride N, which the word rectangle check reads.
+`bpd` adds its sums by rows the same way (`_transfer`).  The sums are kept
+in a third memo, `_SUMS`, per (family, reduced, N) and node, an entry
+weighing its term keys and its union as `_ROWS` weighs ints: one term and
+one more per entry while N <= 7; see `sum_cache_info()`.
 
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
-`WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.
+`WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.  A word
+sum is its family's sum of u, checked once against the rectangle on the
+union, signed, and relabelled: `restrict_arity(n)`, then `permute_x` by
+sigma.  It builds no view and reads no parent diagram.
 
 Many words share u, so the word diagrams read u's diagrams from a second
 memo, `_PARENTS`, keyed by (family, u, reduced), least recently used
 entries evicted first.  It holds at most PARENT_CACHE_DIAGRAMS = 20,000
 parent diagrams in all; an enumeration larger than that is returned without
 being stored.  Sharing is safe: `PipeDream` and `Bpd` are immutable and the
-memo stores tuples of them.  Only `enumerate_word_pds` and
-`bpd.enumerate_word_bpds` build `WordDiagram` views; the word sums read the
-parents.  See `parent_cache_info()`; `pipedreams.clear_caches()` empties it.
+memo stores tuples of them.  Only `enumerate_word_pds`,
+`bpd.enumerate_word_bpds` and the rectangularity reports read it.  See
+`parent_cache_info()`; `pipedreams.clear_caches()` empties it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict
-from math import comb
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
 from .poly import EXP_MAX, Poly
@@ -408,62 +421,6 @@ def _label(labels, r, nx):
     return i
 
 
-def _packed_sum(diagrams, nx, labels=None, ell=None):
-    """The sum of the single weights of `diagrams`, a nonempty list of pipe
-    dreams or BPDs of one size N, in x_1..x_nx, row r read as x_{labels[r-1]}
-    (x_r without labels); with `ell`, of the K-single weights, each times the
-    factor 1 - x of its NW cells and signed (-1)^(weight cells - ell).  A
-    diagram's `_marks()` gives its weight and NW cells as ints, the cell
-    (r, c) at bit (r-1)*N + c-1.
-
-    A weight is the packed key sum_r popcount(row r) << 8*(label_r - 1),
-    times the binomial expansion of its NW factors on the keys, added into
-    one term dict: no `Poly` per diagram.  The labels are checked once, for
-    each row where some diagram has a cell.  A field holds its variable's
-    count exactly while those rows have at most 255 cells in some diagram;
-    the guard bits of the keys then show an exponent past EXP_MAX."""
-    N = diagrams[0].N
-    full = (1 << N) - 1
-    marks = [D._marks() for D in diagrams]
-    if ell is None:             # the single weight has no NW factors
-        marks = [(b, 0) for b, _ in marks]
-    union = 0
-    for b, m in marks:
-        union |= b | m
-    rows, room = [], [0] * nx
-    for r in range(N):
-        crossed = union >> r * N & full
-        if crossed:
-            v = _label(labels, r + 1, nx) - 1
-            rows.append((r * N, 8 * v))
-            room[v] += crossed.bit_count()
-    most = max(room, default=0)
-    if most > 2 * EXP_MAX + 1:
-        raise ValueError("the rows read as x%d have %d cells, more than a "
-                         "packed exponent counts" % (room.index(most) + 1, most))
-    terms, used = {}, 0
-    for b, m in marks:
-        key = 0
-        for shift, field in rows:
-            key += (b >> shift & full).bit_count() << field
-        c = 1 if ell is None else k_signed(1, b.bit_count() - ell)
-        if not m:
-            used |= key
-            terms[key] = terms.get(key, 0) + c
-            continue
-        part = [(key, c)]
-        for shift, field in rows:
-            k = (m >> shift & full).bit_count()
-            if k:           # times (1 - x)^k = sum_j (-1)^j C(k, j) x^j
-                part = [(e + (j << field), (-1) ** j * comb(k, j) * a)
-                        for e, a in part for j in range(k + 1)]
-        for e, a in part:
-            used |= e
-            terms[e] = terms.get(e, 0) + a
-    Poly.zero(nx)._check_exponents((used,))
-    return Poly._of(nx, 0, {e: c for e, c in terms.items() if c})
-
-
 def k_signed(p, excess):
     """p with the K sign (-1)^excess of a diagram whose weight cells exceed
     the length of its permutation by `excess`."""
@@ -479,7 +436,9 @@ weight_sum = Poly.sum_of
 # -- memos ------------------------------------------------------------------------
 
 # The bound of each memo: parent diagrams in `_PARENTS`, ints (weighed by
-# `_int_words`) in `_ROWS`.
+# `_int_words`) in `_ROWS`, and in `_SUMS` the term keys and the union of
+# each entry, weighed the same way (an entry with no terms, a node with no
+# diagram, still weighs its union).
 PARENT_CACHE_DIAGRAMS = 20_000
 
 
@@ -534,9 +493,11 @@ def _int_words(ints):
 
 # The parent diagrams of u, per (family, u one-line tuple, reduced), for the
 # word diagrams; the ints of cross bits per (set of inverse one-line tuples,
-# reduced, stride), for the row recursion.
+# reduced, stride), for the row recursion; the (terms, union) of each node
+# of `_transfer`, per ((family, reduced, stride), node).
 _PARENTS = _Memo(len)
 _ROWS = _Memo(_int_words)
+_SUMS = _Memo(lambda found: _int_words((*found[0], found[1])))
 
 
 def parent_cache_info():
@@ -551,9 +512,17 @@ def row_cache_info():
     return _ROWS.info()
 
 
+def sum_cache_info():
+    """The same report for the memo of the sums by rows, of pipe dreams and
+    of BPDs; its "diagrams" weigh the term keys and unions it holds as ints
+    (`_int_words`)."""
+    return _SUMS.info()
+
+
 def _clear_memos():
     _PARENTS.clear()
     _ROWS.clear()
+    _SUMS.clear()
 
 
 # -- construction and enumeration ---------------------------------------------
@@ -716,6 +685,94 @@ def _check_block(cols, x, X, reduced):
                              % (cols, x, sorted(X)))
 
 
+# -- sums by rows -----------------------------------------------------------------
+
+
+def _transfer(root, base, tag, expand, key_shift=0, bit_shift=0):
+    """(terms, union) of `root` in a graph of rows ending at `base`, whose
+    sum is ({0: 1}, 0).  `expand(node)` gives the node's parts (child,
+    factor, cells): the child's terms, keys shifted left by `key_shift`,
+    times the factor's (key, coefficient) pairs, and its union shifted by
+    `bit_shift`, OR the part's cells; a child whose terms are empty has no
+    diagram and gives nothing.  Nodes are added children first on an
+    explicit stack, so that a graph as deep as a staircase of 600 rows meets
+    no recursion limit, and are kept in `_SUMS` under (tag, node).  The
+    stored dicts are shared: callers copy them."""
+    done = {base: ({0: 1}, 0)}
+    todo = [(root, None)]
+    while todo:
+        node, parts = todo.pop()
+        if parts is None:
+            if node in done:
+                continue
+            found = _SUMS.lookup((tag, node))
+            if found is not None:
+                done[node] = found
+                continue
+            parts = expand(node)
+            todo.append((node, parts))
+            todo.extend((child, None) for child, _, _ in parts
+                        if child not in done)
+            continue
+        terms, union = {}, 0
+        for child, factor, cells in parts:
+            below, below_union = done[child]
+            if not below:       # a child with no diagram
+                continue
+            union |= cells | below_union << bit_shift
+            for e, a in below.items():
+                e <<= key_shift
+                for f, b in factor:
+                    terms[e + f] = terms.get(e + f, 0) + a * b
+        done[node] = _SUMS.store(
+            (tag, node), ({e: a for e, a in terms.items() if a}, union))
+    return done[root]
+
+
+def _row_sum(x, reduced, N):
+    """(terms, union) of the (reduced) pipe dreams of the permutation with
+    inverse one-line tuple x, trimmed, at row stride N, by the first-row
+    recursion of the module docstring: the K terms carry (-1)^crosses, not
+    yet the top sign (-1)^len(w).  A row of more than EXP_MAX crosses is
+    refused, as its packed exponent would reach the guard bit."""
+    def expand(y):
+        X = frozenset({y})
+        parts = []
+        for cols, below in _first_rows(X, reduced):
+            m = len(cols)
+            if m > EXP_MAX:
+                raise ValueError("a row of %d crosses: a packed exponent "
+                                 "is at most %d" % (m, EXP_MAX))
+            factor = ((m, -1 if m % 2 and not reduced else 1),)
+            row = 0
+            for c in cols:
+                row |= 1 << c - 1
+            for v in below:
+                _check_block(cols, v, X, reduced)
+                parts.append((v, factor, row))
+        return parts
+
+    return _transfer(x, (1,), ("pd", reduced, N), expand,
+                     key_shift=8, bit_shift=N)
+
+
+def _pd_sums(u, reduced):
+    """`_row_sum` of the permutation with one-line tuple u, at stride len(u)."""
+    x = [0] * len(u)
+    for i, a in enumerate(u, start=1):
+        x[a - 1] = i
+    return _row_sum(_trimmed(x), reduced, len(u))
+
+
+def _sum_poly(found, nx, negate=False):
+    """The polynomial in x_1..x_nx of the terms of a (terms, union) pair,
+    negated if asked, with a term dict of its own."""
+    terms, _ = found
+    if negate:
+        return Poly._of(nx, 0, {e: -a for e, a in terms.items()})
+    return Poly._of(nx, 0, dict(terms))
+
+
 def move_closure(start, moves):
     """The set of diagrams reachable from `start` by `moves`, a function
     from a diagram to the list of diagrams one move away (breadth first).
@@ -781,7 +838,8 @@ class WordDiagram:
     rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
     every weight cell and NW cell (the parent's `_marks()`) lies inside;
     `excess` counts the weight cells beyond `length` = len(u).  A family
-    supplies `_diagrams` (the parent enumeration), `_glyph`, `_json_cells`,
+    supplies `_diagrams` (the parent enumeration), `_sums` (the parents'
+    (terms, union) by rows, for the word sums), `_glyph`, `_json_cells`,
     `_field` and `_signed` (K weights carry (-1)^excess)."""
 
     __slots__ = ("diagram", "n", "k", "labels", "excess")
@@ -885,6 +943,8 @@ class WordPipeDream(WordDiagram):
     def _diagrams(u, reduced):
         return enumerate_reduced(u) if reduced else enumerate_all(u)
 
+    _sums = staticmethod(_pd_sums)
+
     @property
     def crosses(self):
         return self.diagram.crosses
@@ -921,7 +981,7 @@ def pd_schubert(w, double=False):
     if double:
         return weight_sum((P.weight("double") for P in enumerate_reduced(w)),
                           w.n, w.n)
-    return _packed_sum(enumerate_reduced(w), w.n)
+    return _sum_poly(_pd_sums(w.one_line, True), w.n)
 
 
 def pd_grothendieck(w, double=False):
@@ -932,23 +992,23 @@ def pd_grothendieck(w, double=False):
     if double:
         return weight_sum((k_signed(P.weight("K-double"), len(P) - ell)
                            for P in enumerate_all(w)), w.n, w.n)
-    return _packed_sum(enumerate_all(w), w.n, ell=ell)
+    return _sum_poly(_pd_sums(w.one_line, False), w.n, ell % 2)
 
 
 def _word_sum(family, word, reduced):
     """The (K-)single weight sum of `family`'s word diagrams of `word`,
-    with no view built: one rectangle check on the union of the parents'
-    cells, then `_packed_sum` of the parents."""
-    word, u, labels, parents = _word_parents(family, word, reduced)
-    union = 0
-    for D in parents:
-        b, m = D._marks()
-        union |= b | m
-    bad = _outside(union, word.n, word.k, parents[0].N)
+    with no view built: the family's sum of u = std(conv(word)), one
+    rectangle check on its union, the K sign of u, and row r relabelled to
+    x_{sigma(r)+1} in word.n variables."""
+    word = word if isinstance(word, Word) else Word(word)
+    u, sigma = convex_standardization(word.letters, word.k)
+    found = family._sums(u, reduced)
+    bad = _outside(found[1], word.n, word.k, len(u))
     if bad:
         raise _rectangle_violation(bad, word.n, word.k)
-    return _packed_sum(parents, word.n, labels,
-                       None if reduced else Permutation(u).inversions())
+    negate = not reduced and Permutation(u).inversions() % 2
+    return (_sum_poly(found, len(u), negate).restrict_arity(word.n)
+            .permute_x([p + 1 for p in sigma]))
 
 
 def word_pd_schubert(word):

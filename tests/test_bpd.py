@@ -22,6 +22,7 @@ from pipedreams.bpd import (
     word_bpd_grothendieck,
     word_bpd_schubert,
 )
+from pipedreams.combinat import all_permutations
 from pipedreams.pipedream import enumerate_all, enumerate_reduced
 from pipedreams.poly import (
     grothendieck,
@@ -467,7 +468,8 @@ def test_packed_word_bpd_sums_equal_the_poly_sums():
 ])
 def test_bad_label_raises_the_diagram_weight_error_from_a_packed_bpd_sum(
         nx, labels, message):
-    from pipedreams.pipedream import _packed_sum, diagram_weight
+    from oracles import packed_sum
+    from pipedreams.pipedream import diagram_weight
 
     B = next(B for B in enumerate_all_bpd(Permutation("2143"))
              if B.blanks() == [(1, 1), (1, 2)])
@@ -475,7 +477,7 @@ def test_bad_label_raises_the_diagram_weight_error_from_a_packed_bpd_sum(
     with pytest.raises(ValueError) as poly_way:
         diagram_weight("K-single", nx, B.blanks(), labels, B.nw_elbows())
     with pytest.raises(ValueError) as packed:
-        _packed_sum([B], nx, labels, 2)
+        packed_sum([B], nx, labels, 2)
     assert str(packed.value) == str(poly_way.value) == message
 
 
@@ -493,3 +495,72 @@ def test_marks_are_the_blanks_and_nw_elbows_of_the_tiles():
                                        for r, c in _cells(B.tiles, kind))
                 assert B.blanks() == _cells(B.tiles, Tile.BLANK)
                 assert B.nw_elbows() == _cells(B.tiles, Tile.NW)
+
+
+# -- sums by rows --------------------------------------------------------------
+
+
+def trace_by_labels(B):
+    """Route the pipes of B by the module's row rule, with no memory of
+    crossed pairs: rows bottom up, each left to right, a CROSS sending
+    max(a, b) north and min(a, b) east.  Returns (one-line tuple, the pairs
+    a CROSS crosses genuinely (west label a < south label b), bumps)."""
+    N = B.N
+    south = list(range(1, N + 1))       # the label entering each column
+    exits, crossed, bumps = [0] * N, set(), 0
+    for r in range(N, 0, -1):
+        carry, north = None, [None] * N
+        for c in range(N):
+            tile, b = B.tiles[r - 1][c], south[c]
+            if tile is Tile.CROSS:
+                if carry < b:
+                    crossed.add(frozenset((carry, b)))
+                else:
+                    bumps += 1
+                north[c], carry = max(carry, b), min(carry, b)
+            elif tile is Tile.VER:
+                north[c] = b
+            elif tile is Tile.SE:
+                carry = b
+            elif tile is Tile.NW:
+                north[c], carry = carry, None
+        exits[r - 1] = carry
+        south = north
+    return tuple(exits), crossed, bumps
+
+
+def test_a_cross_is_genuine_iff_its_west_label_is_smaller():
+    # the first fact of the module docstring, against `_trace`'s memory of
+    # crossed pairs, and the second: blanks = crosses, blanks - len(w) =
+    # bumps
+    count = 0
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for B in enumerate_all_bpd(w):
+                one_line, crossed, _ = B._trace()
+                by_labels, genuine, bumps = trace_by_labels(B)
+                assert by_labels == tuple(one_line) == w.one_line
+                assert genuine == crossed, B
+                blanks = len(B.blanks())
+                assert blanks == sum(row.count(Tile.CROSS) for row in B.tiles)
+                assert blanks - w.inversions() == bumps
+                count += 1
+    assert count == 481
+
+
+def test_bpd_row_sums_equal_the_sums_over_the_closure():
+    from oracles import marks_union, packed_sum
+    from pipedreams.bpd import _bpd_sums
+    from pipedreams.pipedream import _sum_poly
+
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            ell = w.inversions()
+            for reduced, enumerate_ in ((True, enumerate_reduced_bpd),
+                                        (False, enumerate_all_bpd)):
+                diagrams = enumerate_(w)
+                found = _bpd_sums(w.one_line, reduced)
+                assert found[1] == marks_union(diagrams), (w, reduced)
+                assert (_sum_poly(found, n, not reduced and ell % 2)
+                        == packed_sum(diagrams, n,
+                                      ell=None if reduced else ell)), w

@@ -176,6 +176,17 @@ def test_verify_identities(capsys):
     assert [s["n"] for s in summary["sizes"]] == [1, 2, 3]
 
 
+def test_verify_identities_runs_the_single_bpd_sums_at_every_size(capsys):
+    rc, out, _ = run(capsys, "verify", "identities", "--n", "5")
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[3] == "verify identities S_4 (PD+BPD+double): ok"
+    assert lines[4] == "verify identities S_5 (PD+BPD): ok"
+    sizes = json.loads(lines[-1])["sizes"]
+    assert [s["bpd_single"] for s in sizes] == [True] * 5
+    assert [s["bpd_and_double"] for s in sizes] == [True] * 4 + [False]
+
+
 # -- matrix commands ---------------------------------------------------------
 
 

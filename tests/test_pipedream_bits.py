@@ -16,7 +16,6 @@ from pipedreams import Permutation, Poly, Word
 from pipedreams.combinat import all_permutations, enumerate_fubini
 from pipedreams.pipedream import (
     PipeDream,
-    _packed_sum,
     diagram_weight,
     enumerate_all,
     enumerate_reduced,
@@ -28,6 +27,8 @@ from pipedreams.pipedream import (
     word_pd_grothendieck,
     word_pd_schubert,
 )
+
+from oracles import marks_union, packed_sum
 
 
 def oracle_chute_targets(P, N):
@@ -119,7 +120,7 @@ def test_tracing_agrees_with_the_bit_demazure_product():
 
 
 def poly_way_sum(diagrams, nx, labels=None, ell=None):
-    """`_packed_sum` one `Poly` per diagram: `diagram_weight`, `k_signed`."""
+    """`packed_sum` one `Poly` per diagram: `diagram_weight`, `k_signed`."""
     mode = "single" if ell is None else "K-single"
     return weight_sum((k_signed(diagram_weight(mode, nx, P.crosses, labels),
                                 0 if ell is None else len(P) - ell)
@@ -135,9 +136,9 @@ def test_packed_pd_sums_equal_the_poly_sums():
             assert pd_grothendieck(w) == poly_way_sum(every, n, ell=ell)
             # rows reversed into one extra variable
             labels = tuple(range(n, 0, -1))
-            assert (_packed_sum(reduced, n + 1, labels)
+            assert (packed_sum(reduced, n + 1, labels)
                     == poly_way_sum(reduced, n + 1, labels))
-            assert (_packed_sum(every, n + 1, labels, ell)
+            assert (packed_sum(every, n + 1, labels, ell)
                     == poly_way_sum(every, n + 1, labels, ell))
 
 
@@ -164,22 +165,22 @@ def test_bad_label_raises_the_diagram_weight_error_from_a_packed_sum(
     with pytest.raises(ValueError) as poly_way:
         diagram_weight("single", nx, P.crosses, labels)
     with pytest.raises(ValueError) as packed:
-        _packed_sum([P], nx, labels)
+        packed_sum([P], nx, labels)
     assert str(packed.value) == str(poly_way.value) == message
 
 
 def test_packed_sum_refuses_an_exponent_past_the_guard_bit():
     row = PipeDream([(1, c) for c in range(1, 129)], 130)
     with pytest.raises(ValueError, match="the exponent of x1 passes 127"):
-        _packed_sum([row], 130)
+        packed_sum([row], 130)
     with pytest.raises(ValueError, match="exponent 128 of x1 is outside"):
         diagram_weight("single", 130, row.crosses)
     # 257 cells crossed in some diagram, in the rows read as x1, could
     # carry into the next variable's field
     rows = [PipeDream([(r, c) for c in range(1, 87)], 300) for r in (1, 2, 3)]
     with pytest.raises(ValueError, match="rows read as x1 have 258 cells"):
-        _packed_sum(rows, 2, (1, 1, 1))
-    assert _packed_sum(rows[:2], 2, (1, 1, 1)) == Poly(2, 0, {(86, 0): 2})
+        packed_sum(rows, 2, (1, 1, 1))
+    assert packed_sum(rows[:2], 2, (1, 1, 1)) == Poly(2, 0, {(86, 0): 2})
 
 
 def test_packed_sums_label_and_count_only_the_crossed_rows():
@@ -292,3 +293,110 @@ def test_a_block_outside_the_set_is_refused():
     with pytest.raises(AssertionError, match="is not reduced"):
         _check_block((2,), (2, 1), frozenset({(1, 3, 2)}), True)
     _check_block((2,), (2, 1), frozenset({(1, 3, 2)}), False)
+
+
+# -- sums by rows --------------------------------------------------------------
+
+
+def test_row_sums_equal_the_sums_over_the_enumeration():
+    # `_row_sum` lists no diagram: its terms against `packed_sum` of the
+    # listed diagrams, and its union against the OR of their crosses
+    from pipedreams.pipedream import _pd_sums, _sum_poly
+
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            ell = w.inversions()
+            for reduced, enumerate_ in ((True, enumerate_reduced),
+                                        (False, enumerate_all)):
+                diagrams = enumerate_(w)
+                found = _pd_sums(w.one_line, reduced)
+                assert found[1] == marks_union(diagrams), (w, reduced)
+                assert (_sum_poly(found, n, not reduced and ell % 2)
+                        == packed_sum(diagrams, n,
+                                      ell=None if reduced else ell)), w
+
+
+def test_row_sum_refuses_a_row_past_the_exponent_bound():
+    # code (m, 0, ..., 0): one pipe dream, row 1 full of m crosses, x_1^m
+    for m in (126, 127):
+        w = Permutation([m + 1] + list(range(1, m + 1)))
+        assert pd_schubert(w) == pd_grothendieck(w) == Poly.x(1, m + 1) ** m
+    w = Permutation([129] + list(range(1, 129)))
+    with pytest.raises(ValueError, match="a row of 128 crosses"):
+        pd_schubert(w)
+
+
+def test_sum_memo_holds_at_most_its_bound(monkeypatch):
+    from pipedreams import (bpd_grothendieck, bpd_row_cache_info,
+                            bpd_schubert, clear_caches, pipedream,
+                            sum_cache_info)
+    from pipedreams import bpd
+
+    sums = (pd_schubert, pd_grothendieck, bpd_schubert, bpd_grothendieck)
+    perms = [w for n in range(1, 6) for w in all_permutations(n)]
+    clear_caches()
+    unbounded = [f(w) for w in perms for f in sums]
+    assert sum_cache_info()["evictions"] == 0
+    # BPD states with no completion are kept too, each weighing one
+    assert any(not terms for terms, _ in pipedream._SUMS.values())
+    clear_caches()
+    bound = 60
+    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    for _ in range(2):
+        got = []
+        for w in perms:
+            for f in sums:
+                got.append(f(w))
+                info = sum_cache_info()
+                stored = sum(len(terms) + 1
+                             for terms, _ in pipedream._SUMS.values())
+                assert stored == sum(map(pipedream._SUMS.weigh,
+                                         pipedream._SUMS.values()))
+                assert info["diagrams"] == stored <= bound, info
+                assert info["entries"] == len(pipedream._SUMS)
+                rows = bpd_row_cache_info()
+                assert rows["diagrams"] == sum(map(len, bpd._ROWS.values()))
+                assert rows["diagrams"] <= bound
+        assert got == unbounded
+    for info in (sum_cache_info(), bpd_row_cache_info()):
+        assert info["evictions"] > 0 and info["hits"] > 0, info
+    clear_caches()
+    empty = dict.fromkeys(("entries", "diagrams", "hits", "misses",
+                           "evictions"), 0)
+    assert sum_cache_info() == bpd_row_cache_info() == empty
+    assert not pipedream._SUMS and not bpd._ROWS
+
+
+def test_sum_memo_weighs_keys_and_unions_by_size():
+    # s_99 in S_100: keys of 100 bytes and unions of 10,000 bits
+    from pipedreams import clear_caches, pipedream, sum_cache_info
+    from pipedreams.pipedream import _int_words
+
+    clear_caches()
+    s99 = Permutation(list(range(1, 99)) + [100, 99])
+    assert pd_schubert(s99) == Poly.sum_of(
+        [Poly.x(i, 100) for i in range(1, 100)], 100)
+    stored = pipedream._SUMS.values()
+    info = sum_cache_info()
+    assert info["diagrams"] == sum(_int_words((*terms, union))
+                                   for terms, union in stored)
+    assert info["diagrams"] <= pipedream.PARENT_CACHE_DIAGRAMS
+    assert info["diagrams"] > 5 * sum(len(terms) + 1 for terms, _ in stored)
+    clear_caches()
+
+
+def test_returned_sums_do_not_reach_the_memo():
+    from pipedreams import (bpd_grothendieck, bpd_schubert, clear_caches,
+                            word_bpd_grothendieck, word_pd_schubert)
+
+    clear_caches()
+    w, word = Permutation("2143"), Word("21231", 3)
+    for f, arg in ((pd_schubert, w), (pd_grothendieck, w), (bpd_schubert, w),
+                   (bpd_grothendieck, w), (word_pd_schubert, word),
+                   (word_bpd_grothendieck, word)):
+        first = f(arg)
+        expected = Poly._of(first.nx, 0, dict(first.terms))
+        first.terms.clear()
+        first.terms[0] = 7
+        assert f(arg) == expected, f
+    clear_caches()

@@ -45,78 +45,77 @@ def test_lattice_names_the_tracer_reads():
 
 
 
+def count_calls(monkeypatch, module, names):
+    """Wrap module.<name> for each name, recording the length of each
+    returned list per name."""
+    calls = {}
+    for name in names:
+        def counted(*args, _real=getattr(module, name), _name=name, **kw):
+            out = _real(*args, **kw)
+            calls.setdefault(_name, []).append(len(out))
+            return out
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
     # the tracer wraps the enumerations in the module namespace and counts
-    # their diagrams (`pipedream.diagrams`); a sum that enumerated through
-    # a private helper would drop out of that count silently
+    # their diagrams (`pipedream.diagrams`); a double sum that enumerated
+    # through a private helper would drop out of that count silently.  The
+    # single and word sums are added by rows and list no diagram.
     from pipedreams import Permutation, Word, clear_caches, pipedream
 
     w, word = Permutation("2143"), Word("21231", 3)
     sizes = {"enumerate_reduced": len(pipedream.enumerate_reduced(w)),
              "enumerate_all": len(pipedream.enumerate_all(w))}
-    # every parent diagram of 21231 fits its rectangle: one view each
-    views = [len(pipedream.enumerate_word_pds(word, reduced))
-             for reduced in (True, False)]
-    calls = {}
-    for name in sizes:
-        def counted(*args, _real=getattr(pipedream, name), _name=name, **kw):
-            out = _real(*args, **kw)
-            calls.setdefault(_name, []).append(len(out))
-            return out
-        monkeypatch.setattr(pipedream, name, counted)
+    calls = count_calls(monkeypatch, pipedream, sizes)
 
     for double in (False, True):
         pipedream.pd_schubert(w, double=double)
         pipedream.pd_grothendieck(w, double=double)
-    assert calls == {name: [size] * 2 for name, size in sizes.items()}
+    assert calls == {name: [size] for name, size in sizes.items()}
     calls.clear()
-    clear_caches()      # the word views enumerate their parents on a miss
+    clear_caches()
     pipedream.word_pd_schubert(word)
     pipedream.word_pd_grothendieck(word)
-    assert calls == {"enumerate_reduced": views[:1], "enumerate_all": views[1:]}
+    assert calls == {}
 
 
 def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
     # `bpd.diagrams` counts the BPD enumerations the tracer wraps in the
-    # module namespace; a word BPD sum must reach them through it
+    # module namespace; the word BPD views reach them through it on a cold
+    # memo, and the word BPD sums, added by rows, list no BPD
     from pipedreams import Word, bpd, clear_caches
 
     word = Word("21231", 3)
+    clear_caches()
     # a view per parent BPD: a parent outside the rectangle would raise
     views = [len(bpd.enumerate_word_bpds(word, reduced))
              for reduced in (True, False)]
-    calls = {}
-    for name in ("enumerate_reduced_bpd", "enumerate_all_bpd"):
-        def counted(*args, _real=getattr(bpd, name), _name=name, **kw):
-            out = _real(*args, **kw)
-            calls.setdefault(_name, []).append(len(out))
-            return out
-        monkeypatch.setattr(bpd, name, counted)
+    calls = count_calls(monkeypatch, bpd,
+                        ("enumerate_reduced_bpd", "enumerate_all_bpd"))
 
     clear_caches()      # the word views enumerate their parents on a miss
     bpd.word_bpd_schubert(word)
     bpd.word_bpd_grothendieck(word)
+    assert calls == {}
+    for reduced in (True, False):
+        bpd.enumerate_word_bpds(word, reduced)
     assert calls == {"enumerate_reduced_bpd": views[:1],
                      "enumerate_all_bpd": views[1:]}
 
 
 def test_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
-    # the single and double permutation BPD sums reach the enumerations
-    # the tracer wraps, so `bpd.diagrams` counts them
+    # the double permutation BPD sums reach the enumerations the tracer
+    # wraps, so `bpd.diagrams` counts them; the single sums list no BPD
     from pipedreams import Permutation, bpd
 
     w = Permutation("2143")
     sizes = {"enumerate_reduced_bpd": len(bpd.enumerate_reduced_bpd(w)),
              "enumerate_all_bpd": len(bpd.enumerate_all_bpd(w))}
-    calls = {}
-    for name in sizes:
-        def counted(*args, _real=getattr(bpd, name), _name=name, **kw):
-            out = _real(*args, **kw)
-            calls.setdefault(_name, []).append(len(out))
-            return out
-        monkeypatch.setattr(bpd, name, counted)
+    calls = count_calls(monkeypatch, bpd, sizes)
 
     for double in (False, True):
         bpd.bpd_schubert(w, double=double)
         bpd.bpd_grothendieck(w, double=double)
-    assert calls == {name: [size] * 2 for name, size in sizes.items()}
+    assert calls == {name: [size] for name, size in sizes.items()}

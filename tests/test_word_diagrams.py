@@ -127,16 +127,25 @@ def test_warm_memo_gives_the_cold_outputs(cold):
 
 
 def test_clear_caches_empties_the_memo(cold):
-    from pipedreams import (grothendieck_of_word, parent_cache_info, poly,
-                            word_pd_grothendieck)
+    from pipedreams import (bpd_row_cache_info, grothendieck_of_word,
+                            parent_cache_info, poly, sum_cache_info,
+                            word_bpd_grothendieck, word_pd_grothendieck)
 
     word = Word("21231", 3)
     assert word_pd_grothendieck(word) == grothendieck_of_word(word)
+    assert word_bpd_grothendieck(word) == grothendieck_of_word(word)
+    # the word sums read the sums by rows, not the parent diagrams
+    assert parent_cache_info()["entries"] == 0
+    enumerate_word_pds(word, reduced=False)
     info = parent_cache_info()
     assert info["entries"] == 1 and info["diagrams"] > 0 and poly._CACHE
+    assert sum_cache_info()["diagrams"] > 0
+    assert bpd_row_cache_info()["diagrams"] > 0
     cold()
-    assert parent_cache_info() == dict.fromkeys(
-        ("entries", "diagrams", "hits", "misses", "evictions"), 0)
+    empty = dict.fromkeys(("entries", "diagrams", "hits", "misses",
+                           "evictions"), 0)
+    assert parent_cache_info() == sum_cache_info() == empty
+    assert bpd_row_cache_info() == empty
     assert poly._CACHE == {}
 
 
@@ -199,28 +208,25 @@ def test_a_permutation_is_its_own_fubini_word():
 
 
 def test_word_sums_check_the_rectangle_on_every_parent(cold):
-    # u = 12345 for the word 12 in [5]^2: injected parents with cells in
-    # rows 3 and 4 lie outside the 2 x 5 rectangle
+    # u = 21345 for the word 21 in [5]^2: injected sums of u whose unions
+    # hold cells in rows 3 and 4 lie outside the 2 x 5 rectangle
     from pipedreams import word_bpd_grothendieck, word_pd_schubert
-    from pipedreams.bpd import Bpd, Tile
-    from pipedreams.pipedream import _PARENTS, PipeDream
+    from pipedreams.bpd import _bpd_sums
+    from pipedreams.pipedream import _SUMS, _pd_sums
 
-    word, u = Word("12", 5), (1, 2, 3, 4, 5)
+    word, u = Word("21", 5), (2, 1, 3, 4, 5)
     message = r"outside the 2 x 5 rectangle: \[\(3, 2\), \(4, 1\)\]"
-    pds = enumerate_word_pds(word, reduced=True)
-    _PARENTS.store((WordPipeDream, u, True), (
-        pds[0].diagram, PipeDream([(4, 1)], 5), PipeDream([(3, 2)], 5)))
+    outside = 1 << 2 * 5 + 1 | 1 << 3 * 5
+    terms, union = _pd_sums(u, True)
+    cold()
+    _SUMS.store((("pd", True, 5), (2, 1)), (terms, union | outside))
     with pytest.raises(RectangularityViolation, match=message):
         word_pd_schubert(word)
 
-    def bpd_marked(r, c, tile):
-        tiles = [[Tile.HOR] * 5 for _ in range(5)]
-        tiles[r - 1][c - 1] = tile
-        return Bpd(tiles)
-
-    bpds = enumerate_word_bpds(word, reduced=False)
-    _PARENTS.store((WordBpd, u, False), (
-        bpds[0].diagram, bpd_marked(4, 1, Tile.BLANK), bpd_marked(3, 2, Tile.NW)))
+    terms, union = _bpd_sums(u, False)
+    cold()
+    _SUMS.store((("bpd", False, 5), ((1, 2, 3, 4, 5), u)),
+                (terms, union | outside))
     with pytest.raises(RectangularityViolation, match=message):
         word_bpd_grothendieck(word)
 
@@ -253,3 +259,20 @@ def test_word_sums_build_no_views(cold, monkeypatch):
     enumerate_word_pds(Word("21", 2))
     enumerate_word_bpds(Word("21", 2))
     assert built == [WordPipeDream, WordBpd]
+
+
+def test_word_sums_at_n6_equal_the_word_polynomials(cold):
+    # all four word sums of every Fubini word with n = 6, against the
+    # divided differences; the sums by rows keep this to a few seconds
+    from pipedreams import (grothendieck_of_word, schubert_of_word,
+                            word_bpd_grothendieck, word_bpd_schubert,
+                            word_pd_grothendieck, word_pd_schubert)
+    from pipedreams.combinat import enumerate_fubini
+
+    words = [w for k in range(1, 7) for w in enumerate_fubini(6, k)]
+    assert len(words) == 4683
+    for word in words:
+        s, g = schubert_of_word(word), grothendieck_of_word(word)
+        assert word_pd_schubert(word) == s == word_bpd_schubert(word), word
+        assert (word_pd_grothendieck(word) == g
+                == word_bpd_grothendieck(word)), word
