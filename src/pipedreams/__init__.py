@@ -25,7 +25,6 @@ from .poly import (  # noqa: F401
 )
 from .pipedream import (  # noqa: F401
     PipeDream,
-    parent_cache_info,
     row_cache_info,
     sum_cache_info,
     RectangularityViolation,
@@ -89,10 +88,10 @@ from . import bpd, pipedream, poly
 
 def clear_caches():
     """Empty the package's caches: the polynomial cache of `poly`, the
-    memo of parent diagrams behind the word pipe dreams and word BPDs, the
-    row recursion's memo behind the pipe dream enumerations, the memo of
-    the sums by rows (`sum_cache_info()`), and the BPD row memo of
-    labelled states (`bpd_row_cache_info()`)."""
+    memo of the diagram lists of pipe dreams and BPDs, which the word views
+    read too (`row_cache_info()`), the memo of the sums by rows
+    (`sum_cache_info()`), and the BPD row memo of labelled states
+    (`bpd_row_cache_info()`)."""
     poly.clear_caches()
     pipedream._clear_memos()
     bpd._clear_memos()

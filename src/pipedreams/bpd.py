@@ -38,10 +38,11 @@ the rectangle may hold no elbow but (i, j) and (i2, j2).  The destination
 decides the move: a BLANK becomes NW (a droop), another pipe's SE elbow
 becomes CROSS (a K-droop, a second, resolved crossing of the pair).  Droops
 generate all reduced BPDs from the diagram BPD, and droops with K-droops
-all K-theoretic BPDs.  A BPD's K weight carries its sign
-(-1)^(blanks - len(w)), and so does that of a `WordBpd`, the
-`pipedream.WordDiagram` view of a BPD of std(conv(word)) on the word's
-first n rows and k columns.
+all K-theoretic BPDs; the package lists them by rows (below), and the test
+suite keeps the droop closure as the oracle of those lists.  A BPD's K
+weight carries its sign (-1)^(blanks - len(w)), and so does that of a
+`WordBpd`, the `pipedream.WordDiagram` view of a BPD of std(conv(word)) on
+the word's first n rows and k columns.
 
 A BPD reads its blanks and NW elbows in one pass over its tiles, on first
 use, into two ints of bits (`Bpd._marks`, the cell (r, c) at bit
@@ -85,18 +86,38 @@ facts make this exact for K-BPDs with no memory of which pairs crossed:
   with no bump.
 
 So the (K-)single sums come from one scan per row: `_row_scans` lists, per
-labelled state (the label on each column of A, or 0), every row that it
-can scan to, with the label it sends east, the next state, the blanks, the
-NW elbows and the bumps, and keeps them in the BPD row memo `_ROWS` (see
-`bpd_row_cache_info()`).  Only the order of the labels matters, so a node
-holds them as ranks, with the ranks of w(1), .., w(r) that rows r, .., 1
-must send east.  `_bpd_sums` adds the rows by `pipedream._transfer`: row r
-gives x_r^blanks, and in the K sum (-1)^blanks (1 - x_r)^NW, with no bump
+labelled state (the label on each column of A, or 0), every row that it can
+scan to, with the label it sends east, the next state, the blanks, the NW
+elbows, the bumps and the tiles, and keeps them in the BPD row memo `_ROWS`
+(see `bpd_row_cache_info()`).  Only the order of the labels matters, so a
+node holds them as ranks, with the ranks of w(1), .., w(r) that rows r, ..,
+1 must send east.  `_bpd_sums` adds the rows by `pipedream._transfer`: row
+r gives x_r^blanks, and in the K sum (-1)^blanks (1 - x_r)^NW, with no bump
 when reduced; the top sign (-1)^len(w) makes the K sign (-1)^bumps.  A
 state may have no completion (a pipe that must leave east has a smaller
 label to its east); its sum is empty, as the terms of least degree of a
 nonempty sum, from its diagrams with the fewest blanks, share one sign and
 do not cancel, and its cells stay out of the union.
+
+Lists by rows.  `_enumerate` joins the same rows through `_transfer`, in
+the memo of diagram lists (`pipedream._ROWS`), into one int per BPD, whose
+N^2 octal digits are its `code_string`: row 1 and column 1 the most
+significant.  So ints of one size sort as their code strings, and a node's
+join sorts the ints of its rows above, shifted left by 3N, OR its own row's
+digits (each part's list is sorted, so the sort merges runs).  Every chain
+of scanned rows from the root (row N, every column of A_N = [N] labelled by
+itself, the rows to send w(1), .., w(N) east) to the base (no pipe, no row
+left) is a BPD of w, and each BPD of w is one chain.  Edges match by
+construction: a scan carries each cell's east side into the next cell,
+starting with none, and the row above takes its south sides from the
+columns this row sends north; row N takes every column from the south,
+row 1 sends nothing north, as the base has no pipe, and each row exits east
+carrying w(r).  Conversely each row of a BPD is one scan, as the table
+lists every tile that fits the sides its pipes enter.  By the first fact,
+at each CROSS the table sends north and east the pipes that `_trace` sends
+there, the other tiles pass their one pipe on alike, and ranking the labels
+keeps their order; so w(r) is `_trace`'s exit at row r.  A reduced chain
+has no bump, so by the second fact it has len(w) blanks.
 """
 
 from __future__ import annotations
@@ -111,14 +132,15 @@ from .pipedream import (
     WordDiagram,
     _cells_of,
     _Memo,
+    _sum_by_rows,
     _sum_poly,
     _transfer,
     _word_sum,
     diagram_weight,
     k_signed,
-    move_closure,
     weight_sum,
 )
+from .pipedream import _ROWS as _LISTS
 from .poly import EXP_MAX
 
 
@@ -153,6 +175,7 @@ _GLYPH = {
 }
 
 _NAME_TILE = {t.name: t for t in Tile}
+_TILE_OF_DIGIT = {str(int(t)): t for t in Tile}
 
 
 BpdRectangularityViolation = RectangularityViolation
@@ -171,11 +194,23 @@ class Bpd:
 
     def __init__(self, tiles):
         tiles = tuple(tuple(Tile(t) for t in row) for row in tiles)
-        N = len(tiles)
-        if any(len(row) != N for row in tiles):
+        if any(len(row) != len(tiles) for row in tiles):
             raise ValueError("tile grid must be square")
+        self._set(tiles)
+
+    @classmethod
+    def _of_code(cls, code, N):
+        """The BPD of size N whose `code_string` is the int `code` written
+        in N*N octal digits, unchecked."""
+        digits = "%0*o" % (N * N, code)
+        B = object.__new__(cls)
+        B._set(tuple(tuple(_TILE_OF_DIGIT[d] for d in digits[i:i + N])
+                     for i in range(0, N * N, N)))
+        return B
+
+    def _set(self, tiles):
         object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", len(tiles))
         object.__setattr__(self, "_marked", None)
 
     def __setattr__(self, *a):
@@ -422,7 +457,10 @@ class Bpd:
 
     @classmethod
     def from_json(cls, text):
-        tiles, = json_fields(text, "BPD", "tiles")
+        tiles, n = json_fields(text, "BPD", "tiles", "n")
+        if n != len(tiles):
+            raise ValueError("BPD JSON has n = %r but len(tiles) = %d"
+                             % (n, len(tiles)))
         for r, row in enumerate(tiles, 1):
             for c, name in enumerate(row, 1):
                 if name not in _NAME_TILE:
@@ -455,27 +493,27 @@ def diagram_bpd(w):
 
 
 def enumerate_reduced_bpd(w):
-    """All reduced BPDs of w: droop closure of the diagram BPD."""
-    return _bpd_closure(w, Bpd.droop_moves)
+    """All reduced BPDs of w, in `code_string` order, by rows."""
+    return _enumerate(w, reduced=True)
 
 
 def enumerate_all_bpd(w):
-    """All K-theoretic BPDs of w: droop + K-droop closure."""
-    return _bpd_closure(w, lambda B: B._moves(droop=True, k_droop=True))
+    """All K-theoretic BPDs of w, in `code_string` order, by rows."""
+    return _enumerate(w, reduced=False)
 
 
-def _bpd_closure(w, moves):
+def _enumerate(w, reduced):
     w = w if isinstance(w, Permutation) else Permutation(w)
-    start = diagram_bpd(w)  # validated there
-    seen = move_closure(start, moves)
-    # tracing raises on every grid `validate()` rejects: each cell's entering
-    # pipes must be its tile's S/W sides (edges match, the bottom row has S
-    # sides, column 1 no W side), no pipe escapes north, and as every tile
-    # passes on the pipes entering it, each row exits east
-    for B in seen - {start}:
-        if B.permutation() != w:
-            raise AssertionError("droop closure escaped the permutation")
-    return sorted(seen, key=Bpd.code_string)
+    N = w.n
+
+    def join(node, rows, done):
+        return tuple(sorted(grid << 3 * N | code for child, _, _, code in rows
+                            for grid in done[child]))
+
+    codes = _transfer((tuple(range(1, N + 1)), w.one_line),
+                      {((0,) * N, ()): (0,)}, _LISTS, ("bpd", reduced, N),
+                      lambda node: _row_parts(node, reduced), join)
+    return [Bpd._of_code(code, N) for code in codes]
 
 
 # -- sums by rows -----------------------------------------------------------------
@@ -497,31 +535,42 @@ def _clear_memos():
 def _row_scans(s):
     """Every row that the labelled state s (a label per column, 0 for no
     pipe) scans to by the module's tile table: (label sent east, next state
-    with the labels above it lowered by one, blanks, NW elbows, bumps), the
-    cells as ints of column bits.  Memoized per state in `_ROWS`."""
+    with the labels above it lowered by one, blanks, NW elbows, bumps,
+    tiles), the cells as ints of column bits, the tiles one octal digit
+    each, column 1 first.  Memoized per state in `_ROWS`."""
     found = _ROWS.lookup(s)
     if found is not None:
         return found
-    partial = [(0, (), 0, 0, 0)]    # carry, north labels, blanks, NW, bumps
+    partial = [(0, (), 0, 0, 0, 0)]  # carry, north, blanks, NW, bumps, tiles
     for c, b in enumerate(s):
         bit, grown = 1 << c, []
-        for carry, north, blank, nw, bumps in partial:
-            if not carry:
-                if b:
-                    grown.append((0, north + (b,), blank, nw, bumps))   # VER
-                    grown.append((b, north + (0,), blank, nw, bumps))   # SE
-                else:
-                    grown.append((0, north + (0,), blank | bit, nw, bumps))
-            elif b:                                                     # CROSS
-                grown.append((min(carry, b), north + (max(carry, b),),
-                              blank, nw, bumps + (carry > b)))
+        for carry, north, blank, nw, bumps, code in partial:
+            if not carry:       # (carried east, sent north, tile) per tile
+                tiles = ((0, b, Tile.VER), (b, 0, Tile.SE)) if b else (
+                    (0, 0, Tile.BLANK),)
+            elif b:
+                tiles = ((min(carry, b), max(carry, b), Tile.CROSS),)
             else:
-                grown.append((0, north + (carry,), blank, nw | bit, bumps))  # NW
-                grown.append((carry, north + (0,), blank, nw, bumps))       # HOR
+                tiles = ((0, carry, Tile.NW), (carry, 0, Tile.HOR))
+            grown += ((east, north + (up,), blank | bit * (t is Tile.BLANK),
+                       nw | bit * (t is Tile.NW),
+                       bumps + (t is Tile.CROSS and carry > b), code << 3 | t)
+                      for east, up, t in tiles)
         partial = grown
     return _ROWS.store(s, tuple(
-        (e, tuple(a - (a > e) for a in north), blank, nw, bumps)
-        for e, north, blank, nw, bumps in partial if e))
+        (e, tuple(a - (a > e) for a in north), blank, nw, bumps, code)
+        for e, north, blank, nw, bumps, code in partial if e))
+
+
+def _row_parts(node, reduced):
+    """(node of the rows above, blanks, NW elbows, tiles) of every row that
+    the node (s, t) scans to, sending t[-1] east, with no bump if reduced."""
+    s, t = node
+    e = t[-1]
+    below = tuple(a - (a > e) for a in t[:-1])
+    return [((north, below), blank, nw, code)
+            for sent, north, blank, nw, bumps, code in _row_scans(s)
+            if sent == e and not (reduced and bumps)]
 
 
 def _bpd_sums(u, reduced):
@@ -531,13 +580,9 @@ def _bpd_sums(u, reduced):
     N = len(u)
 
     def expand(node):
-        s, t = node
-        r, e = len(t), t[-1]
-        field, below = 8 * (r - 1), tuple(a - (a > e) for a in t[:-1])
-        parts = []
-        for sent, north, blank, nw, bumps in _row_scans(s):
-            if sent != e or reduced and bumps:
-                continue
+        r = len(node[1])
+        field, parts = 8 * (r - 1), []
+        for child, blank, nw, _ in _row_parts(node, reduced):
             b, k = blank.bit_count(), 0 if reduced else nw.bit_count()
             if b + k > EXP_MAX:
                 raise ValueError("a row of %d blanks and NW elbows: a packed "
@@ -545,11 +590,11 @@ def _bpd_sums(u, reduced):
             sign = -1 if b % 2 and not reduced else 1
             factor = tuple(((b + j) << field, sign * (-1) ** j * comb(k, j))
                            for j in range(k + 1))
-            parts.append(((north, below), factor, (blank | nw) << (r - 1) * N))
+            parts.append((child, factor, (blank | nw) << (r - 1) * N))
         return parts
 
-    return _transfer((tuple(range(1, N + 1)), tuple(u)), ((0,) * N, ()),
-                     ("bpd", reduced, N), expand)
+    return _sum_by_rows((tuple(range(1, N + 1)), tuple(u)), ((0,) * N, ()),
+                        ("bpd", reduced, N), expand)
 
 
 # -- word BPDs ----------------------------------------------------------------------

@@ -28,16 +28,16 @@ D' of rows 2, 3, ... (a staircase one smaller), is s_{r+c-2}.  So
     delta(D) = delta(C) * (1 x delta(D')),   delta(C) = s_{c_m} ... s_{c_1}
 
 for C = {c_1 < ... < c_m} the columns of row 1.  As s * y is s y when s is
-not a left descent of y and y when it is, s * y = z has the solutions z
-and s z when s is a left descent of z, and none otherwise; a reduced
-diagram allows only y = s z, its length growing by one.  Peeling the
-letters of delta(C) off z one at a time thus finds every y with
-delta(C) * y in a set X, and the diagrams whose delta lies in X are the
-disjoint union, over the row-1 sets C, of the diagrams C u D' (D' moved
-down a row) with delta(D') in X'_C = {v : delta(C) * (1 x v) in X}.  The
-recursion ends at the identity, whose only diagram is the empty one.
-`_first_rows` finds the C with X'_C nonempty, and `_diagram_bits` recurses
-on the X'_C.  The sets hold inverse one-line tuples, so that s_c acting on
+not a left descent of y and y when it is, s * y = z has the solutions z and
+s z when s is a left descent of z, and none otherwise; a reduced diagram
+allows only y = s z, its length growing by one.  Peeling the letters of
+delta(C) off z one at a time thus finds every y with delta(C) * y in a set
+X, and the diagrams whose delta lies in X are the disjoint union, over the
+row-1 sets C, of the diagrams C u D' (D' moved down a row) with delta(D')
+in X'_C = {v : delta(C) * (1 x v) in X}.  The recursion ends at the
+identity, whose only diagram is the empty one.  `_first_rows` finds the C
+with X'_C nonempty, and `_enumerate` recurses on the X'_C through
+`_transfer`.  The sets hold inverse one-line tuples, so that s_c acting on
 the left swaps two entries.
 
 Every (C, x) pair is also checked forward (`_check_block`): delta(C) *
@@ -57,12 +57,15 @@ sort by (C, then -infinity if D' is empty and +infinity otherwise), and
 inside a block the diagrams keep the order of the list of D'.  Only the row-1
 sets that occur are sorted, and no diagram gets a sort key.
 
-Memo.  The list of ints of each (X, reduced, row stride N) below the top is
-kept in `_ROWS`, least recently used evicted first, an int weighing one and
-one more for each full 64 bits it holds, at most PARENT_CACHE_DIAGRAMS in
-all; the top list goes to the caller unstored.  The 720 permutations of S_6
-share nearly all their rows below the first this way.  See
-`row_cache_info()`; `pipedreams.clear_caches()` empties it.
+One engine, two memos.  `_transfer` evaluates every graph of rows: the
+pipe dream lists (the blocks above) and sums, and the BPD lists and sums
+of `bpd`.  It keeps each node's value, the root's too, per ((family,
+reduced, stride N), node), least recently used evicted first, at most
+PARENT_CACHE_DIAGRAMS in weight per memo: lists of ints in `_ROWS` and
+(terms, union) sums in `_SUMS`, both weighed by `_int_words`; a heavier
+value is returned unstored.  The 720 permutations of S_6 share nearly all
+their rows below the first this way.  See `row_cache_info()` and
+`sum_cache_info()`; `pipedreams.clear_caches()` empties both.
 
 Sums by rows.  The single and K-single sums list no diagram.  The same
 first-row split gives, for x the inverse of w,
@@ -72,31 +75,20 @@ first-row split gives, for x the inverse of w,
 over the pairs (C, v) that `_first_rows` finds, v in X'_C, and the K sum
 takes one more factor (-1)^|C| per row and (-1)^len(w) at the top, as a
 diagram with c crosses is signed (-1)^(c - len(w)).  On packed `Poly` keys,
-row r in field r - 1, the shift of variables is `key << 8`, so `_row_sum`
-adds `(key_v << 8) + |C|` over the keys of each v, memoized per single
-permutation; `_check_block` certifies every (C, v) as for the enumeration.
-A sum is `(terms, union)`: the terms without the top sign, and the OR of
-every weight and NW cell at stride N, which the word rectangle check reads.
-`bpd` adds its sums by rows the same way (`_transfer`).  The sums are kept
-in a third memo, `_SUMS`, per (family, reduced, N) and node, an entry
-weighing its term keys and its union as `_ROWS` weighs ints: one term and
-one more per entry while N <= 7; see `sum_cache_info()`.
+row r in field r - 1, the shift of variables is `key << 8`, so `_pd_sums`
+adds `(key_v << 8) + |C|` over the keys of each v, one node per single
+permutation (`_sum_by_rows`); `_check_block` certifies every (C, v) as for
+the enumeration.  A sum is `(terms, union)`: the terms without the top
+sign, and the OR of every weight and NW cell at stride N, which the word
+rectangle check reads.
 
 A word diagram views a diagram of u = std(conv(w)) on w's n x k rectangle,
 row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
-`WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.  A word
-sum is its family's sum of u, checked once against the rectangle on the
+`WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.  The
+views call the module-global enumeration of u on each call.  A word sum
+is its family's sum of u, checked once against the rectangle on the
 union, signed, and relabelled: `restrict_arity(n)`, then `permute_x` by
-sigma.  It builds no view and reads no parent diagram.
-
-Many words share u, so the word diagrams read u's diagrams from a second
-memo, `_PARENTS`, keyed by (family, u, reduced), least recently used
-entries evicted first.  It holds at most PARENT_CACHE_DIAGRAMS = 20,000
-parent diagrams in all; an enumeration larger than that is returned without
-being stored.  Sharing is safe: `PipeDream` and `Bpd` are immutable and the
-memo stores tuples of them.  Only `enumerate_word_pds`,
-`bpd.enumerate_word_bpds` and the rectangularity reports read it.  See
-`parent_cache_info()`; `pipedreams.clear_caches()` empties it.
+sigma.  It builds no view and lists no diagram.
 """
 
 from __future__ import annotations
@@ -435,10 +427,8 @@ weight_sum = Poly.sum_of
 
 # -- memos ------------------------------------------------------------------------
 
-# The bound of each memo: parent diagrams in `_PARENTS`, ints (weighed by
-# `_int_words`) in `_ROWS`, and in `_SUMS` the term keys and the union of
-# each entry, weighed the same way (an entry with no terms, a node with no
-# diagram, still weighs its union).
+# The bound of each memo, in ints weighed by `_int_words`: those of the
+# diagram lists in `_ROWS`, the term keys and unions of the sums in `_SUMS`.
 PARENT_CACHE_DIAGRAMS = 20_000
 
 
@@ -486,29 +476,21 @@ class _Memo(OrderedDict):
 
 
 def _int_words(ints):
-    """The weight of a tuple of ints: one per int and one more per full 64
-    bits it holds, so that a large stride cannot fill memory."""
-    return sum(b.bit_length() >> 6 for b in ints) + len(ints)
+    """The weight of a tuple of ints: one per int, or one if it is empty,
+    and one more per full 64 bits it holds, so that neither a large stride
+    nor many empty lists can fill memory."""
+    return sum(b.bit_length() >> 6 for b in ints) + (len(ints) or 1)
 
 
-# The parent diagrams of u, per (family, u one-line tuple, reduced), for the
-# word diagrams; the ints of cross bits per (set of inverse one-line tuples,
-# reduced, stride), for the row recursion; the (terms, union) of each node
-# of `_transfer`, per ((family, reduced, stride), node).
-_PARENTS = _Memo(len)
+# `_transfer`'s lists of ints and (terms, union) sums, per (tag, node).
 _ROWS = _Memo(_int_words)
 _SUMS = _Memo(lambda found: _int_words((*found[0], found[1])))
 
 
-def parent_cache_info():
-    """The memo of parent diagrams: its entries, the diagrams they hold, and
-    its hits, misses and evictions since the last `clear_caches()`."""
-    return _PARENTS.info()
-
-
 def row_cache_info():
-    """The same report for the row recursion's memo, whose entries hold
-    ints of cross bits."""
+    """The memo of diagram lists, of pipe dreams and of BPDs: its entries,
+    the ints they hold, weighed by `_int_words` ("diagrams"), and its hits,
+    misses and evictions since the last `clear_caches()`."""
     return _ROWS.info()
 
 
@@ -520,7 +502,6 @@ def sum_cache_info():
 
 
 def _clear_memos():
-    _PARENTS.clear()
     _ROWS.clear()
     _SUMS.clear()
 
@@ -557,11 +538,11 @@ def enumerate_all(w):
 def _enumerate(w, reduced):
     w = w if isinstance(w, Permutation) else Permutation(w)
     N, X = w.n, frozenset({w.trim().inverse().one_line})
-    return [PipeDream._of(b, N) for b in _diagram_bits(X, reduced, N)]
-
-
-# the set of the identity, whose one diagram is the empty one
-_IDENTITY = frozenset({(1,)})
+    bits = _transfer(                   # the identity's diagram is empty
+        X, {frozenset({(1,)}): (0,)}, _ROWS, ("pd", reduced, N),
+        lambda Y: _first_rows(Y, reduced),
+        lambda Y, rows, done: _first_row_blocks(Y, rows, done, reduced, N))
+    return [PipeDream._of(b, N) for b in bits]
 
 
 def _trimmed(t):
@@ -572,55 +553,14 @@ def _trimmed(t):
     return tuple(t[:n])
 
 
-def _diagram_bits(X, reduced, N):
-    """The ints of cross bits, row stride N, of the (reduced) pipe dreams
-    whose Demazure product has its inverse in X, a frozenset of trimmed
-    one-line tuples, in sorted cross list order.
-
-    The recursion runs on an explicit stack, children first, so that its
-    depth (one level per row) meets no Python recursion limit; a child's
-    list is dropped once every set that reads it is built.  X's own list is
-    not stored: the caller turns it into pipe dreams, and the word views
-    keep theirs in `_PARENTS`."""
-    done = {_IDENTITY: (0,)}
-    readers = {}
-    todo = [(X, None)]
-    while todo:
-        Y, rows = todo.pop()
-        if rows is None:
-            if Y in done:
-                continue
-            found = _ROWS.lookup((Y, reduced, N))
-            if found is not None:
-                done[Y] = found
-                continue
-            rows = _first_rows(Y, reduced)
-            todo.append((Y, rows))
-            for _, below in rows:
-                readers[below] = readers.get(below, 0) + 1
-                if below not in done:
-                    todo.append((below, None))
-            continue
-        found = tuple(_first_row_blocks(Y, rows, done, reduced, N))
-        done[Y] = found if Y is X else _ROWS.store((Y, reduced, N), found)
-        for _, below in rows:
-            readers[below] -= 1
-            if not readers[below] and below != _IDENTITY:
-                del readers[below], done[below]
-    return done[X]
-
-
 def _first_row_blocks(X, rows, done, reduced, N):
-    """The diagrams of X, as the blocks C | (D' << N) for (C, X'_C) in
-    `rows`, D' from the list done[X'_C], ordered as the module docstring
-    says.  Each (C, x) pair is checked forward."""
+    """The diagrams of X, as the blocks C | (D' << N) for (X'_C, C, C's
+    bits) in `rows`, D' from the list done[X'_C], ordered as the module
+    docstring says.  Each (C, x) pair is checked forward."""
     blocks = []
-    for cols, below in rows:
+    for below, cols, row in rows:
         for x in below:
             _check_block(cols, x, X, reduced)
-        row = 0
-        for c in cols:
-            row |= 1 << c - 1
         sub = done[below]
         if sub[0] == 0:         # D' empty: C alone sorts before C's supersets
             blocks.append((cols + (0,), (row,)))
@@ -628,13 +568,13 @@ def _first_row_blocks(X, rows, done, reduced, N):
         if sub:
             blocks.append((cols + (N,), [row | d << N for d in sub]))
     blocks.sort(key=lambda block: block[0])
-    return [bits for _, block in blocks for bits in block]
+    return tuple(bits for _, block in blocks for bits in block)
 
 
 def _first_rows(X, reduced):
-    """(C, X'_C) for every row-1 column set C, ascending, whose preimage
-    set X'_C is not empty: the inverses of the v with
-    delta(C) * (1 x v) in X, for X and X'_C sets of inverse one-line
+    """(X'_C, C, the int of C's column bits) for every row-1 column set C,
+    ascending, whose preimage set X'_C is not empty: the inverses of the v
+    with delta(C) * (1 x v) in X, for X and X'_C sets of inverse one-line
     tuples.  C is grown from its largest column down, peeling one letter
     at a time: s_c * y = z has the solutions z and s_c z (only s_c z when
     reduced) when s_c is a left descent of z, that is z^-1(c) > z^-1(c+1),
@@ -653,7 +593,8 @@ def _first_rows(X, reduced):
         below = frozenset(tuple(a - 1 for a in v[1:]) or (1,)
                           for v in Y if v[0] == 1)
         if below:
-            found.append((cols[::-1], below))
+            found.append((below, cols[::-1],
+                          sum(1 << c - 1 for c in cols)))
         steps = {}
         for v in Y:
             p = v.index(1)          # y(1) - 1, for y the inverse of v
@@ -685,83 +626,92 @@ def _check_block(cols, x, X, reduced):
                              % (cols, x, sorted(X)))
 
 
-# -- sums by rows -----------------------------------------------------------------
+# -- the row engine and the sums by rows ------------------------------------------
 
 
-def _transfer(root, base, tag, expand, key_shift=0, bit_shift=0):
-    """(terms, union) of `root` in a graph of rows ending at `base`, whose
-    sum is ({0: 1}, 0).  `expand(node)` gives the node's parts (child,
-    factor, cells): the child's terms, keys shifted left by `key_shift`,
-    times the factor's (key, coefficient) pairs, and its union shifted by
-    `bit_shift`, OR the part's cells; a child whose terms are empty has no
-    diagram and gives nothing.  Nodes are added children first on an
-    explicit stack, so that a graph as deep as a staircase of 600 rows meets
-    no recursion limit, and are kept in `_SUMS` under (tag, node).  The
-    stored dicts are shared: callers copy them."""
-    done = {base: ({0: 1}, 0)}
+def _transfer(root, base, memo, tag, expand, join):
+    """The value of `root` in a graph of rows ending at the nodes of `base`,
+    a dict of their values.  `expand(node)` gives the node's parts, tuples
+    whose first item is a child node, and `join(node, parts, done)` its
+    value from `done`, the values of its children.  Nodes are joined
+    children first on an explicit stack, so that 600 rows meet no
+    recursion limit; each value is kept in `memo` under (tag, node), and
+    leaves `done` once every node that reads it is joined.  Stored values
+    are shared: callers copy them."""
+    done, readers = dict(base), {}
     todo = [(root, None)]
     while todo:
         node, parts = todo.pop()
         if parts is None:
             if node in done:
                 continue
-            found = _SUMS.lookup((tag, node))
+            found = memo.lookup((tag, node))
             if found is not None:
                 done[node] = found
                 continue
             parts = expand(node)
             todo.append((node, parts))
-            todo.extend((child, None) for child, _, _ in parts
-                        if child not in done)
+            for part in parts:
+                readers[part[0]] = readers.get(part[0], 0) + 1
+                if part[0] not in done:
+                    todo.append((part[0], None))
             continue
+        done[node] = memo.store((tag, node), join(node, parts, done))
+        for part in parts:
+            readers[part[0]] -= 1
+            if not readers[part[0]] and part[0] not in base:
+                del readers[part[0]], done[part[0]]
+    return done[root]
+
+
+def _sum_by_rows(root, base, tag, expand, key_shift=0, bit_shift=0):
+    """`_transfer` of (terms, union) sums, kept in `_SUMS`, from ({0: 1}, 0)
+    at `base`.  A part (child, factor, cells) adds the child's terms, keys
+    shifted left by `key_shift`, times the factor's (key, coefficient)
+    pairs, and its union shifted by `bit_shift`, OR the cells; a child
+    with no terms has no diagram and gives nothing."""
+    def join(node, parts, done):
         terms, union = {}, 0
         for child, factor, cells in parts:
             below, below_union = done[child]
-            if not below:       # a child with no diagram
+            if not below:
                 continue
             union |= cells | below_union << bit_shift
             for e, a in below.items():
                 e <<= key_shift
                 for f, b in factor:
                     terms[e + f] = terms.get(e + f, 0) + a * b
-        done[node] = _SUMS.store(
-            (tag, node), ({e: a for e, a in terms.items() if a}, union))
-    return done[root]
+        return {e: a for e, a in terms.items() if a}, union
+
+    return _transfer(root, {base: ({0: 1}, 0)}, _SUMS, tag, expand, join)
 
 
-def _row_sum(x, reduced, N):
+def _pd_sums(u, reduced):
     """(terms, union) of the (reduced) pipe dreams of the permutation with
-    inverse one-line tuple x, trimmed, at row stride N, by the first-row
-    recursion of the module docstring: the K terms carry (-1)^crosses, not
-    yet the top sign (-1)^len(w).  A row of more than EXP_MAX crosses is
-    refused, as its packed exponent would reach the guard bit."""
+    one-line tuple u, at row stride N = len(u), by the first-row recursion
+    of the module docstring on trimmed inverses: the K terms carry
+    (-1)^crosses, not yet the top sign (-1)^len(u).  A row of more than
+    EXP_MAX crosses is refused, as its packed exponent would reach the
+    guard bit."""
+    N, x = len(u), [0] * len(u)
+    for i, a in enumerate(u, start=1):
+        x[a - 1] = i
+
     def expand(y):
         X = frozenset({y})
         parts = []
-        for cols, below in _first_rows(X, reduced):
+        for below, cols, row in _first_rows(X, reduced):
             m = len(cols)
             if m > EXP_MAX:
                 raise ValueError("a row of %d crosses: a packed exponent "
                                  "is at most %d" % (m, EXP_MAX))
             factor = ((m, -1 if m % 2 and not reduced else 1),)
-            row = 0
-            for c in cols:
-                row |= 1 << c - 1
             for v in below:
                 _check_block(cols, v, X, reduced)
                 parts.append((v, factor, row))
         return parts
 
-    return _transfer(x, (1,), ("pd", reduced, N), expand,
-                     key_shift=8, bit_shift=N)
-
-
-def _pd_sums(u, reduced):
-    """`_row_sum` of the permutation with one-line tuple u, at stride len(u)."""
-    x = [0] * len(u)
-    for i, a in enumerate(u, start=1):
-        x[a - 1] = i
-    return _row_sum(_trimmed(x), reduced, len(u))
+    return _sum_by_rows(_trimmed(x), (1,), ("pd", reduced, N), expand, 8, N)
 
 
 def _sum_poly(found, nx, negate=False):
@@ -771,24 +721,6 @@ def _sum_poly(found, nx, negate=False):
     if negate:
         return Poly._of(nx, 0, {e: -a for e, a in terms.items()})
     return Poly._of(nx, 0, dict(terms))
-
-
-def move_closure(start, moves):
-    """The set of diagrams reachable from `start` by `moves`, a function
-    from a diagram to the list of diagrams one move away (breadth first).
-    A diagram is any hashable value: a `Bpd`, or a pipe dream's int of
-    cross bits."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for D in frontier:
-            for Q in moves(D):
-                if Q not in seen:
-                    seen.add(Q)
-                    nxt.append(Q)
-        frontier = nxt
-    return seen
 
 
 # -- word diagrams ---------------------------------------------------------------
@@ -813,24 +745,13 @@ def _rectangle_violation(cells, n, k):
 
 
 def _word_parents(family, word, reduced):
-    """(word, u, labels, parents) of a word: u = std(conv(word)) as a
-    one-line tuple, the row labels, and `family`'s parent diagrams of u."""
+    """(word, u, labels, parents) of a word: u = std(conv(word)), the row
+    labels, and `family`'s parent diagrams of u."""
     word = word if isinstance(word, Word) else Word(word)
     u, sigma = convex_standardization(word.letters, word.k)
+    u = Permutation(u)
     return (word, u, tuple(p + 1 for p in sigma),
-            _parent_diagrams(family, u, reduced))
-
-
-def _parent_diagrams(family, u, reduced):
-    """`family._diagrams` of the permutation with one-line tuple u, as a
-    tuple, through the memo.  An enumeration larger than the whole bound is
-    returned without being stored."""
-    key = (family, u, reduced)
-    found = _PARENTS.lookup(key)
-    if found is None:
-        found = _PARENTS.store(
-            key, tuple(family._diagrams(Permutation(u), reduced)))
-    return found
+            family._diagrams(u, reduced))
 
 
 class WordDiagram:
@@ -919,7 +840,7 @@ class WordDiagram:
     @classmethod
     def _enumerate(cls, word, reduced):
         word, u, labels, parents = _word_parents(cls, word, reduced)
-        ell = Permutation(u).inversions()
+        ell = u.inversions()
         return [cls(D, word.n, word.k, labels, ell) for D in parents]
 
     @classmethod

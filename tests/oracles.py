@@ -1,14 +1,51 @@
-"""Diagram-by-diagram oracles for the sums by rows.
+"""Brute-force oracles for the row recursions.
 
 `packed_sum` adds the weights of a list of diagrams one by one, reading each
 diagram's weight and NW cells as ints (`_marks()`); `marks_union` is the OR
 of those cells.  The package's single and K-single sums list no diagram, so
 these are their brute-force counterparts over `enumerate_*`.
+
+`bpd_closure` lists the BPDs of a permutation as the droop (and K-droop)
+closure of its diagram BPD, tracing each one, with no row rule: the
+counterpart of `enumerate_reduced_bpd`/`enumerate_all_bpd`.
 """
 
 from math import comb
 
+from pipedreams.bpd import Bpd, diagram_bpd
+from pipedreams.combinat import Permutation
 from pipedreams.pipedream import EXP_MAX, Poly, _label, k_signed
+
+
+def move_closure(start, moves):
+    """The set of diagrams reachable from `start` by `moves`, a function
+    from a diagram to the list of diagrams one move away (breadth first)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for D in frontier:
+            for Q in moves(D):
+                if Q not in seen:
+                    seen.add(Q)
+                    nxt.append(Q)
+        frontier = nxt
+    return seen
+
+
+def bpd_closure(w, reduced):
+    """The reduced (or all K-theoretic) BPDs of w in `code_string` order:
+    the closure of the diagram BPD under droops (and K-droops).  Each BPD
+    reached is traced and must have the permutation w; tracing raises on
+    every grid `validate()` rejects."""
+    w = w if isinstance(w, Permutation) else Permutation(w)
+    start = diagram_bpd(w)
+    seen = move_closure(start, lambda B: B._moves(droop=True,
+                                                  k_droop=not reduced))
+    for B in seen - {start}:
+        if B.permutation() != w:
+            raise AssertionError("droop closure escaped the permutation")
+    return sorted(seen, key=Bpd.code_string)
 
 
 def marks_union(diagrams):

@@ -117,8 +117,11 @@ def test_json_roundtrip():
     ('{"n": 2, "tiles": [["SE", "HOR"], ["VER", "BAR"]]}',
      r"unknown tile 'BAR' at \(2, 2\)"),
     ('{"n": 1}', "BPD JSON lacks the 'tiles' field"),
+    ('{"tiles": [["SE"]]}', "BPD JSON lacks the 'n' field"),
+    ('{"n": 3, "tiles": [["BLANK"]]}',
+     r"BPD JSON has n = 3 but len\(tiles\) = 1"),
     ('[["SE"]]', "BPD JSON must be an object"),
-], ids=["tile", "tile-2-2", "no-tiles", "not-object"])
+], ids=["tile", "tile-2-2", "no-tiles", "no-n", "n-mismatch", "not-object"])
 def test_from_json_names_what_is_wrong(text, message):
     with pytest.raises(ValueError, match=message):
         Bpd.from_json(text)
@@ -169,6 +172,62 @@ def test_enumeration_golden():
     assert count == 925
     assert digest.hexdigest() == (
         "2e69ca469d30836d360384fa3721c38a1a85f5957e407d729ffb41dffe2f4236")
+
+
+def test_enumeration_equals_the_droop_closure():
+    # the row enumeration against the closure of the diagram BPD, list for
+    # list and in order, over all of S_1..S_6
+    from oracles import bpd_closure
+
+    count = 0
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            for reduced, enumerate_ in ((True, enumerate_reduced_bpd),
+                                        (False, enumerate_all_bpd)):
+                expected = bpd_closure(w, reduced)
+                assert enumerate_(w) == expected, (w, reduced)
+                count += len(expected)
+    assert count == 14441
+
+
+def test_every_enumerated_grid_is_a_bpd_of_w():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            reduced = set(enumerate_reduced_bpd(w))
+            for B in enumerate_all_bpd(w):
+                assert B.validate() and B.permutation() == w, B
+                assert B.is_reduced() == (B in reduced), B
+
+
+def test_enumeration_neither_droops_nor_traces(monkeypatch):
+    from pipedreams import clear_caches
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the enumeration droops or traces")
+
+    expected = [[B.to_json() for B in f(w)]
+                for n in range(1, 6) for w in all_permutations(n)
+                for f in (enumerate_reduced_bpd, enumerate_all_bpd)]
+    monkeypatch.setattr(Bpd, "_moves", refuse)
+    monkeypatch.setattr(Bpd, "_trace", refuse)
+    clear_caches()
+    assert [[B.to_json() for B in f(w)]
+            for n in range(1, 6) for w in all_permutations(n)
+            for f in (enumerate_reduced_bpd, enumerate_all_bpd)] == expected
+
+
+def test_lists_in_the_row_memo_are_weighed_by_size():
+    # a BPD of S_6 is a 108-bit int of tile codes and weighs two
+    from pipedreams import clear_caches, pipedream, row_cache_info
+    from pipedreams.pipedream import _int_words
+
+    clear_caches()
+    diagrams = enumerate_all_bpd(Permutation("351624"))
+    stored = pipedream._ROWS.values()
+    assert row_cache_info()["diagrams"] == sum(map(_int_words, stored))
+    assert max(map(len, stored)) == len(diagrams)
+    assert sum(map(_int_words, stored)) > sum(map(len, stored))
+    clear_caches()
 
 
 def test_enumeration_deterministic():
@@ -358,8 +417,9 @@ def test_blank_rectangularity_no_violations_small_words():
 
 
 def test_tracing_refuses_exactly_the_grids_validate_refuses():
-    """The closures check each BPD by tracing it alone: `_trace` must raise
-    on every grid `validate()` rejects, and on no other.  Every grid of size
+    """The droop closure of `oracles.bpd_closure` checks each BPD by tracing
+    it alone: `_trace` must raise on every grid `validate()` rejects, and on
+    no other.  Every grid of size
     1 and 2, and one- and two-tile mutations of K-BPDs of S_3..S_5."""
     from pipedreams.combinat import all_permutations
 
@@ -397,9 +457,8 @@ def test_tracing_refuses_exactly_the_grids_validate_refuses():
 
 def test_diagram_work_is_bounded(monkeypatch):
     """Upper bounds on pipe tracing and grid validation, so a change to the
-    closures that re-checks diagrams shows up here.  The memo of parent
-    diagrams starts empty, so a memo warmed by earlier tests cannot hide the
-    closures' work."""
+    enumerations that re-checks diagrams shows up here.  The memos start
+    empty, so a memo warmed by earlier tests cannot hide their work."""
     from pipedreams import clear_caches
     from pipedreams.combinat import all_permutations, enumerate_fubini
 
@@ -532,11 +591,13 @@ def trace_by_labels(B):
 def test_a_cross_is_genuine_iff_its_west_label_is_smaller():
     # the first fact of the module docstring, against `_trace`'s memory of
     # crossed pairs, and the second: blanks = crosses, blanks - len(w) =
-    # bumps
+    # bumps; over the droop closure, which reads no row rule
+    from oracles import bpd_closure
+
     count = 0
     for n in range(1, 6):
         for w in all_permutations(n):
-            for B in enumerate_all_bpd(w):
+            for B in bpd_closure(w, reduced=False):
                 one_line, crossed, _ = B._trace()
                 by_labels, genuine, bumps = trace_by_labels(B)
                 assert by_labels == tuple(one_line) == w.one_line
@@ -549,16 +610,15 @@ def test_a_cross_is_genuine_iff_its_west_label_is_smaller():
 
 
 def test_bpd_row_sums_equal_the_sums_over_the_closure():
-    from oracles import marks_union, packed_sum
+    from oracles import bpd_closure, marks_union, packed_sum
     from pipedreams.bpd import _bpd_sums
     from pipedreams.pipedream import _sum_poly
 
     for n in range(1, 6):
         for w in all_permutations(n):
             ell = w.inversions()
-            for reduced, enumerate_ in ((True, enumerate_reduced_bpd),
-                                        (False, enumerate_all_bpd)):
-                diagrams = enumerate_(w)
+            for reduced in (True, False):
+                diagrams = bpd_closure(w, reduced)
                 found = _bpd_sums(w.one_line, reduced)
                 assert found[1] == marks_union(diagrams), (w, reduced)
                 assert (_sum_poly(found, n, not reduced and ell % 2)

@@ -299,7 +299,7 @@ def test_a_block_outside_the_set_is_refused():
 
 
 def test_row_sums_equal_the_sums_over_the_enumeration():
-    # `_row_sum` lists no diagram: its terms against `packed_sum` of the
+    # `_pd_sums` lists no diagram: its terms against `packed_sum` of the
     # listed diagrams, and its union against the OR of their crosses
     from pipedreams.pipedream import _pd_sums, _sum_poly
 

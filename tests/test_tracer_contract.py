@@ -83,8 +83,8 @@ def test_pd_sums_enumerate_through_the_module_globals(monkeypatch):
 
 def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
     # `bpd.diagrams` counts the BPD enumerations the tracer wraps in the
-    # module namespace; the word BPD views reach them through it on a cold
-    # memo, and the word BPD sums, added by rows, list no BPD
+    # module namespace; the word BPD views reach them through it on every
+    # call, and the word BPD sums, added by rows, list no BPD
     from pipedreams import Word, bpd, clear_caches
 
     word = Word("21231", 3)
@@ -95,7 +95,7 @@ def test_word_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
     calls = count_calls(monkeypatch, bpd,
                         ("enumerate_reduced_bpd", "enumerate_all_bpd"))
 
-    clear_caches()      # the word views enumerate their parents on a miss
+    clear_caches()      # the word sums list no BPD, even from cold
     bpd.word_bpd_schubert(word)
     bpd.word_bpd_grothendieck(word)
     assert calls == {}

@@ -60,7 +60,7 @@ def test_word_diagrams_are_views_of_their_parents():
         assert W.blanks() == W.diagram.blanks()
 
 
-# -- the memo of parent diagrams ---------------------------------------------
+# -- the memo of diagram lists --------------------------------------------------
 
 
 def small_fubini_words(max_n=4):
@@ -94,7 +94,7 @@ def word_outputs(word):
 
 def test_returned_lists_do_not_reach_the_memo(cold):
     from pipedreams.bpd import check_word_bpd_rectangularity
-    from pipedreams.pipedream import _PARENTS, check_word_rectangularity
+    from pipedreams.pipedream import _ROWS, check_word_rectangularity
 
     word = Word("21231", 3)
     for f in (enumerate_word_pds, enumerate_word_bpds,
@@ -107,11 +107,11 @@ def test_returned_lists_do_not_reach_the_memo(cold):
             assert f(word, reduced=reduced) == expected
             first.clear()
             assert f(word, reduced=reduced) == expected
-    assert _PARENTS and all(type(v) is tuple for v in _PARENTS.values())
+    assert _ROWS and all(type(v) is tuple for v in _ROWS.values())
 
 
 def test_warm_memo_gives_the_cold_outputs(cold):
-    from pipedreams import parent_cache_info
+    from pipedreams import row_cache_info, sum_cache_info
 
     words = small_fubini_words()
     cold_outputs = []
@@ -120,59 +120,62 @@ def test_warm_memo_gives_the_cold_outputs(cold):
         cold_outputs.append(word_outputs(word))
     for word in words:
         word_outputs(word)
-    misses = parent_cache_info()["misses"]
+    misses = row_cache_info()["misses"], sum_cache_info()["misses"]
     assert [word_outputs(word) for word in words] == cold_outputs
-    info = parent_cache_info()
-    assert info["misses"] == misses and info["hits"] > 0, info
+    for info, before in zip((row_cache_info(), sum_cache_info()), misses):
+        assert info["misses"] == before and info["hits"] > 0, info
+        assert info["evictions"] == 0, info
 
 
 def test_clear_caches_empties_the_memo(cold):
-    from pipedreams import (bpd_row_cache_info, grothendieck_of_word,
-                            parent_cache_info, poly, sum_cache_info,
+    from pipedreams import (bpd_row_cache_info, grothendieck_of_word, poly,
+                            row_cache_info, sum_cache_info,
                             word_bpd_grothendieck, word_pd_grothendieck)
 
     word = Word("21231", 3)
     assert word_pd_grothendieck(word) == grothendieck_of_word(word)
     assert word_bpd_grothendieck(word) == grothendieck_of_word(word)
-    # the word sums read the sums by rows, not the parent diagrams
-    assert parent_cache_info()["entries"] == 0
-    enumerate_word_pds(word, reduced=False)
-    info = parent_cache_info()
-    assert info["entries"] == 1 and info["diagrams"] > 0 and poly._CACHE
+    # the word sums read the sums by rows, not the diagram lists
+    assert row_cache_info()["entries"] == 0
+    for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
+        entries = row_cache_info()["entries"]
+        enumerate_word(word, reduced=False)
+        assert row_cache_info()["entries"] > entries
+    assert row_cache_info()["diagrams"] > 0 and poly._CACHE
     assert sum_cache_info()["diagrams"] > 0
     assert bpd_row_cache_info()["diagrams"] > 0
     cold()
     empty = dict.fromkeys(("entries", "diagrams", "hits", "misses",
                            "evictions"), 0)
-    assert parent_cache_info() == sum_cache_info() == empty
+    assert row_cache_info() == sum_cache_info() == empty
     assert bpd_row_cache_info() == empty
     assert poly._CACHE == {}
 
 
 def test_memo_holds_at_most_its_bound(cold, monkeypatch):
-    from pipedreams import parent_cache_info, pipedream
+    from pipedreams import pipedream, row_cache_info
+    from pipedreams.pipedream import _int_words
 
+    words = small_fubini_words()
+    unbounded = [word_outputs(word)[0] for word in words]
+    assert row_cache_info()["evictions"] == 0
+    cold()
     bound = 8
     monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
     too_big = 0
-    for word in small_fubini_words():
-        for reduced in (True, False):
-            for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
-                before = parent_cache_info()
-                if len(enumerate_word(word, reduced=reduced)) > bound:
-                    # returned unstored, and nothing evicted to make room
-                    too_big += 1
-                    assert (parent_cache_info()
-                            == dict(before, misses=before["misses"] + 1))
-                info = parent_cache_info()
-                stored = sum(map(len, pipedream._PARENTS.values()))
-                assert info["diagrams"] == stored <= bound, info
-                assert info["entries"] == len(pipedream._PARENTS)
-    assert too_big and parent_cache_info()["evictions"] > 0
+    for word, expected in zip(words, unbounded):
+        lists = word_outputs(word)[0]
+        assert lists == expected
+        too_big += any(len(L) > bound for L in lists)
+        info = row_cache_info()
+        stored = sum(map(_int_words, pipedream._ROWS.values()))
+        assert info["diagrams"] == stored <= bound, info
+        assert info["entries"] == len(pipedream._ROWS)
+    assert too_big and row_cache_info()["evictions"] > 0
 
 
 def test_rectangularity_checks_through_the_memo(cold):
-    from pipedreams import parent_cache_info
+    from pipedreams import row_cache_info
     from pipedreams.bpd import check_word_bpd_rectangularity
     from pipedreams.pipedream import check_word_rectangularity
 
@@ -181,7 +184,7 @@ def test_rectangularity_checks_through_the_memo(cold):
             for reduced in (True, False):
                 assert check_word_rectangularity(word, reduced) == []
                 assert check_word_bpd_rectangularity(word, reduced) == []
-    info = parent_cache_info()
+    info = row_cache_info()
     assert info["hits"] >= info["misses"] > 0, info
 
 
