@@ -91,7 +91,12 @@ def clear_caches():
     memo of the diagram lists of pipe dreams and BPDs, which the word views
     read too (`row_cache_info()`), the memo of the sums by rows
     (`sum_cache_info()`), and the BPD row memo of labelled states
-    (`bpd_row_cache_info()`)."""
+    (`bpd_row_cache_info()`).
+
+    The monomial tables of `rings.snk_ring` are kept on purpose: an
+    `SnkElement` compares rings by identity, so a new table would make the
+    elements built before the call unequal to, and not addable to, those
+    built after it."""
     poly.clear_caches()
     pipedream._clear_memos()
     bpd._clear_memos()

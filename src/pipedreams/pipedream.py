@@ -61,7 +61,7 @@ One engine, two memos.  `_transfer` evaluates every graph of rows: the
 pipe dream lists (the blocks above) and sums, and the BPD lists and sums
 of `bpd`.  It keeps each node's value, the root's too, per ((family,
 reduced, stride N), node), least recently used evicted first, at most
-PARENT_CACHE_DIAGRAMS in weight per memo: lists of ints in `_ROWS` and
+MEMO_WEIGHT in weight per memo: lists of ints in `_ROWS` and
 (terms, union) sums in `_SUMS`, both weighed by `_int_words`; a heavier
 value is returned unstored.  The 720 permutations of S_6 share nearly all
 their rows below the first this way.  See `row_cache_info()` and
@@ -427,14 +427,15 @@ weight_sum = Poly.sum_of
 
 # -- memos ------------------------------------------------------------------------
 
-# The bound of each memo, in ints weighed by `_int_words`: those of the
-# diagram lists in `_ROWS`, the term keys and unions of the sums in `_SUMS`.
-PARENT_CACHE_DIAGRAMS = 20_000
+# The weight each `_Memo` holds at most: in `_ROWS` the ints of the diagram
+# lists and in `_SUMS` the term keys and unions of the sums, both weighed by
+# `_int_words`; in the BPD row memo (`bpd._ROWS`) the rows it holds.
+MEMO_WEIGHT = 20_000
 
 
 class _Memo(OrderedDict):
     """Tuples by key, least recently used first, weighing at most
-    PARENT_CACHE_DIAGRAMS in all, a tuple weighing `weigh(tuple)`; a tuple
+    MEMO_WEIGHT in all, a tuple weighing `weigh(tuple)`; a tuple
     heavier than that is not stored.  `info()` gives its entries, the
     weight they hold ("diagrams"), and its hits, misses and evictions since
     the last `clear()`."""
@@ -465,10 +466,10 @@ class _Memo(OrderedDict):
     def store(self, key, found):
         """Store the tuple `found` under `key` if it fits; return it."""
         stats, weight = self.stats, self.weigh(found)
-        if weight <= PARENT_CACHE_DIAGRAMS:
+        if weight <= MEMO_WEIGHT:
             self[key] = found
             stats["diagrams"] += weight
-            while stats["diagrams"] > PARENT_CACHE_DIAGRAMS:
+            while stats["diagrams"] > MEMO_WEIGHT:
                 _, old = self.popitem(last=False)
                 stats["diagrams"] -= self.weigh(old)
                 stats["evictions"] += 1

@@ -20,9 +20,9 @@ compares two full lattices.  The lattice class, ``IntegerLattice``, lives in
 
 The class of a Fubini word w is G_u relabelled by x_i := x_{sigma(i)}, where
 u = std(conv(w)) and sigma is its associated permutation; ``verify_rings``
-builds every class row of one (n, k) in one pass per word and computes no
-Schubert polynomial.  The Schubert row is the part of the Grothendieck row of
-degree l(u), the inversion number of u, because:
+builds every Schubert class row of one (n, k) in one pass per word and
+computes no Schubert polynomial.  The Schubert row is the part of the
+Grothendieck class of degree l(u), the inversion number of u, because:
 
 - the lowest-degree part of G_u is S_u, of degree l(u) (Lascoux-
   Schuetzenberger; Fomin-Kirillov 1994): pi_i f = d_i f - d_i(x_{i+1} f),
@@ -32,14 +32,24 @@ degree l(u), the inversion number of u, because:
   (every exponent < k), so it commutes with taking a homogeneous part.
 
 ``schubert_of_word``, ``grothendieck_of_word`` and ``_project_row`` remain
-the oracle for these rows.
+the oracle for these rows.  The Grothendieck rows are not built: the
+Grothendieck basis follows from the Schubert basis by a certificate that is
+unitriangular in degree (proof in ``verify_rings``), and only checks that no
+surviving term of G_u has degree below l(u).
+
+The ideal rows m * g are read off boxes (``_ideal_rows``): for a term x^e of
+g, the monomials m with m * x^e in S_{n,k} are those with m_p <= k-1-e_p at
+each p, and since a monomial's index is the base-k number of its exponents,
+the index of m * x^e is index(m) + index(x^e).  No product is formed only
+to be thrown away.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 from ._lattice_py import IntegerLattice
 from .combinat import (Permutation, Word, convex_standardization,
@@ -248,30 +258,39 @@ def chow_class_of_word(word):
     return project_to_snk(schubert_of_word(word), word.n, word.k)
 
 
-def coinvariant_ideal_lattice(n, k, generators):
-    """The ideal (generators) in S_{n,k} as a sublattice of Z^{k^n}: spanned
-    by every monomial multiple of every generator.
+def _ideal_rows(n, k, generators):
+    """The sorted distinct sparse rows m * g of S_{n,k}, over every monomial
+    m and every generator g, that ``coinvariant_ideal_lattice`` stacks.
+
+    A monomial index is the base-k number of its exponents, so for a term
+    x^e of g with index i, the monomials m with m * x^e still in S_{n,k} form
+    the box of exponents [0, k-1-e_p] at each p, and m * x^e has index
+    index(m) + i.  Each term adds (index(m) + i, c) to the row of every m in
+    its box; g's terms come in ascending index, so every row comes sorted.
     """
-    _require_desk_scale(n, k)
     ring = snk_ring(n, k)
-    index = ring.index
     rows = set()
     for g in generators:
         if g.ring is not ring:
             raise ValueError("generator does not live in S_{%d,%d}" % (n, k))
-        gitems = [(ring.monomials[i], c) for i, c in g.items()]
-        if not gitems:
-            continue
-        for m in ring.monomials:
-            row = []
-            for exp, coeff in gitems:
-                i = index.get(tuple(map(add, exp, m)))  # None: x_j^k = 0
-                if i is not None:
-                    row.append((i, coeff))
-            if row:
-                row.sort()
-                rows.add(tuple(row))
-    return IntegerLattice(ring.dim, sorted(rows))
+        row_of = defaultdict(list)
+        for i, c in g._items:
+            box = [0]
+            for p, e in enumerate(ring.monomials[i]):
+                step = k ** (n - 1 - p)
+                box = [b + d * step for b in box for d in range(k - e)]
+            for b in box:
+                row_of[b].append((b + i, c))
+        rows.update(map(tuple, row_of.values()))
+    return sorted(rows)
+
+
+def coinvariant_ideal_lattice(n, k, generators):
+    """The ideal (generators) in S_{n,k} as a sublattice of Z^{k^n}: spanned
+    by every monomial multiple of every generator (``_ideal_rows``).
+    """
+    _require_desk_scale(n, k)
+    return IntegerLattice(snk_ring(n, k).dim, _ideal_rows(n, k, generators))
 
 
 def _elementary_ideal(n, k):
@@ -325,11 +344,11 @@ def _certify_ideal_equal(ideal, e_gens, g_gens):
 
 
 def _surviving_terms(u, n, k):
-    """The terms of G_u that live in S_{n,k}, as (exponents, coefficient,
-    lowest) triples: every exponent is < k, and `lowest` says whether the
-    term has degree l(u), i.e. belongs to S_u."""
+    """The terms of G_u of degree l(u) that live in S_{n,k}, as (exponents,
+    coefficient) pairs, and whether some other surviving term of G_u has
+    degree below l(u).  A term survives when every exponent is < k."""
     length = Permutation(u).inversions()
-    out = []
+    lowest, below = [], False
     for exp, coeff in grothendieck(u).items():
         if any(exp[n:]):
             raise AssertionError(
@@ -337,38 +356,36 @@ def _surviving_terms(u, n, k):
                 % (max(i + 1 for i, e in enumerate(exp) if e), n))
         exp = exp[:n]
         if max(exp) < k:
-            out.append((exp, coeff, sum(exp) == length))
-    return out
+            degree = sum(exp)
+            if degree == length:
+                lowest.append((exp, coeff))
+            elif degree < length:
+                below = True
+    return lowest, below
 
 
 def _fubini_class_rows(n, k):
-    """Sparse S_{n,k} rows of the Grothendieck and the Schubert classes of
-    the Fubini words of [k]^n, in ``enumerate_fubini`` order.
+    """Sparse S_{n,k} rows of the Schubert classes of the Fubini words of
+    [k]^n, in ``enumerate_fubini`` order, and whether the degree bound of
+    ``verify_rings`` holds: no Grothendieck class has a term below the
+    degree of its Schubert class.
 
     The class of w is G_u relabelled by x_i := x_{sigma(i)}, for u and sigma
     of ``convex_standardization``; its Schubert row is the degree-l(u) part
-    of its Grothendieck row (module docstring).  G_u is filtered once per u,
-    and a surviving term's monomial index is one sum.
+    (module docstring).  G_u is filtered once per u, and a surviving term's
+    monomial index is one sum.
     """
     terms_of = {}
-    g_rows, s_rows = [], []
+    rows, bounded = [], True
     for letters in fubini_letters(n, k):
         u, sigma = convex_standardization(letters, k)
-        terms = terms_of.get(u)
-        if terms is None:
-            terms = terms_of[u] = _surviving_terms(u, n, k)
+        if u not in terms_of:
+            terms_of[u], below = _surviving_terms(u, n, k)
+            bounded = bounded and not below
         weights = [k ** (n - 1 - p) for p in sigma]
-        g_row, s_row = [], []
-        for exp, coeff, lowest in terms:
-            entry = (sum(map(mul, exp, weights)), coeff)
-            g_row.append(entry)
-            if lowest:
-                s_row.append(entry)
-        g_row.sort()
-        s_row.sort()
-        g_rows.append(tuple(g_row))
-        s_rows.append(tuple(s_row))
-    return g_rows, s_rows
+        rows.append(tuple(sorted((sum(map(mul, exp, weights)), coeff)
+                                 for exp, coeff in terms_of[u])))
+    return rows, bounded
 
 
 def _basis_check(ideal, class_rows, dim, expected):
@@ -391,9 +408,12 @@ def _basis_check(ideal, class_rows, dim, expected):
 
 
 def _basis_report(n, k, ideal, torsion_free):
-    g_rows, s_rows = _fubini_class_rows(n, k)
+    """The Schubert basis by one stacked lattice, and the Grothendieck basis
+    by the degree-unitriangular certificate of ``verify_rings``."""
+    s_rows, bounded = _fubini_class_rows(n, k)
     expected = fubini_count(n, k)
     dim = k ** n
+    schubert = _basis_check(ideal, s_rows, dim, expected)
     report = {
         "n": n,
         "k": k,
@@ -401,8 +421,14 @@ def _basis_report(n, k, ideal, torsion_free):
         "ideal_rank": ideal.rank,
         "quotient_rank": dim - ideal.rank,
         "torsion_free": torsion_free,
-        "grothendieck": _basis_check(ideal, g_rows, dim, expected),
-        "schubert": _basis_check(ideal, s_rows, dim, expected),
+        "grothendieck": {
+            "certificate": "degree-unitriangular over the Schubert basis",
+            "degree_bound": bounded,
+            "count": len(s_rows),
+            "expected": expected,
+            "basis": schubert["basis"] and bounded,
+        },
+        "schubert": schubert,
     }
     report["basis"] = (report["torsion_free"]
                        and report["quotient_rank"] == expected
@@ -415,17 +441,26 @@ def verify_grothendieck_basis(n, k):
     """Check that the Fubini Grothendieck classes form a Z-basis of
     S_{n,k}/(e_{n-k+1..n}), and likewise the Fubini Schubert classes.
 
-    Returns a report dict; raises BasisFailure if either check fails.
+    Returns a report dict; raises BasisFailure if either check fails.  Its
+    "schubert" part reports the stacked lattice of the Schubert rows on
+    I_e: "stacked_rank", "full_rank", "unimodular", "offending_invariant",
+    "count", "expected" and "basis".  Its "grothendieck" part reports the
+    certificate of ``verify_rings`` that decides the Grothendieck basis from
+    the Schubert one: "certificate" names it, "degree_bound" is its check
+    (no surviving term of G_u below l(u)), and "count", "expected" and
+    "basis" are as for the Schubert part.
     """
     _require_desk_scale(n, k)
     ideal = _elementary_ideal(n, k)
     report = _basis_report(n, k, ideal, ideal.is_torsion_free())
     if not report["basis"]:
-        bad = (report["grothendieck"]["offending_invariant"]
-               or report["schubert"]["offending_invariant"])
+        why = ("offending invariant: %r"
+               % report["schubert"]["offending_invariant"])
+        if not report["grothendieck"]["degree_bound"]:
+            why += "; some G_u has a surviving term below l(u)"
         raise BasisFailure(
-            f"basis verification failed at (n, k) = ({n}, {k}); "
-            f"offending invariant: {bad!r}", report)
+            f"basis verification failed at (n, k) = ({n}, {k}); {why}",
+            report)
     return report
 
 
@@ -459,11 +494,32 @@ def verify_rings(n, k):
     by another route.  The general ``ideals_equal`` stays available as an
     independent oracle.
 
-    The Schubert basis rows are read off the Grothendieck rows, so only
-    Grothendieck polynomials are computed.  The Schubert class of a word is
-    the degree-l(u) part of its Grothendieck class: the lowest-degree part
-    of G_u is S_u, relabelling x by sigma keeps degrees, and the exponent
-    < k filter of S_{n,k} acts term by term.
+    The Schubert basis rows are read off the Grothendieck polynomials, so
+    no Schubert polynomial is computed.  The Schubert class s_w of a word is
+    the degree-l(u) part of its Grothendieck class g_w: the lowest-degree
+    part of G_u is S_u, relabelling x by sigma keeps degrees, and the
+    exponent < k filter of S_{n,k} acts term by term.  The Schubert rows,
+    stacked on I_e, form one lattice; ``schubert_basis`` holds if it is all
+    of Z^{k^n} with unit pivots and there are k^n - rank(I_e) rows.
+
+    ``grothendieck_basis`` needs no lattice of its own.  There is one
+    Grothendieck class per Schubert row, so the Schubert check counts both;
+    the Grothendieck basis holds once the Schubert basis holds and
+
+    (c) no term of any G_u that survives in S_{n,k} has degree < l(u).
+
+    Proof.  I_e is spanned by homogeneous rows, so R = R_{n,k} is the direct
+    sum of its homogeneous parts R_d.  The s_w are homogeneous and form a
+    Z-basis of R, so {s_w : deg s_w = d} is a Z-basis of R_d: write r in
+    R_d in the s_w and keep the degree-d parts.  By (c), g_w = s_w + (parts
+    of degree > l(u)), since relabelling and projection keep the degree of
+    every term.  Each part of degree D > l(u) is a Z-combination of the s_v
+    of degree D.  So, with the words in order of degree, the matrix taking
+    the s_w to the g_w is unitriangular, and the g_w form a Z-basis too.
+
+    If (c) fails, ``grothendieck_basis`` is False and so is ``ok``; as for
+    ``ideal_equal``, it is not decided again by another route.  Stacking
+    the Grothendieck rows on I_e stays the test oracle.
     """
     _require_desk_scale(n, k)
     e_gens = elementary_ideal_generators(n, k)
@@ -471,17 +527,17 @@ def verify_rings(n, k):
     rank, free_report = _rank_report(n, k, ideal)
     equal = _certify_ideal_equal(ideal, e_gens,
                                  grothendieck_ideal_generators(n, k))
-    basis_report = _basis_report(n, k, ideal, free_report["torsion_free"])
-    basis_ok = basis_report["basis"]
+    free = free_report["torsion_free"]
+    basis_report = _basis_report(n, k, ideal, free)
     report = {
         "n": n,
         "k": k,
         "rank": rank,
         "expected": free_report["expected"],
-        "torsion_free": free_report["torsion_free"],
+        "torsion_free": free,
         "ideal_equal": equal,
-        "grothendieck_basis": basis_ok and basis_report["grothendieck"]["basis"],
-        "schubert_basis": basis_ok and basis_report["schubert"]["basis"],
+        "grothendieck_basis": free and basis_report["grothendieck"]["basis"],
+        "schubert_basis": free and basis_report["schubert"]["basis"],
     }
     report["ok"] = (report["rank"] == report["expected"]
                     and report["torsion_free"] and report["ideal_equal"]

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the row recursions.
+"""Brute-force oracles for the row recursions and the ideal rows.
 
 `packed_sum` adds the weights of a list of diagrams one by one, reading each
 diagram's weight and NW cells as ints (`_marks()`); `marks_union` is the OR
@@ -8,13 +8,19 @@ these are their brute-force counterparts over `enumerate_*`.
 `bpd_closure` lists the BPDs of a permutation as the droop (and K-droop)
 closure of its diagram BPD, tracing each one, with no row rule: the
 counterpart of `enumerate_reduced_bpd`/`enumerate_all_bpd`.
+
+`ideal_rows` forms every generator-term times monomial product of an ideal
+of S_{n,k} and drops those with an exponent >= k: the counterpart of the
+box rule of `rings._ideal_rows`.
 """
 
 from math import comb
+from operator import add
 
 from pipedreams.bpd import Bpd, diagram_bpd
 from pipedreams.combinat import Permutation
 from pipedreams.pipedream import EXP_MAX, Poly, _label, k_signed
+from pipedreams.rings import snk_ring
 
 
 def move_closure(start, moves):
@@ -111,3 +117,27 @@ def packed_sum(diagrams, nx, labels=None, ell=None):
             terms[e] = terms.get(e, 0) + a
     Poly.zero(nx)._check_exponents((used,))
     return Poly._of(nx, 0, {e: c for e, c in terms.items() if c})
+
+
+def ideal_rows(n, k, generators):
+    """The sorted distinct rows m * g over every monomial m of S_{n,k} and
+    every generator g, each product formed and looked up term by term."""
+    ring = snk_ring(n, k)
+    index = ring.index
+    rows = set()
+    for g in generators:
+        if g.ring is not ring:
+            raise ValueError("generator does not live in S_{%d,%d}" % (n, k))
+        gitems = [(ring.monomials[i], c) for i, c in g.items()]
+        if not gitems:
+            continue
+        for m in ring.monomials:
+            row = []
+            for exp, coeff in gitems:
+                i = index.get(tuple(map(add, exp, m)))  # None: x_j^k = 0
+                if i is not None:
+                    row.append((i, coeff))
+            if row:
+                row.sort()
+                rows.add(tuple(row))
+    return sorted(rows)

@@ -246,7 +246,7 @@ def test_deep_row_recursion_meets_no_recursion_limit():
     stored = pipedream._ROWS.values()
     info = row_cache_info()
     assert info["diagrams"] == sum(map(_int_words, stored))
-    assert info["diagrams"] <= pipedream.PARENT_CACHE_DIAGRAMS
+    assert info["diagrams"] <= pipedream.MEMO_WEIGHT
     assert info["diagrams"] > 10 * sum(map(len, stored)) and info["evictions"]
     assert _int_words((0, (1 << 63) - 1, 1 << 63, 1 << 200)) == 1 + 1 + 2 + 4
     clear_caches()
@@ -262,7 +262,7 @@ def test_row_memo_holds_at_most_its_bound(monkeypatch):
     assert row_cache_info()["evictions"] == 0
     clear_caches()
     bound = 60
-    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
     for _ in range(2):
         got = []
         for w in perms:
@@ -341,7 +341,7 @@ def test_sum_memo_holds_at_most_its_bound(monkeypatch):
     assert any(not terms for terms, _ in pipedream._SUMS.values())
     clear_caches()
     bound = 60
-    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
     for _ in range(2):
         got = []
         for w in perms:
@@ -380,7 +380,7 @@ def test_sum_memo_weighs_keys_and_unions_by_size():
     info = sum_cache_info()
     assert info["diagrams"] == sum(_int_words((*terms, union))
                                    for terms, union in stored)
-    assert info["diagrams"] <= pipedream.PARENT_CACHE_DIAGRAMS
+    assert info["diagrams"] <= pipedream.MEMO_WEIGHT
     assert info["diagrams"] > 5 * sum(len(terms) + 1 for terms, _ in stored)
     clear_caches()
 

@@ -9,6 +9,7 @@ from pipedreams.combinat import enumerate_fubini, stirling2
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck,
                              grothendieck_of_word, schubert, schubert_of_word)
 from pipedreams.rings import (
+    BasisFailure,
     DeskScaleError,
     IntegerLattice,
     SnkRing,
@@ -157,6 +158,30 @@ def test_ideal_equality_detects_difference():
     assert not ideals_equal(n, k, e3, e2)
 
 
+def test_ideal_rows_match_the_product_oracle():
+    from oracles import ideal_rows
+
+    for n, k in desk_scale_pairs():
+        for gens in (elementary_ideal_generators(n, k),
+                     grothendieck_ideal_generators(n, k)):
+            assert rings._ideal_rows(n, k, gens) == ideal_rows(n, k, gens), (n, k)
+    n, k = 4, 3
+    ring = rings.snk_ring(n, k)
+    # exponents up to k - 1, whose boxes are one wide in that coordinate
+    tall = project_to_snk(Poly(n, 0, {(2, 1, 0, 0): 3, (0, 0, 2, 2): -1,
+                                      (0, 0, 0, 0): 2}), n, k)
+    empty = rings.SnkElement(ring, ())
+    for gens in ([tall], [empty], [empty, tall], []):
+        assert rings._ideal_rows(n, k, gens) == ideal_rows(n, k, gens)
+    assert rings._ideal_rows(n, k, [empty]) == []
+
+
+def test_ideal_rows_refuse_a_generator_of_another_ring():
+    foreign = project_to_snk(Poly.x(1, 3), 3, 2)
+    with pytest.raises(ValueError, match=r"S_\{4,2\}"):
+        coinvariant_ideal_lattice(4, 2, [foreign])
+
+
 def test_scaled_generators_change_the_lattice():
     n, k = 3, 2
     gens = elementary_ideal_generators(n, k)
@@ -227,24 +252,85 @@ def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
 def test_sparse_class_rows_match_dense_classes():
     words = [Word(u, k=3) for u in enumerate_fubini(4, 3)]
     assert len(words) == 36
-    k0_rows, chow_rows = _fubini_class_rows(4, 3)
-    for w, k0, chow in zip(words, k0_rows, chow_rows, strict=True):
-        assert list(k0) == k0_class_of_word(w).items()
+    chow_rows, bounded = _fubini_class_rows(4, 3)
+    assert bounded
+    for w, chow in zip(words, chow_rows, strict=True):
         assert list(chow) == chow_class_of_word(w).items()
 
 
 def test_fubini_class_rows_match_word_polynomials():
-    """The one-pass rows against the word-polynomial oracle, for every
-    Fubini word of every desk-scale (n, k)."""
+    """The one-pass Schubert rows against the word-polynomial oracle, for
+    every Fubini word of every desk-scale (n, k)."""
     total = 0
     for n, k in desk_scale_pairs():
-        g_rows, s_rows = _fubini_class_rows(n, k)
+        s_rows, bounded = _fubini_class_rows(n, k)
+        assert bounded, (n, k)
         words = list(enumerate_fubini(n, k))
-        for w, g_row, s_row in zip(words, g_rows, s_rows, strict=True):
-            assert g_row == _project_row(grothendieck_of_word(w), n, k), w
+        for w, s_row in zip(words, s_rows, strict=True):
             assert s_row == _project_row(schubert_of_word(w), n, k), w
         total += len(words)
     assert total == 12660
+
+
+def test_grothendieck_rows_stack_to_a_basis_oracle():
+    """The oracle of the degree certificate: the Grothendieck rows of the
+    word polynomials, stacked on I_e, span Z^{k^n} with unit pivots for
+    every desk-scale (n, k), and each is its Schubert row plus terms of
+    higher degree."""
+    for n, k in desk_scale_pairs():
+        ideal = coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
+        monomials = rings.snk_ring(n, k).monomials
+        s_rows, _ = _fubini_class_rows(n, k)
+        g_rows = []
+        for w, s_row in zip(enumerate_fubini(n, k), s_rows, strict=True):
+            g_row = _project_row(grothendieck_of_word(w), n, k)
+            low = min((sum(monomials[i]) for i, _ in g_row), default=None)
+            assert tuple(t for t in g_row if sum(monomials[t[0]]) == low) \
+                == s_row, w
+            g_rows.append(g_row)
+        stacked = IntegerLattice(k ** n, ideal._pivot_rows() + tuple(g_rows))
+        assert stacked.rank == k ** n, (n, k)
+        assert set(stacked.pivot_values()) == {1}, (n, k)
+        assert ideal.rank + len(g_rows) == k ** n, (n, k)
+
+
+def _gains_a_constant(monkeypatch, n):
+    """Patch `rings.grothendieck` so that every G_u of S_n other than the
+    identity gains the constant term 1, below its degree l(u)."""
+    real = rings.grothendieck
+
+    def patched(u):
+        g = real(u)
+        if len(u) == n and list(u) != sorted(u):
+            return g + 1
+        return g
+
+    monkeypatch.setattr(rings, "grothendieck", patched)
+
+
+def test_degree_certificate_rejects_a_term_below_the_length(monkeypatch):
+    _gains_a_constant(monkeypatch, 4)
+    rep = verify_rings(4, 3)
+    assert rep["schubert_basis"] and rep["ideal_equal"]
+    assert not rep["grothendieck_basis"] and not rep["ok"]
+    with pytest.raises(BasisFailure, match="below l\\(u\\)") as failure:
+        verify_grothendieck_basis(4, 3)
+    sub = failure.value.report["grothendieck"]
+    assert sub["degree_bound"] is False and sub["basis"] is False
+    assert failure.value.report["schubert"]["basis"]
+
+
+def test_verify_rings_stacks_one_lattice_beside_the_ideal(monkeypatch):
+    builds = []
+
+    class Counting(IntegerLattice):
+        def __init__(self, ncols, sparse_rows):
+            builds.append(ncols)
+            super().__init__(ncols, sparse_rows)
+
+    monkeypatch.setattr(rings, "IntegerLattice", Counting)
+    assert verify_rings(4, 3)["ok"]
+    assert builds == [81, 81]   # I_e, then the Schubert rows stacked on it
 
 
 def test_fubini_class_rows_refuse_variables_beyond_n(monkeypatch):
@@ -297,11 +383,14 @@ def test_verify_grothendieck_basis_report():
     rep = verify_grothendieck_basis(4, 2)
     assert rep["basis"]
     assert rep["expected"] == 14
-    for key in ("grothendieck", "schubert"):
-        sub = rep[key]
-        assert sub["count"] == sub["expected"] == 14
-        assert sub["full_rank"] and sub["unimodular"]
-        assert sub["offending_invariant"] is None
+    sub = rep["schubert"]
+    assert sub["count"] == sub["expected"] == 14
+    assert sub["full_rank"] and sub["unimodular"]
+    assert sub["offending_invariant"] is None
+    sub = rep["grothendieck"]
+    assert sub["count"] == sub["expected"] == 14
+    assert sub["certificate"].startswith("degree-unitriangular")
+    assert sub["degree_bound"] and sub["basis"]
 
 
 def test_fubini_classes_are_independent_in_quotient():

@@ -161,7 +161,7 @@ def test_memo_holds_at_most_its_bound(cold, monkeypatch):
     assert row_cache_info()["evictions"] == 0
     cold()
     bound = 8
-    monkeypatch.setattr(pipedream, "PARENT_CACHE_DIAGRAMS", bound)
+    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
     too_big = 0
     for word, expected in zip(words, unbounded):
         lists = word_outputs(word)[0]
