@@ -98,5 +98,5 @@ def clear_caches():
     elements built before the call unequal to, and not addable to, those
     built after it."""
     poly.clear_caches()
-    pipedream._clear_memos()
-    bpd._clear_memos()
+    for memo in (pipedream._ROWS, pipedream._SUMS, bpd._ROWS):
+        memo.clear()

@@ -46,7 +46,7 @@ class IntegerLattice:
     __slots__ = ("ncols", "_piv", "_canonical")
 
     #: Read by the layer tracer in ``perfbench``; delete it when the benchmark
-    #: drops its kernel metrics (ROADMAP item 2).
+    #: drops its kernel metrics (ROADMAP item 1).
     kernel_name = "pure"
 
     def __init__(self, ncols, sparse_rows):

@@ -528,10 +528,6 @@ def bpd_row_cache_info():
     return _ROWS.info()
 
 
-def _clear_memos():
-    _ROWS.clear()
-
-
 def _row_scans(s):
     """Every row that the labelled state s (a label per column, 0 for no
     pipe) scans to by the module's tile table: (label sent east, next state

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from ._lattice_py import rank_mod_p
-from .combinat import Word
+from .combinat import Permutation, Word, convex_standardization
 
 
 class ReductionError(ValueError):
@@ -332,7 +332,8 @@ def cell_dimension_report(word, p=1009, samples=120, seed=0):
         raise ValueError("samples must be >= 0, got %d" % samples)
     pm = PatternMatrix(word)
     stars = pm.star_count()
-    ell = word.convexify().standardize().inversions()
+    u, _ = convex_standardization(word.letters, word.k)
+    ell = Permutation(u).inversions()
     n, k = word.n, word.k
     kn_minus_length = k * n - ell
     cell_dimension = n * (k - 1) - ell

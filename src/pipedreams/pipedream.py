@@ -87,8 +87,8 @@ row r carrying x_{sigma(r)} for sigma the associated permutation of w: see
 `WordDiagram` and its families `WordPipeDream` and `bpd.WordBpd`.  The
 views call the module-global enumeration of u on each call.  A word sum
 is its family's sum of u, checked once against the rectangle on the
-union, signed, and relabelled: `restrict_arity(n)`, then `permute_x` by
-sigma.  It builds no view and lists no diagram.
+union, signed, and relabelled by `poly._word_poly` as every word
+polynomial is.  It builds no view and lists no diagram.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ import json
 from collections import OrderedDict
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
-from .poly import EXP_MAX, Poly
+from .poly import EXP_MAX, Poly, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
 
@@ -502,11 +502,6 @@ def sum_cache_info():
     return _SUMS.info()
 
 
-def _clear_memos():
-    _ROWS.clear()
-    _SUMS.clear()
-
-
 # -- construction and enumeration ---------------------------------------------
 
 
@@ -730,6 +725,7 @@ def _sum_poly(found, nx, negate=False):
 def word_row_labels(word):
     """Row r of a word diagram carries the variable x_{sigma(r)}, where
     sigma matches positions of convexify(word) to positions of word."""
+    word = word if isinstance(word, Word) else Word(word)
     _, sigma = convex_standardization(word.letters, word.k)
     return tuple(p + 1 for p in sigma)
 
@@ -919,18 +915,19 @@ def pd_grothendieck(w, double=False):
 
 def _word_sum(family, word, reduced):
     """The (K-)single weight sum of `family`'s word diagrams of `word`,
-    with no view built: the family's sum of u = std(conv(word)), one
-    rectangle check on its union, the K sign of u, and row r relabelled to
-    x_{sigma(r)+1} in word.n variables."""
+    with no view built: `_word_poly` of the family's sum of u, checked once
+    against the rectangle on its union and given the K sign of u."""
     word = word if isinstance(word, Word) else Word(word)
-    u, sigma = convex_standardization(word.letters, word.k)
-    found = family._sums(u, reduced)
-    bad = _outside(found[1], word.n, word.k, len(u))
-    if bad:
-        raise _rectangle_violation(bad, word.n, word.k)
-    negate = not reduced and Permutation(u).inversions() % 2
-    return (_sum_poly(found, len(u), negate).restrict_arity(word.n)
-            .permute_x([p + 1 for p in sigma]))
+
+    def base(u):
+        found = family._sums(u, reduced)
+        bad = _outside(found[1], word.n, word.k, len(u))
+        if bad:
+            raise _rectangle_violation(bad, word.n, word.k)
+        negate = not reduced and Permutation(u).inversions() % 2
+        return _sum_poly(found, len(u), negate)
+
+    return _word_poly(word, base)
 
 
 def word_pd_schubert(word):

@@ -48,9 +48,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from types import MappingProxyType
 
-from .combinat import Permutation, Word, json_fields
+from .combinat import Permutation, Word, convex_standardization, json_fields
 
 EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
 
@@ -315,20 +316,25 @@ class Poly:
                          for e, c in self.terms.items()})
 
     def permute_x(self, pi):
-        """Substitute x_i := x_{pi(i)} for a permutation pi of [nx]."""
-        if isinstance(pi, Permutation):
-            pi = pi.extend(self.nx)
-        else:
-            pi = Permutation(pi).extend(self.nx)
-        n = self.nx + self.ny
-        src = list(range(n))    # the new byte j is the old byte src[j]
-        for i in range(self.nx):
-            src[pi(i + 1) - 1] = i
-        t = {}
-        for e, c in self.terms.items():
-            b = e.to_bytes(n, "little")
-            t[int.from_bytes(bytes(map(b.__getitem__, src)), "little")] = c
-        return Poly._of(self.nx, self.ny, t)
+        """Substitute x_i := x_{pi(i)} for a permutation pi of [m], m <= nx."""
+        pi = pi if isinstance(pi, Permutation) else Permutation(pi)
+        if pi.n > self.nx:
+            raise ValueError("permute_x: a permutation of %d letters, but "
+                             "nx = %d" % (pi.n, self.nx))
+        return self._relabel(self.nx, [p - 1 for p in pi.one_line])
+
+    def _relabel(self, nx, pos):
+        """x_(j+1) := x_(pos[j]+1) for pos a permutation of range(m), in nx
+        x variables and the y block after x_nx; no x beyond nx may occur."""
+        src = list(range(nx))       # the new byte i is the old byte src[i]
+        for j, p in enumerate(pos):
+            src[p] = j
+        # a zero byte read on top, picked twice, keeps pick's result a tuple
+        width = self.nx + self.ny
+        pick = itemgetter(*src, *range(self.nx, width), width, width)
+        return Poly._of(nx, self.ny, {
+            int.from_bytes(pick(e.to_bytes(width + 1, "little")), "little"): c
+            for e, c in self.terms.items()})
 
     # -- divided differences -----------------------------------------------
 
@@ -625,18 +631,22 @@ def grothendieck_double(w):
     return _schub_like(w, "Gd")
 
 
-def _word_poly(word, base):
-    word = word if isinstance(word, Word) else Word(word)
-    u = word.convexify().standardize()
-    f = base(u)
+def _within_word(f, n):
+    """f, once checked to use no x beyond x_n, the length of its word."""
     used = f.max_x_index_used()
-    if used > word.n:
+    if used > n:
         raise AssertionError(
             "standardized polynomial uses x_%d beyond word length %d"
-            % (used, word.n))
-    f = f.restrict_arity(word.n)
-    sigma = word.associated_permutation()
-    return f.permute_x(sigma)
+            % (used, n))
+    return f
+
+
+def _word_poly(word, base):
+    """base(u) in word.n x variables with x_i := x_{sigma(i)}, for (u,
+    sigma) = `convex_standardization` of the word, u a one-line tuple."""
+    word = word if isinstance(word, Word) else Word(word)
+    u, sigma = convex_standardization(word.letters, word.k)
+    return _within_word(base(u), word.n)._relabel(word.n, sigma)
 
 
 def schubert_of_word(word):

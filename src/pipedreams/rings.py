@@ -54,8 +54,8 @@ from operator import mul
 from ._lattice_py import IntegerLattice
 from .combinat import (Permutation, Word, convex_standardization,
                        fubini_count, fubini_letters)
-from .poly import (elementary_symmetric, grassmannian_cycle, grothendieck,
-                   grothendieck_of_word, schubert_of_word)
+from .poly import (_within_word, elementary_symmetric, grassmannian_cycle,
+                   grothendieck, grothendieck_of_word, schubert_of_word)
 
 #: Largest monomial-basis size the verification routines will attempt.
 DESK_CEILING = 5000
@@ -349,11 +349,7 @@ def _surviving_terms(u, n, k):
     degree below l(u).  A term survives when every exponent is < k."""
     length = Permutation(u).inversions()
     lowest, below = [], False
-    for exp, coeff in grothendieck(u).items():
-        if any(exp[n:]):
-            raise AssertionError(
-                "standardized polynomial uses x_%d beyond word length %d"
-                % (max(i + 1 for i, e in enumerate(exp) if e), n))
+    for exp, coeff in _within_word(grothendieck(u), n).items():
         exp = exp[:n]
         if max(exp) < k:
             degree = sum(exp)

@@ -246,6 +246,8 @@ def test_word_row_labels():
     assert word_row_labels(Word("2442343", 4)) == (1, 4, 2, 3, 6, 5, 7)
     # a permutation word keeps the identity labeling
     assert word_row_labels(Word("231", 3)) == (1, 2, 3)
+    # a string is read as a word, as by every other word function
+    assert word_row_labels("21231") == (1, 3, 2, 5, 4)
 
 
 def test_word_pd_count_21231():

@@ -97,6 +97,8 @@ def test_permute_x_relabels_variables():
     f = monomial(3, (1, 2, 0))
     sigma = Permutation("231")  # x1 -> x2, x2 -> x3, x3 -> x1
     assert f.permute_x(sigma) == monomial(3, (0, 1, 2))
+    with pytest.raises(ValueError, match="3 letters, but nx = 2"):
+        Poly(2, 0, {(1, 0): 1}).permute_x((1, 3, 2))
 
 
 def test_swap_x_is_transposition():
@@ -384,15 +386,31 @@ def test_grothendieck_of_word_21231_golden():
     assert f == want
 
 
+def _oracle_words(fubini):
+    """Every word in [k]^n with n, k <= 4 and the criterion-7 word, or only
+    the Fubini words among them."""
+    for n, k in itertools.product(range(5), repeat=2):
+        for letters in itertools.product(range(1, k + 1), repeat=n):
+            word = Word(letters, k)
+            if word.is_fubini() or not fubini:
+                yield word
+    if not fubini:
+        yield Word("2442343", 4)
+
+
 def test_word_polynomial_variable_substitution():
-    # the word polynomial is the standardized permutation's polynomial with
-    # x_i sent to x_{sigma(i)}
-    for text, k in (("21231", 3), ("1121", 2), ("1211", 2), ("2442343", 4)):
-        word = Word(text, k)
-        sigma = word.associated_permutation()
-        u = word.convexify().standardize()
-        f = schubert(u).restrict_arity(sigma.n).permute_x(sigma)
-        assert f == schubert_of_word(word).restrict_arity(sigma.n)
+    # the word polynomial is the standardized convexification's polynomial
+    # with x_i sent to x_{sigma(i)}, here through the `Word` methods
+    for base, of_word, fubini in (
+            (schubert, schubert_of_word, False),
+            (grothendieck, grothendieck_of_word, False),
+            (schubert_double, schubert_double_of_word, True),
+            (grothendieck_double, grothendieck_double_of_word, True)):
+        for word in _oracle_words(fubini):
+            u = word.convexify().standardize()
+            expected = (base(u).restrict_arity(word.n)
+                        .permute_x(word.associated_permutation()))
+            assert of_word(word) == expected, (of_word.__name__, word)
 
 
 def test_word_double_polynomials_specialize():

@@ -279,3 +279,32 @@ def test_word_sums_at_n6_equal_the_word_polynomials(cold):
         assert word_pd_schubert(word) == s == word_bpd_schubert(word), word
         assert (word_pd_grothendieck(word) == g
                 == word_bpd_grothendieck(word)), word
+
+
+def test_no_word_path_calls_the_word_methods(cold, monkeypatch):
+    # every word object is built from `convex_standardization`; the three
+    # `Word` methods that spell the same (u, sigma) are test oracles only
+    from pipedreams import (cell_dimension_report, chow_class_of_word,
+                            grothendieck_of_word, k0_class_of_word,
+                            schubert_of_word, verify_rings,
+                            word_bpd_grothendieck, word_bpd_schubert,
+                            word_pd_grothendieck, word_pd_schubert)
+    from pipedreams.poly import (grothendieck_double_of_word,
+                                 schubert_double_of_word)
+
+    def refuse(self, *args):
+        raise AssertionError("a production path called a Word oracle")
+
+    for name in ("convexify", "standardize", "associated_permutation"):
+        monkeypatch.setattr(Word, name, refuse)
+    for word in (Word("21231", 3), Word("2132", 3), "1121"):
+        for f in (schubert_of_word, grothendieck_of_word,
+                  schubert_double_of_word, grothendieck_double_of_word,
+                  k0_class_of_word, chow_class_of_word,
+                  word_pd_schubert, word_pd_grothendieck,
+                  word_bpd_schubert, word_bpd_grothendieck):
+            f(word)
+        for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
+            enumerate_word(word, reduced=False)
+    assert cell_dimension_report(Word("2442343", 4))["cell_dimension"] == 9
+    assert verify_rings(4, 3)["ok"]
