@@ -128,10 +128,10 @@ from math import comb
 
 from .combinat import Permutation, json_fields
 from .pipedream import (
+    MEMO_WEIGHT,
     RectangularityViolation,
     WordDiagram,
     _cells_of,
-    _Memo,
     _sum_by_rows,
     _sum_poly,
     _transfer,
@@ -141,7 +141,7 @@ from .pipedream import (
     weight_sum,
 )
 from .pipedream import _ROWS as _LISTS
-from .poly import EXP_MAX
+from .poly import EXP_MAX, _Memo
 
 
 class Tile(IntEnum):
@@ -205,7 +205,7 @@ class Bpd:
         digits = "%0*o" % (N * N, code)
         B = object.__new__(cls)
         B._set(tuple(tuple(_TILE_OF_DIGIT[d] for d in digits[i:i + N])
-                     for i in range(0, N * N, N)))
+                     for i in range(0, N * N, N or 1)))     # N = 0: no rows
         return B
 
     def _set(self, tiles):
@@ -519,7 +519,7 @@ def _enumerate(w, reduced):
 # -- sums by rows -----------------------------------------------------------------
 
 # The rows of each labelled state, per state (see `_row_scans`).
-_ROWS = _Memo(len)
+_ROWS = _Memo(len, MEMO_WEIGHT)
 
 
 def bpd_row_cache_info():

@@ -184,25 +184,21 @@ def _cmd_verify_rings(args):
 
 def _identity_failures_for(n, include_heavy):
     """Check the generating-function identities over S_n; returns failures."""
+    checks = (("pd-schubert", pd_schubert, schubert, schubert_double),
+              ("pd-grothendieck", pd_grothendieck, grothendieck,
+               grothendieck_double),
+              ("bpd-schubert", bpd_schubert, schubert, schubert_double),
+              ("bpd-grothendieck", bpd_grothendieck, grothendieck,
+               grothendieck_double))
     failures = []
     for w in all_permutations(n):
-        if pd_schubert(w) != schubert(w).restrict_arity(n):
-            failures.append("pd-schubert %s" % w)
-        if pd_grothendieck(w) != grothendieck(w).restrict_arity(n):
-            failures.append("pd-grothendieck %s" % w)
-        if bpd_schubert(w) != schubert(w).restrict_arity(n):
-            failures.append("bpd-schubert %s" % w)
-        if bpd_grothendieck(w) != grothendieck(w).restrict_arity(n):
-            failures.append("bpd-grothendieck %s" % w)
+        table = [(label, diagram_sum(w), single(w).restrict_arity(n))
+                 for label, diagram_sum, single, _ in checks]
         if include_heavy:
-            if pd_schubert(w, double=True) != schubert_double(w):
-                failures.append("pd-schubert-double %s" % w)
-            if pd_grothendieck(w, double=True) != grothendieck_double(w):
-                failures.append("pd-grothendieck-double %s" % w)
-            if bpd_schubert(w, double=True) != schubert_double(w):
-                failures.append("bpd-schubert-double %s" % w)
-            if bpd_grothendieck(w, double=True) != grothendieck_double(w):
-                failures.append("bpd-grothendieck-double %s" % w)
+            table += [(label + "-double", diagram_sum(w, double=True),
+                       double(w)) for label, diagram_sum, _, double in checks]
+        failures += ["%s %s" % (label, w) for label, diagram_sum, recursion
+                     in table if diagram_sum != recursion]
     return failures
 
 

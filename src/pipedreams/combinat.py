@@ -168,7 +168,7 @@ class Permutation:
         ol = list(self.one_line)
         while len(ol) > 1 and ol[-1] == len(ol):
             ol.pop()
-        return Permutation(ol)
+        return Permutation(ol or (1,))
 
     def stable_eq(self, other):
         """Equality up to trailing fixed points."""

@@ -60,12 +60,13 @@ sets that occur are sorted, and no diagram gets a sort key.
 One engine, two memos.  `_transfer` evaluates every graph of rows: the
 pipe dream lists (the blocks above) and sums, and the BPD lists and sums
 of `bpd`.  It keeps each node's value, the root's too, per ((family,
-reduced, stride N), node), least recently used evicted first, at most
-MEMO_WEIGHT in weight per memo: lists of ints in `_ROWS` and
-(terms, union) sums in `_SUMS`, both weighed by `_int_words`; a heavier
-value is returned unstored.  The 720 permutations of S_6 share nearly all
-their rows below the first this way.  See `row_cache_info()` and
-`sum_cache_info()`; `pipedreams.clear_caches()` empties both.
+reduced, stride N), node), in a `poly._Memo` as the polynomial cache does:
+least recently used evicted first, at most MEMO_WEIGHT in weight per memo,
+lists of ints in `_ROWS` and (terms, union) sums in `_SUMS`, both weighed
+by `_int_words`; a heavier value is returned unstored.  The 720
+permutations of S_6 share nearly all their rows below the first this way.
+See `row_cache_info()` and `sum_cache_info()`; `pipedreams.clear_caches()`
+empties both, and the polynomial cache.
 
 Sums by rows.  The single and K-single sums list no diagram.  The same
 first-row split gives, for x the inverse of w,
@@ -94,10 +95,9 @@ polynomial is.  It builds no view and lists no diagram.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 
 from .combinat import Permutation, Word, convex_standardization, json_fields
-from .poly import EXP_MAX, Poly, _word_poly
+from .poly import EXP_MAX, Poly, _Memo, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
 
@@ -427,53 +427,10 @@ weight_sum = Poly.sum_of
 
 # -- memos ------------------------------------------------------------------------
 
-# The weight each `_Memo` holds at most: in `_ROWS` the ints of the diagram
+# The weight each row memo holds at most: in `_ROWS` the ints of the diagram
 # lists and in `_SUMS` the term keys and unions of the sums, both weighed by
 # `_int_words`; in the BPD row memo (`bpd._ROWS`) the rows it holds.
 MEMO_WEIGHT = 20_000
-
-
-class _Memo(OrderedDict):
-    """Tuples by key, least recently used first, weighing at most
-    MEMO_WEIGHT in all, a tuple weighing `weigh(tuple)`; a tuple
-    heavier than that is not stored.  `info()` gives its entries, the
-    weight they hold ("diagrams"), and its hits, misses and evictions since
-    the last `clear()`."""
-
-    def __init__(self, weigh):
-        super().__init__()
-        self.weigh = weigh
-        self.stats = dict.fromkeys(("diagrams", "hits", "misses",
-                                    "evictions"), 0)
-
-    def info(self):
-        return {"entries": len(self), **self.stats}
-
-    def clear(self):
-        super().clear()
-        self.stats.update(dict.fromkeys(self.stats, 0))
-
-    def lookup(self, key):
-        """The stored tuple of `key`, or None (a miss)."""
-        found = self.get(key)
-        if found is None:
-            self.stats["misses"] += 1
-        else:
-            self.move_to_end(key)
-            self.stats["hits"] += 1
-        return found
-
-    def store(self, key, found):
-        """Store the tuple `found` under `key` if it fits; return it."""
-        stats, weight = self.stats, self.weigh(found)
-        if weight <= MEMO_WEIGHT:
-            self[key] = found
-            stats["diagrams"] += weight
-            while stats["diagrams"] > MEMO_WEIGHT:
-                _, old = self.popitem(last=False)
-                stats["diagrams"] -= self.weigh(old)
-                stats["evictions"] += 1
-        return found
 
 
 def _int_words(ints):
@@ -484,8 +441,8 @@ def _int_words(ints):
 
 
 # `_transfer`'s lists of ints and (terms, union) sums, per (tag, node).
-_ROWS = _Memo(_int_words)
-_SUMS = _Memo(lambda found: _int_words((*found[0], found[1])))
+_ROWS = _Memo(_int_words, MEMO_WEIGHT)
+_SUMS = _Memo(lambda found: _int_words((*found[0], found[1])), MEMO_WEIGHT)
 
 
 def row_cache_info():
@@ -542,11 +499,12 @@ def _enumerate(w, reduced):
 
 
 def _trimmed(t):
-    """The one-line sequence t as a tuple without trailing fixed points."""
+    """The one-line sequence t as a tuple without trailing fixed points; an
+    identity, the empty one too, trims to (1,)."""
     n = len(t)
     while n > 1 and t[n - 1] == n:
         n -= 1
-    return tuple(t[:n])
+    return tuple(t[:n]) or (1,)
 
 
 def _first_row_blocks(X, rows, done, reduced, N):
@@ -732,6 +690,8 @@ def word_row_labels(word):
 
 def _outside(bits, n, k, N):
     """The cells of `bits`, row stride N, beyond row n or column k, sorted."""
+    if not N:
+        return []       # a diagram of size 0 has no cells
     inside = ((1 << min(k, N)) - 1) * (((1 << n * N) - 1) // ((1 << N) - 1))
     return _cells_of(bits & ~inside, N)
 

@@ -14,10 +14,14 @@ Multiplying monomials adds their keys.  Two exponents <= 127 add up to at
 most 254, which may set the guard bit but never carries into the next
 byte, so a product tests the guard bits of its keys once and raises a
 ValueError naming the variable whose exponent passed EXP_MAX.  The divided
-differences never raise an exponent and skip that test.  Only this module
-reads keys: `Poly(nx, ny, {exponent tuple: c})`, `coefficient`,
-`items()` and the text and JSON forms speak exponent tuples.  A term dict
-holds only ints, so the cyclic garbage collector never walks it.
+differences never raise an exponent and skip that test.  Outside this
+module only the sums by rows build keys: `pipedream._pd_sums` moves the
+rows below the first down a row as `key << 8`, `bpd._bpd_sums` writes a
+row's exponent as `(b + j) << field`, and `pipedream._sum_poly` takes
+their term dicts as they are.  `Poly(nx, ny, {exponent tuple: c})`,
+`coefficient`, `items()` and the text and JSON forms speak exponent
+tuples.  A term dict holds only ints, so the cyclic garbage collector never
+walks it.
 
 The divided difference uses the telescoping identity
 
@@ -38,16 +42,19 @@ term's key xored with a mask that depends on (p, q) alone.  A kernel call
 works the masks out once per (p, q) it meets; a term then costs a shift, a
 mask and one int xor per monomial.
 
-Computed polynomials are cached per (one-line tuple, kind), least recently
-used first, with at most CACHE_TERMS terms in all; the longest elements w0,
-where every recursion starts, are never evicted.  See `cache_info()`.
+Computed polynomials are cached per (one-line tuple, kind) in `_CACHE`, a
+`_Memo` as every memo of the package is: least recently used first, at most
+CACHE_TERMS terms in all.  The longest elements w0, where every climb ends,
+are kept whatever their size and never evicted; any other polynomial of
+more than CACHE_TERMS terms is not stored.  See `cache_info()`.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, filterfalse
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -509,25 +516,73 @@ def elementary_symmetric(j, m, nx=None, ny=0):
                              for comb in combinations(range(m), j)})
 
 
+# -- memos --------------------------------------------------------------------
+
+
+class _Memo(OrderedDict):
+    """Values by key, least recently used first, weighing at most `bound`
+    in all, a value weighing `weigh(value)`; a value heavier than that is
+    not stored, unless `keep(key)`: a kept key is stored whatever its weight
+    and never evicted.  `info()` gives its entries, the weight they hold
+    (under the name `unit`), and its hits, misses and evictions since the
+    last `clear()`."""
+
+    def __init__(self, weigh, bound, unit="diagrams", keep=lambda key: False):
+        super().__init__()
+        self.weigh, self.bound, self.unit, self.keep = weigh, bound, unit, keep
+        self.stats = dict.fromkeys((unit, "hits", "misses", "evictions"), 0)
+
+    def info(self):
+        return {"entries": len(self), **self.stats}
+
+    def clear(self):
+        super().clear()
+        self.stats.update(dict.fromkeys(self.stats, 0))
+
+    def lookup(self, key):
+        """The stored value of `key`, or None (a miss)."""
+        found = self.get(key)
+        if found is None:
+            self.stats["misses"] += 1
+        else:
+            self.move_to_end(key)
+            self.stats["hits"] += 1
+        return found
+
+    def store(self, key, found):
+        """Store the value `found` under `key` if it fits or is kept, then
+        evict the least recently used keys not kept while the weight passes
+        the bound; return `found`."""
+        stats, unit, weight = self.stats, self.unit, self.weigh(found)
+        if weight <= self.bound or self.keep(key):
+            self[key] = found
+            stats[unit] += weight
+            while stats[unit] > self.bound:
+                old = next(filterfalse(self.keep, self), None)
+                if old is None:
+                    break
+                stats[unit] -= self.weigh(self.pop(old))
+                stats["evictions"] += 1
+        return found
+
+
 # -- Schubert / Grothendieck --------------------------------------------------
 
-# The cached polynomials per (one-line tuple, kind), least recently used
-# first, as a use re-inserts its key; at most CACHE_TERMS terms in all, the
-# tops w0 never evicted.
+# The computed polynomials per (one-line tuple, kind), at most CACHE_TERMS
+# terms in all, unless the tops w0, which it keeps, hold more.
 CACHE_TERMS = 6_000_000
-_CACHE = {}
-_CACHE_STATS = dict.fromkeys(("terms", "hits", "misses", "evictions"), 0)
+_CACHE = _Memo(lambda p: len(p.terms), CACHE_TERMS, "terms",
+               lambda key: key[0] == tuple(range(len(key[0]), 0, -1)))
 
 
 def cache_info():
     """The polynomial cache: its entries and their terms, and its hits,
     misses and evictions since the last `clear_caches()`."""
-    return {"entries": len(_CACHE), **_CACHE_STATS}
+    return _CACHE.info()
 
 
 def clear_caches():
     _CACHE.clear()
-    _CACHE_STATS.update(dict.fromkeys(_CACHE_STATS, 0))
 
 
 def _staircase(n, nx, ny, double, k_theory):
@@ -550,13 +605,9 @@ def _staircase(n, nx, ny, double, k_theory):
 def _schub_like(w, kind):
     """kind in {'S','G','Sd','Gd'}; returns the cached polynomial for w."""
     w = w if isinstance(w, Permutation) else Permutation(w)
-    key = (w.one_line, kind)
-    hit = _CACHE.pop(key, None)
+    hit = _CACHE.lookup((w.one_line, kind))
     if hit is not None:
-        _CACHE[key] = hit
-        _CACHE_STATS["hits"] += 1
         return hit
-    _CACHE_STATS["misses"] += 1
     n = w.n
     double = kind.endswith("d")
     k_theory = kind.startswith("G")
@@ -574,12 +625,12 @@ def _schub_like(w, kind):
         path.append(i)
         v = v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
         keys.append(v)
-    cur = _CACHE.pop((v, kind), None)
+    cur = _CACHE.get((v, kind))
     if cur is None:
-        cur = _staircase(n, n, n if double else 0, double, k_theory)
-        _cache_put((v, kind), cur)
+        cur = _cache_put((v, kind), _staircase(n, n, n if double else 0,
+                                               double, k_theory))
     else:
-        _CACHE[v, kind] = cur
+        _CACHE.move_to_end((v, kind))       # a use, not counted as a hit
     for idx in range(len(path) - 1, -1, -1):
         i = path[idx]
         cur = (cur.isobaric_divided_difference(i) if k_theory
@@ -590,17 +641,9 @@ def _schub_like(w, kind):
 
 def _cache_put(key, poly):
     """Cache a polynomial with read-only terms, as every caller shares it;
-    then evict the least recently used entries past CACHE_TERMS terms."""
+    return it."""
     poly.terms = MappingProxyType(poly.terms)
-    _CACHE[key] = poly
-    _CACHE_STATS["terms"] += len(poly.terms)
-    while _CACHE_STATS["terms"] > CACHE_TERMS:
-        old = next((k for k in _CACHE
-                    if k[0] != tuple(range(len(k[0]), 0, -1))), None)
-        if old is None:
-            break
-        _CACHE_STATS["terms"] -= len(_CACHE.pop(old).terms)
-        _CACHE_STATS["evictions"] += 1
+    return _CACHE.store(key, poly)
 
 
 def schubert(w):

@@ -191,7 +191,7 @@ def test_enumeration_equals_the_droop_closure():
 
 
 def test_every_enumerated_grid_is_a_bpd_of_w():
-    for n in range(1, 6):
+    for n in range(0, 6):
         for w in all_permutations(n):
             reduced = set(enumerate_reduced_bpd(w))
             for B in enumerate_all_bpd(w):
@@ -311,21 +311,21 @@ def test_k_weight_sign_alternates_by_degree():
 
 
 def test_bpd_schubert_matches_recursion():
-    for n in (2, 3, 4, 5):
+    for n in (0, 2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert bpd_schubert(w) == schubert(w).restrict_arity(n)
 
 
 def test_bpd_grothendieck_matches_recursion():
-    for n in (2, 3, 4, 5):
+    for n in (0, 2, 3, 4, 5):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert bpd_grothendieck(w) == grothendieck(w).restrict_arity(n)
 
 
 def test_bpd_double_sums_match_recursion():
-    for p in itertools.permutations(range(1, 4)):
+    for p in [(), *itertools.permutations(range(1, 4))]:
         w = Permutation(p)
         assert bpd_schubert(w, double=True) == schubert_double(w)
         assert bpd_grothendieck(w, double=True) == grothendieck_double(w)
@@ -614,7 +614,7 @@ def test_bpd_row_sums_equal_the_sums_over_the_closure():
     from pipedreams.bpd import _bpd_sums
     from pipedreams.pipedream import _sum_poly
 
-    for n in range(1, 6):
+    for n in range(0, 6):
         for w in all_permutations(n):
             ell = w.inversions()
             for reduced in (True, False):

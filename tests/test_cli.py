@@ -187,6 +187,24 @@ def test_verify_identities_runs_the_single_bpd_sums_at_every_size(capsys):
     assert [s["bpd_and_double"] for s in sizes] == [True] * 4 + [False]
 
 
+def test_verify_identities_names_each_failing_sum_in_order(capsys,
+                                                           monkeypatch):
+    from pipedreams import cli
+
+    # a sum that equals no polynomial fails every identity it enters
+    for name in ("pd_schubert", "pd_grothendieck", "bpd_schubert",
+                 "bpd_grothendieck"):
+        monkeypatch.setattr(cli, name, lambda w, double=False: None)
+    rc, out, _ = run(capsys, "verify", "identities", "--n", "2")
+    assert rc == 1
+    sizes = json.loads(out.strip().splitlines()[-1])["sizes"]
+    labels = ["pd-schubert", "pd-grothendieck", "bpd-schubert",
+              "bpd-grothendieck"]
+    assert sizes[1]["failures"] == [
+        "%s %s" % (label, w) for w in ("12", "21")
+        for label in labels + [label + "-double" for label in labels]]
+
+
 # -- matrix commands ---------------------------------------------------------
 
 

@@ -187,14 +187,14 @@ def test_chute_closure_reaches_every_reduced_pd():
 
 
 def test_pd_schubert_matches_recursion():
-    for n in (2, 3, 4):
+    for n in (0, 2, 3, 4):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert pd_schubert(w) == schubert(w).restrict_arity(n)
 
 
 def test_pd_grothendieck_matches_recursion():
-    for n in (2, 3, 4):
+    for n in (0, 2, 3, 4):
         for p in itertools.permutations(range(1, n + 1)):
             w = Permutation(p)
             assert pd_grothendieck(w) == grothendieck(w).restrict_arity(n)
@@ -203,7 +203,7 @@ def test_pd_grothendieck_matches_recursion():
 def test_pd_double_sums_match_recursion():
     from pipedreams.poly import grothendieck_double, schubert_double
 
-    for p in itertools.permutations(range(1, 5)):
+    for p in [(), *itertools.permutations(range(1, 5))]:
         w = Permutation(p)
         assert pd_schubert(w, double=True) == schubert_double(w)
         assert pd_grothendieck(w, double=True) == grothendieck_double(w)

@@ -262,7 +262,7 @@ def test_row_memo_holds_at_most_its_bound(monkeypatch):
     assert row_cache_info()["evictions"] == 0
     clear_caches()
     bound = 60
-    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
+    monkeypatch.setattr(pipedream._ROWS, "bound", bound)
     for _ in range(2):
         got = []
         for w in perms:
@@ -303,7 +303,7 @@ def test_row_sums_equal_the_sums_over_the_enumeration():
     # listed diagrams, and its union against the OR of their crosses
     from pipedreams.pipedream import _pd_sums, _sum_poly
 
-    for n in range(1, 7):
+    for n in range(0, 7):
         for w in all_permutations(n):
             ell = w.inversions()
             for reduced, enumerate_ in ((True, enumerate_reduced),
@@ -341,7 +341,8 @@ def test_sum_memo_holds_at_most_its_bound(monkeypatch):
     assert any(not terms for terms, _ in pipedream._SUMS.values())
     clear_caches()
     bound = 60
-    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
+    for memo in (pipedream._SUMS, bpd._ROWS):
+        monkeypatch.setattr(memo, "bound", bound)
     for _ in range(2):
         got = []
         for w in perms:

@@ -586,7 +586,7 @@ def test_a_bounded_cache_gives_the_unbounded_results(monkeypatch):
     want = [f(w) for f, w in calls]
     assert cache_info()["evictions"] == 0
     bound = 500
-    monkeypatch.setattr(poly, "CACHE_TERMS", bound)
+    monkeypatch.setattr(_CACHE, "bound", bound)
     pipedreams.clear_caches()
     assert cache_info() == dict.fromkeys(
         ("entries", "terms", "hits", "misses", "evictions"), 0)
@@ -599,6 +599,20 @@ def test_a_bounded_cache_gives_the_unbounded_results(monkeypatch):
             if ol == tuple(range(len(ol), 0, -1))}
     assert {kind for _, kind in tops} == {"S", "G", "Sd", "Gd"}
     assert info["terms"] <= bound or set(_CACHE) == tops, info
+    clear_caches()
+
+
+def test_a_polynomial_past_the_bound_is_not_stored(monkeypatch):
+    # G of 15432 has 28 terms; its climb 51432, 54132, 54312, 54321 holds 14
+    clear_caches()
+    want = grothendieck("15432")
+    clear_caches()
+    grothendieck("51432")
+    stored = dict(_CACHE)
+    monkeypatch.setattr(_CACHE, "bound", cache_info()["terms"])
+    assert grothendieck("15432") == want and len(want.terms) > _CACHE.bound
+    assert dict(_CACHE) == stored and cache_info()["evictions"] == 0
+    assert ((5, 1, 4, 3, 2), "G") in stored
     clear_caches()
 
 

@@ -161,7 +161,7 @@ def test_memo_holds_at_most_its_bound(cold, monkeypatch):
     assert row_cache_info()["evictions"] == 0
     cold()
     bound = 8
-    monkeypatch.setattr(pipedream, "MEMO_WEIGHT", bound)
+    monkeypatch.setattr(pipedream._ROWS, "bound", bound)
     too_big = 0
     for word, expected in zip(words, unbounded):
         lists = word_outputs(word)[0]
@@ -203,11 +203,29 @@ def test_a_permutation_is_its_own_fubini_word():
              (word_pd_grothendieck, pd_grothendieck),
              (word_bpd_schubert, bpd_schubert),
              (word_bpd_grothendieck, bpd_grothendieck))
-    for n in range(1, 6):
+    for n in range(0, 6):
         for w in all_permutations(n):
             word = Word(w.one_line, n)
             for of_word, of_permutation in pairs:
                 assert of_word(word) == of_permutation(w), (w, of_word)
+
+
+def test_the_empty_inputs_have_one_empty_diagram():
+    # S_0 and the word () in [0]^0: every list holds one diagram with no
+    # cell, on no row, weighing 1 (the sums are checked with the n > 0 ones)
+    from pipedreams import (Permutation, Poly, enumerate_reduced,
+                            enumerate_reduced_bpd)
+
+    e, word = Permutation(()), Word((), 0)
+    for enumerate_ in (enumerate_reduced, enumerate_all,
+                       enumerate_reduced_bpd, enumerate_all_bpd):
+        D, = enumerate_(e)
+        assert D.N == 0 and D._marks() == (0, 0), enumerate_
+    for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
+        for reduced in (True, False):
+            W, = enumerate_word(word, reduced=reduced)
+            assert (W.n, W.k, W.labels, W.excess) == (0, 0, (), 0)
+            assert W.weight("K-single") == Poly.const(1, 0)
 
 
 def test_word_sums_check_the_rectangle_on_every_parent(cold):
