@@ -288,6 +288,21 @@ def rank_mod_p(rows, ncols, p):
     return len(piv)
 
 
+def _smallest_to_corner(a, t, m, n):
+    """Swap a nonzero entry of least magnitude in the trailing block
+    a[t:m][t:n], the first in row-major order, to (t, t); False if the block
+    is zero."""
+    best = min(((abs(a[i][j]), i, j) for i in range(t, m)
+                for j in range(t, n) if a[i][j]), default=None)
+    if best is None:
+        return False
+    _, i, j = best
+    a[t], a[i] = a[i], a[t]
+    for r in a:
+        r[t], r[j] = r[j], r[t]
+    return True
+
+
 def snf_invariants_dense(mat):
     """Smith invariant factors d1 | d2 | ... of a dense integer matrix.
 
@@ -301,20 +316,7 @@ def snf_invariants_dense(mat):
         raise ValueError("ragged matrix")
     out = []
     t = 0
-    while t < m and t < n:
-        # locate a nonzero entry of least magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = a[i][j]
-                if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for r in a:
-            r[t], r[bj] = r[bj], r[t]
+    while t < m and t < n and _smallest_to_corner(a, t, m, n):
         while True:
             clean = True
             for i in range(t + 1, m):
@@ -332,16 +334,7 @@ def snf_invariants_dense(mat):
                     clean = False
             if not clean:
                 # remainders left behind are smaller than the corner; re-pivot
-                best = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        v = a[i][j]
-                        if v and (best is None or abs(v) < abs(a[best[0]][best[1]])):
-                            best = (i, j)
-                bi, bj = best
-                a[t], a[bi] = a[bi], a[t]
-                for r in a:
-                    r[t], r[bj] = r[bj], r[t]
+                _smallest_to_corner(a, t, m, n)
                 continue
             d = a[t][t]
             offender = None

@@ -126,7 +126,7 @@ import json
 from enum import IntEnum
 from math import comb
 
-from .combinat import Permutation, json_fields
+from .combinat import Frozen, Permutation, json_fields
 from .pipedream import (
     MEMO_WEIGHT,
     RectangularityViolation,
@@ -187,37 +187,26 @@ def _cells(tiles, kind):
             for c, t in enumerate(row, start=1) if t is kind]
 
 
-class Bpd:
+class Bpd(Frozen):
     """An immutable N x N grid of tiles."""
 
-    __slots__ = ("tiles", "N", "_marked")
+    _fields = ("tiles", "N")
+    __slots__ = _fields + ("_marked",)
 
-    def __init__(self, tiles):
+    def __new__(cls, tiles):
         tiles = tuple(tuple(Tile(t) for t in row) for row in tiles)
         if any(len(row) != len(tiles) for row in tiles):
             raise ValueError("tile grid must be square")
-        self._set(tiles)
+        return cls._of(tiles, len(tiles))
 
     @classmethod
     def _of_code(cls, code, N):
         """The BPD of size N whose `code_string` is the int `code` written
         in N*N octal digits, unchecked."""
         digits = "%0*o" % (N * N, code)
-        B = object.__new__(cls)
-        B._set(tuple(tuple(_TILE_OF_DIGIT[d] for d in digits[i:i + N])
-                     for i in range(0, N * N, N or 1)))     # N = 0: no rows
-        return B
-
-    def _set(self, tiles):
-        object.__setattr__(self, "tiles", tiles)
-        object.__setattr__(self, "N", len(tiles))
-        object.__setattr__(self, "_marked", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bpd is immutable")
-
-    def __reduce__(self):
-        return Bpd, (self.tiles,)
+        return cls._of(tuple(tuple(_TILE_OF_DIGIT[d] for d in digits[i:i + N])
+                             for i in range(0, N * N, N or 1)),  # N = 0: no rows
+                       N)
 
     def __eq__(self, other):
         if isinstance(other, Bpd):
@@ -340,7 +329,9 @@ class Bpd:
     def _marks(self):
         """The blanks and the NW elbows as two ints, the cell (r, c) at bit
         (r-1)*N + c-1, read in one pass over the tiles on first use."""
-        if self._marked is None:
+        try:
+            return self._marked
+        except AttributeError:
             blank = nw = 0
             bit = 1
             for row in self.tiles:
@@ -350,8 +341,7 @@ class Bpd:
                     elif t is Tile.NW:
                         nw |= bit
                     bit <<= 1
-            object.__setattr__(self, "_marked", (blank, nw))
-        return self._marked
+            return self._fill("_marked", (blank, nw))
 
     def blanks(self):
         return _cells_of(self._marks()[0], self.N)

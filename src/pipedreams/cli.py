@@ -158,15 +158,7 @@ def _cmd_diagrams(args, bumpless):
 def _cmd_verify_rings(args):
     if (args.n is None) != (args.k is None):
         raise ValueError("--n and --k go together")
-    if args.n is not None:
-        pairs = [(args.n, args.k)]
-        if args.n > VERIFY_N_CAP and not args.force:
-            raise ValueError(
-                "n = %d exceeds the default cap %d; pass --force"
-                % (args.n, VERIFY_N_CAP))
-    else:
-        pairs = [(n, k) for (n, k) in desk_scale_pairs()
-                 if n <= VERIFY_N_CAP or args.force]
+    pairs = desk_scale_pairs() if args.n is None else [(args.n, args.k)]
     reports = []
     ok = True
     for (n, k) in pairs:
@@ -383,8 +375,6 @@ def _build_parser():
     pr = vsub.add_parser("rings", help="quotient-ring verification")
     pr.add_argument("--n", type=int, default=None)
     pr.add_argument("--k", type=int, default=None)
-    pr.add_argument("--force", action="store_true",
-                    help="lift the n <= %d cap" % VERIFY_N_CAP)
     add_format(pr)
     pr.set_defaults(handler=_cmd_verify_rings)
     pi = vsub.add_parser("identities", help="generating-function identities")

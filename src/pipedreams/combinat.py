@@ -8,7 +8,8 @@ Conventions used throughout the package:
 * a word is *Fubini* if every letter of [k] occurs at least once.
 
 Both :class:`Permutation` and :class:`Word` are immutable and hashable, so
-they can key memoization tables.
+they can key memoization tables.  Every value class of the package derives
+from :class:`Frozen`, which refuses attribute writes and deletions.
 """
 
 from __future__ import annotations
@@ -47,7 +48,45 @@ def seq_to_string(seq):
     return ",".join(str(v) for v in seq)
 
 
-class Permutation:
+_new, _setattr = object.__new__, object.__setattr__
+
+
+class Frozen:
+    """The immutability of the package's values, which its caches share with
+    every caller.  A subclass names its state in `_fields` and lists them
+    in `__slots__`, with any lazy slot after them.  `_of(*fields)` builds a
+    value unchecked and is the only writer of fields; pickling and copying
+    rebuild a value from its fields through `_of`.  A lazy slot stays unset
+    until `_fill` writes it on first use, and is never pickled.  Writing or
+    deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields = ()
+
+    @classmethod
+    def _of(cls, *values):
+        """The value whose `_fields` are `values`, unchecked."""
+        obj = _new(cls)
+        for name, value in zip(cls._fields, values):
+            _setattr(obj, name, value)
+        return obj
+
+    def _fill(self, name, value):
+        """Write the lazy slot `name` once; return `value`."""
+        _setattr(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return self._of, tuple(getattr(self, name) for name in self._fields)
+
+
+class Permutation(Frozen):
     """A permutation of {1, ..., n} in one-line notation.
 
     >>> w = Permutation("24153")
@@ -59,19 +98,13 @@ class Permutation:
     (1, 2, 0, 1, 0)
     """
 
-    __slots__ = ("one_line",)
+    __slots__ = _fields = ("one_line",)
 
-    def __init__(self, one_line):
+    def __new__(cls, one_line):
         ol = _parse_one_line(one_line)
         if sorted(ol) != list(range(1, len(ol) + 1)):
             raise ValueError("not a permutation of 1..n: %r" % (one_line,))
-        object.__setattr__(self, "one_line", ol)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return Permutation, (self.one_line,)
+        return cls._of(ol)
 
     @property
     def n(self):
@@ -194,7 +227,7 @@ class Permutation:
         return cls(tuple(range(n, 0, -1)))
 
 
-class Word:
+class Word(Frozen):
     """A word w in [k]^n.
 
     The alphabet size k is part of the data (a word may fail to use its
@@ -211,22 +244,15 @@ class Word:
     '24153'
     """
 
-    __slots__ = ("letters", "k")
+    __slots__ = _fields = ("letters", "k")
 
-    def __init__(self, letters, k=None):
+    def __new__(cls, letters, k=None):
         ls = _parse_one_line(letters)
         if k is None:
             k = max(ls) if ls else 0
         if any(not 1 <= v <= k for v in ls):
             raise ValueError("letters must lie in 1..%d: %r" % (k, letters))
-        object.__setattr__(self, "letters", ls)
-        object.__setattr__(self, "k", int(k))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Word is immutable")
-
-    def __reduce__(self):
-        return Word, (self.letters, self.k)
+        return cls._of(ls, int(k))
 
     @property
     def n(self):

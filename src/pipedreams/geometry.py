@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from ._lattice_py import rank_mod_p
-from .combinat import Permutation, Word, convex_standardization
+from .combinat import Frozen, Permutation, Word, convex_standardization
 
 
 class ReductionError(ValueError):
@@ -140,12 +140,12 @@ def random_diagonal(n, rng, p=None):
 # -- pattern matrices ---------------------------------------------------------------
 
 
-class PatternMatrix:
+class PatternMatrix(Frozen):
     """The k x n {0, 1, *} pattern of a word's canonical matrix forms."""
 
-    __slots__ = ("word", "rows")
+    __slots__ = _fields = ("word", "rows")
 
-    def __init__(self, word):
+    def __new__(cls, word):
         word = word if isinstance(word, Word) else Word(word)
         k, n = word.k, word.n
         first = {a: word.first_occurrence(a) for a in range(1, k + 1)}
@@ -164,11 +164,7 @@ class PatternMatrix:
                         rows[i - 1][j - 1] = "*"
                 elif fi < first[a]:
                     rows[i - 1][j - 1] = "*"
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "rows", _freeze(rows))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PatternMatrix is immutable")
+        return cls._of(word, _freeze(rows))
 
     @property
     def k(self):

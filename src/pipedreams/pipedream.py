@@ -96,7 +96,8 @@ from __future__ import annotations
 
 import json
 
-from .combinat import Permutation, Word, convex_standardization, json_fields
+from .combinat import (Frozen, Permutation, Word, convex_standardization,
+                       json_fields)
 from .poly import EXP_MAX, Poly, _Memo, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -181,47 +182,30 @@ def _chute_children(bits, N, slide, copy):
     return out
 
 
-class PipeDream:
+class PipeDream(Frozen):
     """An immutable set of crosses in the staircase of size N, held as one
     int `bits`: the cross (r, c) is bit (r-1)*N + (c-1)."""
 
-    __slots__ = ("bits", "N", "_crosses")
+    _fields = ("bits", "N")
+    __slots__ = _fields + ("_crosses",)
 
-    def __init__(self, crosses, N):
+    def __new__(cls, crosses, N):
         N = int(N)
         bits = 0
         for r, c in crosses:
             r, c = int(r), int(c)
             _check_in_staircase((r, c), N)
             bits |= 1 << (r - 1) * N + c - 1
-        self._set(bits, N)
-
-    @classmethod
-    def _of(cls, bits, N):
-        """The pipe dream of size N whose crosses are `bits`, unchecked."""
-        P = object.__new__(cls)
-        P._set(bits, N)
-        return P
-
-    def _set(self, bits, N):
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "_crosses", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PipeDream is immutable")
-
-    def __reduce__(self):
-        return PipeDream._of, (self.bits, self.N)
+        return cls._of(bits, N)
 
     @property
     def crosses(self):
         """The crosses as a frozenset of (row, column) cells, built on first
         use."""
-        if self._crosses is None:
-            object.__setattr__(self, "_crosses",
-                               frozenset(_cells_of(self.bits, self.N)))
-        return self._crosses
+        try:
+            return self._crosses
+        except AttributeError:
+            return self._fill("_crosses", frozenset(_cells_of(self.bits, self.N)))
 
     def __eq__(self, other):
         if isinstance(other, PipeDream):
@@ -711,7 +695,7 @@ def _word_parents(family, word, reduced):
             family._diagrams(u, reduced))
 
 
-class WordDiagram:
+class WordDiagram(Frozen):
     """A parent diagram of u = std(conv(word)) viewed on the word's n x k
     rectangle, row r carrying x_{labels[r-1]}.  The constructor checks that
     every weight cell and NW cell (the parent's `_marks()`) lies inside;
@@ -720,29 +704,14 @@ class WordDiagram:
     (terms, union) by rows, for the word sums), `_glyph`, `_json_cells`,
     `_field` and `_signed` (K weights carry (-1)^excess)."""
 
-    __slots__ = ("diagram", "n", "k", "labels", "excess")
+    __slots__ = _fields = ("diagram", "n", "k", "labels", "excess")
     _signed = False
 
-    def __init__(self, diagram, n, k, labels, length):
-        size, bad = self._fit(diagram, n, k)
+    def __new__(cls, diagram, n, k, labels, length):
+        size, bad = cls._fit(diagram, n, k)
         if bad:
             raise _rectangle_violation(bad, n, k)
-        self._set(diagram, int(n), int(k), tuple(labels), size - length)
-
-    def _set(self, *values):
-        for name, value in zip(WordDiagram.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, *values):
-        """The view with these slot values, unchecked."""
-        V = object.__new__(cls)
-        V._set(*values)
-        return V
-
-    def __reduce__(self):
-        return type(self)._of, tuple(getattr(self, name)
-                                     for name in WordDiagram.__slots__)
+        return cls._of(diagram, int(n), int(k), tuple(labels), size - length)
 
     @staticmethod
     def _fit(D, n, k):
@@ -750,9 +719,6 @@ class WordDiagram:
         beyond row n or column k, sorted."""
         cells, nw = D._marks()
         return cells.bit_count(), _outside(cells | nw, n, k, D.N)
-
-    def __setattr__(self, *a):
-        raise AttributeError("%s is immutable" % type(self).__name__)
 
     def _key(self):
         return (getattr(self, self._field), self.n, self.k, self.labels,
@@ -789,10 +755,17 @@ class WordDiagram:
     def _truncate(cls, D, word, w=None):
         """View a diagram D of w = standardize(convexify(word)) on the word's
         rectangle (w defaults to D's traced permutation).  Raises
-        RectangularityViolation if a weight cell lies outside."""
+        RectangularityViolation if a weight cell lies outside, then a
+        ValueError naming both if w is not std(conv(word)) up to trailing
+        fixed points."""
         word = word if isinstance(word, Word) else Word(word)
-        u = w or D.permutation()
-        return cls(D, word.n, word.k, word_row_labels(word), u.inversions())
+        w = w or D.permutation()
+        view = cls(D, word.n, word.k, word_row_labels(word), w.inversions())
+        u = Permutation(convex_standardization(word.letters, word.k)[0])
+        if not w.stable_eq(u):
+            raise ValueError("the diagram is of %s, not of std(conv(%s)) = %s"
+                             % (w, word, u))
+        return view
 
     @classmethod
     def _enumerate(cls, word, reduced):

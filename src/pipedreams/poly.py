@@ -42,11 +42,16 @@ term's key xored with a mask that depends on (p, q) alone.  A kernel call
 works the masks out once per (p, q) it meets; a term then costs a shift, a
 mask and one int xor per monomial.
 
-Computed polynomials are cached per (one-line tuple, kind) in `_CACHE`, a
-`_Memo` as every memo of the package is: least recently used first, at most
-CACHE_TERMS terms in all.  The longest elements w0, where every climb ends,
-are kept whatever their size and never evicted; any other polynomial of
-more than CACHE_TERMS terms is not stored.  See `cache_info()`.
+A `Poly` is immutable: as every value class, it derives from
+`combinat.Frozen`, so writing or deleting its attributes raises.  Computed
+polynomials are cached per (one-line tuple, kind) in `_CACHE`, a `_Memo` as
+every memo of the package is, and the cache hands every caller the same
+object, its terms a read-only view; pickling copies them out into a dict.
+The cache is least recently used first and holds at most CACHE_TERMS terms
+besides the longest elements w0, where every climb ends: those are kept
+whatever their size, never evicted and not counted against the bound.  Any
+other polynomial of more than CACHE_TERMS terms is not stored.  See
+`cache_info()`.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from itertools import combinations, filterfalse
 from operator import itemgetter
 from types import MappingProxyType
 
-from .combinat import Permutation, Word, convex_standardization, json_fields
+from .combinat import (Frozen, Permutation, Word, _new, _setattr,
+                       convex_standardization, json_fields)
 
 EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
 
@@ -74,28 +80,31 @@ def _variable(v, nx):
     return "x%d" % (v + 1) if v < nx else "y%d" % (v - nx + 1)
 
 
-class Poly:
-    """Sparse exact polynomial, hashable and immutable by convention."""
+class Poly(Frozen):
+    """Sparse exact polynomial, hashable and immutable."""
 
-    __slots__ = ("nx", "ny", "terms")
+    __slots__ = _fields = ("nx", "ny", "terms")
 
-    def __init__(self, nx, ny=0, terms=None):
-        self.nx = nx
-        self.ny = ny
-        packed = {}
+    def __new__(cls, nx, ny=0, terms=None):
+        p = cls._of(nx, ny, {})
         if terms:
+            packed = {}
             for exp, c in terms.items():
                 if c:
-                    key = self._key(exp)
+                    key = p._key(exp)
                     packed[key] = packed.get(key, 0) + c
-        self.terms = {e: c for e, c in packed.items() if c}
+            p = cls._of(nx, ny, {e: c for e, c in packed.items() if c})
+        return p
 
     @classmethod
     def _of(cls, nx, ny, terms):
         """The polynomial whose term dict is `terms`, packed keys and nonzero
-        coefficients, taken as it is."""
-        p = object.__new__(cls)
-        p.nx, p.ny, p.terms = nx, ny, terms
+        coefficients, taken as it is.  Every arithmetic result comes here,
+        so it writes its three fields directly, not through `Frozen._of`."""
+        p = _new(cls)
+        _setattr(p, "nx", nx)
+        _setattr(p, "ny", ny)
+        _setattr(p, "terms", terms)
         return p
 
     def __reduce__(self):
@@ -233,6 +242,9 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("a Poly power needs an int exponent >= 0, not %r"
+                             % (k,))
         out = Poly.const(1, self.nx, self.ny)
         base = self
         while k:
@@ -520,17 +532,19 @@ def elementary_symmetric(j, m, nx=None, ny=0):
 
 
 class _Memo(OrderedDict):
-    """Values by key, least recently used first, weighing at most `bound`
-    in all, a value weighing `weigh(value)`; a value heavier than that is
-    not stored, unless `keep(key)`: a kept key is stored whatever its weight
-    and never evicted.  `info()` gives its entries, the weight they hold
-    (under the name `unit`), and its hits, misses and evictions since the
-    last `clear()`."""
+    """Values by key, least recently used first, a value weighing
+    `weigh(value)`.  The keys not kept weigh at most `bound` in all, and a
+    value heavier than that is not stored, unless `keep(key)`: a kept key
+    is stored whatever its weight, never evicted, and not counted against
+    the bound.  `info()` gives its entries, the weight they all hold (under
+    the name `unit`), and its hits, misses and evictions since the last
+    `clear()`."""
 
     def __init__(self, weigh, bound, unit="diagrams", keep=lambda key: False):
         super().__init__()
         self.weigh, self.bound, self.unit, self.keep = weigh, bound, unit, keep
         self.stats = dict.fromkeys((unit, "hits", "misses", "evictions"), 0)
+        self.kept = 0               # the weight of the kept keys
 
     def info(self):
         return {"entries": len(self), **self.stats}
@@ -538,6 +552,7 @@ class _Memo(OrderedDict):
     def clear(self):
         super().clear()
         self.stats.update(dict.fromkeys(self.stats, 0))
+        self.kept = 0
 
     def lookup(self, key):
         """The stored value of `key`, or None (a miss)."""
@@ -551,13 +566,16 @@ class _Memo(OrderedDict):
 
     def store(self, key, found):
         """Store the value `found` under `key` if it fits or is kept, then
-        evict the least recently used keys not kept while the weight passes
-        the bound; return `found`."""
+        evict the least recently used keys not kept while their weight
+        passes the bound; return `found`."""
         stats, unit, weight = self.stats, self.unit, self.weigh(found)
-        if weight <= self.bound or self.keep(key):
+        kept = self.keep(key)
+        if weight <= self.bound or kept:
             self[key] = found
             stats[unit] += weight
-            while stats[unit] > self.bound:
+            if kept:
+                self.kept += weight
+            while stats[unit] - self.kept > self.bound:
                 old = next(filterfalse(self.keep, self), None)
                 if old is None:
                     break
@@ -568,8 +586,8 @@ class _Memo(OrderedDict):
 
 # -- Schubert / Grothendieck --------------------------------------------------
 
-# The computed polynomials per (one-line tuple, kind), at most CACHE_TERMS
-# terms in all, unless the tops w0, which it keeps, hold more.
+# The computed polynomials per (one-line tuple, kind): the tops w0, which it
+# keeps, and at most CACHE_TERMS terms besides.
 CACHE_TERMS = 6_000_000
 _CACHE = _Memo(lambda p: len(p.terms), CACHE_TERMS, "terms",
                lambda key: key[0] == tuple(range(len(key[0]), 0, -1)))
@@ -635,15 +653,15 @@ def _schub_like(w, kind):
         i = path[idx]
         cur = (cur.isobaric_divided_difference(i) if k_theory
                else cur.divided_difference(i))
-        _cache_put((keys[idx], kind), cur)
+        cur = _cache_put((keys[idx], kind), cur)
     return cur
 
 
 def _cache_put(key, poly):
-    """Cache a polynomial with read-only terms, as every caller shares it;
-    return it."""
-    poly.terms = MappingProxyType(poly.terms)
-    return _CACHE.store(key, poly)
+    """Cache a copy of a polynomial whose terms are a read-only view, as
+    every caller shares it; return the copy."""
+    return _CACHE.store(key, Poly._of(poly.nx, poly.ny,
+                                      MappingProxyType(poly.terms)))
 
 
 def schubert(w):

@@ -5,7 +5,8 @@ the special Grothendieck classes, and the fact that the Grothendieck (and
 Schubert) classes of Fubini words form a Z-basis of the quotient.
 
 The monomials of S_{n,k} are the k^n exponent vectors in [0, k-1]^n, ordered
-lexicographically (``SnkRing``, refused past ``DESK_CEILING``).  An element
+lexicographically (``SnkRing``: one read-only table per (n, k), shared through
+``snk_ring`` and refused past ``DESK_CEILING``).  An element
 (``SnkElement``) is sparse: its ring plus the sorted (monomial index,
 coefficient) pairs of its nonzero terms, with only the linear operations the
 verification needs (+, -, negation, integer scaling).
@@ -50,9 +51,10 @@ import itertools
 from collections import defaultdict
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 
 from ._lattice_py import IntegerLattice
-from .combinat import (Permutation, Word, convex_standardization,
+from .combinat import (Frozen, Permutation, Word, convex_standardization,
                        fubini_count, fubini_letters)
 from .poly import (_within_word, elementary_symmetric, grassmannian_cycle,
                    grothendieck, grothendieck_of_word, schubert_of_word)
@@ -93,38 +95,41 @@ def snk_ring(n, k):
     return SnkRing(n, k)
 
 
-class SnkRing:
-    """The monomial basis of S_{n,k}: exponent vectors in [0,k-1]^n, lex order.
+class SnkRing(Frozen):
+    """The monomial basis of S_{n,k}: exponent vectors in [0,k-1]^n, lex order,
+    as the tuple `monomials` and its read-only inverse `index`.
 
     The table holds all k^n monomials, so it is refused past ``DESK_CEILING``.
+    ``snk_ring`` shares one table per (n, k), and pickling goes through it.
     """
 
-    __slots__ = ("n", "k", "dim", "monomials", "index")
+    __slots__ = _fields = ("n", "k", "dim", "monomials", "index")
 
-    def __init__(self, n, k):
-        self.dim = k ** n
-        if self.dim > DESK_CEILING:
+    def __new__(cls, n, k):
+        dim = k ** n
+        if dim > DESK_CEILING:
             raise DeskScaleError(
-                f"monomial basis size k^n = {self.dim} exceeds the desk-scale "
+                f"monomial basis size k^n = {dim} exceeds the desk-scale "
                 f"ceiling of {DESK_CEILING}; refusing (n, k) = ({n}, {k})")
-        self.n = n
-        self.k = k
-        self.monomials = list(itertools.product(range(k), repeat=n))
-        self.index = {m: i for i, m in enumerate(self.monomials)}
+        monomials = tuple(itertools.product(range(k), repeat=n))
+        return cls._of(n, k, dim, monomials, MappingProxyType(
+            {m: i for i, m in enumerate(monomials)}))
+
+    def __reduce__(self):
+        return snk_ring, (self.n, self.k)
 
     def __repr__(self):
         return f"SnkRing(n={self.n}, k={self.k})"
 
 
-class SnkElement:
+class SnkElement(Frozen):
     """An element of S_{n,k}: its ring and the sorted sparse tuple of
     (monomial index, nonzero coefficient) pairs."""
 
-    __slots__ = ("ring", "_items")
+    __slots__ = _fields = ("ring", "_items")
 
-    def __init__(self, ring, items):
-        self.ring = ring
-        self._items = tuple(items)
+    def __new__(cls, ring, items):
+        return cls._of(ring, tuple(items))
 
     def items(self):
         return list(self._items)
@@ -541,13 +546,13 @@ def verify_rings(n, k):
     return report
 
 
-def desk_scale_pairs(ceiling=DESK_CEILING, n_max=12):
-    """All (n, k) with 1 <= k <= n <= n_max and k^n <= ceiling.
+def desk_scale_pairs():
+    """All (n, k) with 1 <= k <= n <= 12 and k^n <= DESK_CEILING.
 
-    The n_max cap exists because the k = 1 column is otherwise unbounded
+    The n <= 12 cap exists because the k = 1 column is otherwise unbounded
     (1^n = 1 for every n); for k >= 2 the ceiling itself forces n <= 12.
     """
     return [(n, k)
-            for n in range(1, n_max + 1)
+            for n in range(1, 13)
             for k in range(1, n + 1)
-            if k ** n <= ceiling]
+            if k ** n <= DESK_CEILING]

@@ -405,6 +405,12 @@ def test_word_truncation_rejects_cells_outside_rectangle():
         truncate_to_word_bpd(B, Word("12", 2))
 
 
+def test_word_truncation_rejects_a_bpd_of_another_permutation():
+    B = diagram_bpd(Permutation("21"))
+    with pytest.raises(ValueError, match=r"of 21, not of std\(conv\(12\)\) = 12"):
+        truncate_to_word_bpd(B, Word("12", 2))
+
+
 def test_blank_rectangularity_no_violations_small_words():
     from pipedreams.combinat import enumerate_fubini
 

@@ -159,10 +159,19 @@ def test_verify_rings_needs_both_sizes(capsys):
     assert "--n and --k go together" in err
 
 
-def test_verify_rings_cap(capsys):
-    rc, _, err = run(capsys, "verify", "rings", "--n", "7", "--k", "2")
+def test_verify_rings_runs_every_desk_scale_pair(capsys):
+    rc, out, _ = run(capsys, "verify", "rings")
+    assert rc == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert [(p["n"], p["k"]) for p in summary["pairs"]] == (
+        pipedreams.rings.desk_scale_pairs())
+    assert len(summary["pairs"]) == 32 and summary["ok"] is True
+
+
+def test_verify_rings_refuses_a_pair_past_the_ceiling(capsys):
+    rc, _, err = run(capsys, "verify", "rings", "--n", "7", "--k", "4")
     assert rc == 2
-    assert "--force" in err
+    assert "k^n = 16384" in err and "(n, k) = (7, 4)" in err
 
 
 def test_verify_identities(capsys):

@@ -314,6 +314,17 @@ def test_truncation_rejects_crosses_outside_rectangle():
         truncate_to_word(P, Word("12", 2))
 
 
+def test_truncation_rejects_a_diagram_of_another_permutation():
+    # the cross (1, 1) is a pipe dream of 21, and std(conv(12)) is 12
+    with pytest.raises(ValueError, match=r"of 21, not of std\(conv\(12\)\) = 12"):
+        truncate_to_word(PipeDream([(1, 1)], 2), Word("12", 2))
+    P = enumerate_reduced(Permutation("2413"))[0]
+    with pytest.raises(ValueError, match=r"of 2143, not .* = 2413"):
+        truncate_to_word(P, Word("2413", 4), Permutation("2143"))
+    # equal up to trailing fixed points: 1 is std(conv(12)) trimmed
+    assert truncate_to_word(PipeDream([], 2), Word("12", 2)).excess == 0
+
+
 def test_rectangularity_no_violations_small_words():
     for n in range(1, 5):
         for k in range(1, n + 1):

@@ -206,9 +206,9 @@ def test_word_rectangle_check_names_the_sorted_cells():
     with pytest.raises(RectangularityViolation,
                        match=r"2 x 2 rectangle: \[\(1, 3\), \(3, 1\)\]"):
         truncate_to_word(P, Word("12", 2), Permutation("1"))
-    # a staircase smaller than the rectangle: every cross lies inside
-    inside = PipeDream([(1, 1), (1, 2), (2, 1)], 3)
-    W = truncate_to_word(inside, Word("3121", 3), Permutation("321"))
+    # a staircase no wider than the rectangle: every cross lies inside
+    inside = PipeDream([(1, 1), (1, 2), (3, 1)], 4)
+    W = truncate_to_word(inside, Word("3121", 3), Permutation("3142"))
     assert W.excess == 0 and W.crosses is inside.crosses
 
 
