@@ -92,10 +92,6 @@ def clear_caches():
     the diagram lists of pipe dreams and BPDs, which the word views read too
     (`row_cache_info()`), the memo of the sums by rows (`sum_cache_info()`),
     and the BPD row memo of labelled states (`bpd_row_cache_info()`).
-
-    The monomial tables of `rings.snk_ring` are kept on purpose: an
-    `SnkElement` compares rings by identity, so a new table would make the
-    elements built before the call unequal to, and not addable to, those
-    built after it."""
+    These are all the caches the package has."""
     for memo in (poly._CACHE, pipedream._ROWS, pipedream._SUMS, bpd._ROWS):
         memo.clear()

@@ -196,13 +196,9 @@ class IntegerLattice:
     def __eq__(self, other):
         if not isinstance(other, IntegerLattice):
             return NotImplemented
-        if self.ncols != other.ncols:
-            return False
-        # pivot columns and values are lattice invariants: cheap reject
-        if self.pivot_items() != other.pivot_items():
-            return False
-        return (all(other.contains_row(r) for r in self._pivot_rows())
-                and all(self.contains_row(r) for r in other._pivot_rows()))
+        # the canonical HNF of a lattice is unique
+        return (self.ncols == other.ncols
+                and self.canonical_rows() == other.canonical_rows())
 
     __hash__ = None
 

@@ -126,7 +126,7 @@ import json
 from enum import IntEnum
 from math import comb
 
-from .combinat import Frozen, Permutation, json_fields
+from .combinat import Frozen, Permutation, checked_int, json_fields
 from .pipedream import (
     MEMO_WEIGHT,
     RectangularityViolation,
@@ -207,14 +207,6 @@ class Bpd(Frozen):
         return cls._of(tuple(tuple(_TILE_OF_DIGIT[d] for d in digits[i:i + N])
                              for i in range(0, N * N, N or 1)),  # N = 0: no rows
                        N)
-
-    def __eq__(self, other):
-        if isinstance(other, Bpd):
-            return self.tiles == other.tiles
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.tiles)
 
     def tile(self, r, c):
         return self.tiles[r - 1][c - 1]
@@ -448,7 +440,7 @@ class Bpd(Frozen):
     @classmethod
     def from_json(cls, text):
         tiles, n = json_fields(text, "BPD", "tiles", "n")
-        if n != len(tiles):
+        if checked_int("BPD", "n", n, 0) != len(tiles):
             raise ValueError("BPD JSON has n = %r but len(tiles) = %d"
                              % (n, len(tiles)))
         for r, row in enumerate(tiles, 1):

@@ -31,14 +31,23 @@ def json_fields(text, kind, *names):
     return [d[name] for name in names]
 
 
-def _parse_one_line(data):
+def checked_int(kind, name, value, low=None):
+    """`value` if it is an int (a bool is not one) and at least `low`; else
+    a ValueError naming the field `name` of a `kind` and the value."""
+    if type(value) is not int or low is not None and value < low:
+        raise ValueError("%s %s: %r is not an int%s" % (
+            kind, name, value, "" if low is None else " >= %d" % low))
+    return value
+
+
+def _parse_one_line(data, kind, name):
     """Accept an int-sequence, a digit string, or a comma-separated string."""
     if isinstance(data, str):
         s = data.strip()
         if "," in s:
             return tuple(int(t) for t in s.split(","))
         return tuple(int(ch) for ch in s)
-    return tuple(int(v) for v in data)
+    return tuple(checked_int(kind, name, v) for v in data)
 
 
 def seq_to_string(seq):
@@ -58,7 +67,8 @@ class Frozen:
     value unchecked and is the only writer of fields; pickling and copying
     rebuild a value from its fields through `_of`.  A lazy slot stays unset
     until `_fill` writes it on first use, and is never pickled.  Writing or
-    deleting an attribute raises AttributeError."""
+    deleting an attribute raises AttributeError.  Two values are equal when
+    they are of one type and their fields are equal, and hash alike then."""
 
     __slots__ = ()
     _fields = ()
@@ -82,8 +92,19 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
     def __reduce__(self):
-        return self._of, tuple(getattr(self, name) for name in self._fields)
+        return self._of, self._values()
 
 
 class Permutation(Frozen):
@@ -101,7 +122,7 @@ class Permutation(Frozen):
     __slots__ = _fields = ("one_line",)
 
     def __new__(cls, one_line):
-        ol = _parse_one_line(one_line)
+        ol = _parse_one_line(one_line, "permutation", "one_line")
         if sorted(ol) != list(range(1, len(ol) + 1)):
             raise ValueError("not a permutation of 1..n: %r" % (one_line,))
         return cls._of(ol)
@@ -115,14 +136,6 @@ class Permutation(Frozen):
 
     def __len__(self):
         return len(self.one_line)
-
-    def __eq__(self, other):
-        if isinstance(other, Permutation):
-            return self.one_line == other.one_line
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.one_line)
 
     def __repr__(self):
         return "Permutation(%r)" % (seq_to_string(self.one_line),)
@@ -247,12 +260,13 @@ class Word(Frozen):
     __slots__ = _fields = ("letters", "k")
 
     def __new__(cls, letters, k=None):
-        ls = _parse_one_line(letters)
+        ls = _parse_one_line(letters, "word", "letters")
         if k is None:
             k = max(ls) if ls else 0
+        checked_int("word", "k", k, 0)
         if any(not 1 <= v <= k for v in ls):
             raise ValueError("letters must lie in 1..%d: %r" % (k, letters))
-        return cls._of(ls, int(k))
+        return cls._of(ls, k)
 
     @property
     def n(self):
@@ -266,14 +280,6 @@ class Word(Frozen):
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __eq__(self, other):
-        if isinstance(other, Word):
-            return self.letters == other.letters and self.k == other.k
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters, self.k))
 
     def __repr__(self):
         return "Word(%r, k=%d)" % (seq_to_string(self.letters), self.k)

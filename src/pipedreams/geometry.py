@@ -178,14 +178,6 @@ class PatternMatrix(Frozen):
         i, j = ij
         return self.rows[i - 1][j - 1]
 
-    def __eq__(self, other):
-        if isinstance(other, PatternMatrix):
-            return self.rows == other.rows and self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.word))
-
     def star_count(self):
         return sum(row.count("*") for row in self.rows)
 

@@ -96,8 +96,8 @@ from __future__ import annotations
 
 import json
 
-from .combinat import (Frozen, Permutation, Word, convex_standardization,
-                       json_fields)
+from .combinat import (Frozen, Permutation, Word, checked_int,
+                       convex_standardization, json_fields)
 from .poly import EXP_MAX, Poly, _Memo, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -190,10 +190,11 @@ class PipeDream(Frozen):
     __slots__ = _fields + ("_crosses",)
 
     def __new__(cls, crosses, N):
-        N = int(N)
+        checked_int("pipe dream", "N", N, 0)
         bits = 0
         for r, c in crosses:
-            r, c = int(r), int(c)
+            checked_int("pipe dream", "crosses", r)
+            checked_int("pipe dream", "crosses", c)
             _check_in_staircase((r, c), N)
             bits |= 1 << (r - 1) * N + c - 1
         return cls._of(bits, N)
@@ -206,14 +207,6 @@ class PipeDream(Frozen):
             return self._crosses
         except AttributeError:
             return self._fill("_crosses", frozenset(_cells_of(self.bits, self.N)))
-
-    def __eq__(self, other):
-        if isinstance(other, PipeDream):
-            return self.bits == other.bits and self.N == other.N
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bits, self.N))
 
     def __len__(self):
         return self.bits.bit_count()
@@ -667,9 +660,7 @@ def _sum_poly(found, nx, negate=False):
 def word_row_labels(word):
     """Row r of a word diagram carries the variable x_{sigma(r)}, where
     sigma matches positions of convexify(word) to positions of word."""
-    word = word if isinstance(word, Word) else Word(word)
-    _, sigma = convex_standardization(word.letters, word.k)
-    return tuple(p + 1 for p in sigma)
+    return _word_u(word)[2]
 
 
 def _outside(bits, n, k, N):
@@ -685,14 +676,19 @@ def _rectangle_violation(cells, n, k):
         "weight cells outside the %d x %d rectangle: %s" % (n, k, cells))
 
 
-def _word_parents(family, word, reduced):
-    """(word, u, labels, parents) of a word: u = std(conv(word)), the row
-    labels, and `family`'s parent diagrams of u."""
+def _word_u(word):
+    """(word, u, labels) of a word: u = std(conv(word)) and the row labels,
+    from one standardization."""
     word = word if isinstance(word, Word) else Word(word)
     u, sigma = convex_standardization(word.letters, word.k)
-    u = Permutation(u)
-    return (word, u, tuple(p + 1 for p in sigma),
-            family._diagrams(u, reduced))
+    return word, Permutation(u), tuple(p + 1 for p in sigma)
+
+
+def _word_parents(family, word, reduced):
+    """(word, u, labels, parents) of a word: `_word_u` and `family`'s parent
+    diagrams of u."""
+    word, u, labels = _word_u(word)
+    return word, u, labels, family._diagrams(u, reduced)
 
 
 class WordDiagram(Frozen):
@@ -758,10 +754,9 @@ class WordDiagram(Frozen):
         RectangularityViolation if a weight cell lies outside, then a
         ValueError naming both if w is not std(conv(word)) up to trailing
         fixed points."""
-        word = word if isinstance(word, Word) else Word(word)
+        word, u, labels = _word_u(word)
         w = w or D.permutation()
-        view = cls(D, word.n, word.k, word_row_labels(word), w.inversions())
-        u = Permutation(convex_standardization(word.letters, word.k)[0])
+        view = cls(D, word.n, word.k, labels, w.inversions())
         if not w.stable_eq(u):
             raise ValueError("the diagram is of %s, not of std(conv(%s)) = %s"
                              % (w, word, u))

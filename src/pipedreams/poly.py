@@ -64,7 +64,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .combinat import (Frozen, Permutation, Word, _new, _setattr,
-                       convex_standardization, json_fields)
+                       checked_int, convex_standardization, json_fields)
 
 EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
 
@@ -86,7 +86,8 @@ class Poly(Frozen):
     __slots__ = _fields = ("nx", "ny", "terms")
 
     def __new__(cls, nx, ny=0, terms=None):
-        p = cls._of(nx, ny, {})
+        p = cls._of(checked_int("polynomial", "nx", nx, 0),
+                    checked_int("polynomial", "ny", ny, 0), {})
         if terms:
             packed = {}
             for exp, c in terms.items():
@@ -500,7 +501,8 @@ class Poly(Frozen):
             if c.denominator != 1:
                 raise ValueError("polynomial term %r: the coefficient is not "
                                  "an integer" % (t,))
-            terms[tuple(t["exp"])] = int(c)
+            terms[tuple(checked_int("polynomial", "exp", e)
+                        for e in t["exp"])] = int(c)
         return cls(nx, ny, terms)
 
     def __str__(self):

@@ -5,11 +5,13 @@ the special Grothendieck classes, and the fact that the Grothendieck (and
 Schubert) classes of Fubini words form a Z-basis of the quotient.
 
 The monomials of S_{n,k} are the k^n exponent vectors in [0, k-1]^n, ordered
-lexicographically (``SnkRing``: one read-only table per (n, k), shared through
-``snk_ring`` and refused past ``DESK_CEILING``).  An element
-(``SnkElement``) is sparse: its ring plus the sorted (monomial index,
-coefficient) pairs of its nonzero terms, with only the linear operations the
-verification needs (+, -, negation, integer scaling).
+lexicographically, so the index of a monomial is the base-k number whose n
+digits are its exponents.  The ring (``SnkRing``, also ``snk_ring``) is the
+value (n, k) and computes indices and exponents by that rule; it builds no
+table and is refused past ``DESK_CEILING``.  An element (``SnkElement``) is
+sparse: its ring plus the sorted (monomial index, coefficient) pairs of its
+nonzero terms, with only the linear operations the verification needs (+, -,
+negation, integer scaling).
 
 Rank, freeness and the bases reduce to integer-lattice linear algebra in
 Z^{k^n}: I_e becomes a row lattice via generator-times-monomial products.
@@ -47,11 +49,8 @@ to be thrown away.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
-from functools import lru_cache
 from operator import mul
-from types import MappingProxyType
 
 from ._lattice_py import IntegerLattice
 from .combinat import (Frozen, Permutation, Word, convex_standardization,
@@ -76,50 +75,62 @@ class BasisFailure(RuntimeError):
 
 
 def _require_shape(n, k):
-    if not (isinstance(n, int) and isinstance(k, int) and 1 <= k <= n):
+    if not (type(n) is int and type(k) is int and 1 <= k <= n):
         raise ValueError(f"need integers 1 <= k <= n, got (n, k) = ({n}, {k})")
 
 
 def _require_desk_scale(n, k):
     _require_shape(n, k)
-    snk_ring(n, k)  # refuses k^n > DESK_CEILING
+    SnkRing(n, k)  # refuses k^n > DESK_CEILING
 
 
 # -- the ring S_{n,k} ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def snk_ring(n, k):
-    if not (isinstance(n, int) and isinstance(k, int) and n >= 1 and k >= 1):
-        raise ValueError("need integers n >= 1, k >= 1")
-    return SnkRing(n, k)
-
-
 class SnkRing(Frozen):
-    """The monomial basis of S_{n,k}: exponent vectors in [0,k-1]^n, lex order,
-    as the tuple `monomials` and its read-only inverse `index`.
+    """The ring S_{n,k} as the value (n, k).  Its monomials are the
+    exponent vectors in [0, k-1]^n in lex order: the one with index i has
+    the n base-k digits of i as its exponents, most significant first.
 
-    The table holds all k^n monomials, so it is refused past ``DESK_CEILING``.
-    ``snk_ring`` shares one table per (n, k), and pickling goes through it.
+    Every check builds lattices with `dim` = k^n columns, so a ring past
+    ``DESK_CEILING`` is refused.
     """
 
-    __slots__ = _fields = ("n", "k", "dim", "monomials", "index")
+    __slots__ = _fields = ("n", "k")
 
     def __new__(cls, n, k):
+        if not (type(n) is int and type(k) is int and n >= 1 and k >= 1):
+            raise ValueError("need integers n >= 1, k >= 1")
         dim = k ** n
         if dim > DESK_CEILING:
             raise DeskScaleError(
                 f"monomial basis size k^n = {dim} exceeds the desk-scale "
                 f"ceiling of {DESK_CEILING}; refusing (n, k) = ({n}, {k})")
-        monomials = tuple(itertools.product(range(k), repeat=n))
-        return cls._of(n, k, dim, monomials, MappingProxyType(
-            {m: i for i, m in enumerate(monomials)}))
+        return cls._of(n, k)
 
-    def __reduce__(self):
-        return snk_ring, (self.n, self.k)
+    @property
+    def dim(self):
+        return self.k ** self.n
+
+    def index(self, exp):
+        """The index of the monomial with exponents `exp`, or None when some
+        exponent is >= k (the monomial is 0)."""
+        i = 0
+        for e in exp:
+            if e >= self.k:
+                return None
+            i = i * self.k + e
+        return i
+
+    def monomial(self, i):
+        """The exponents of the monomial with index i."""
+        return tuple(i // self.k ** p % self.k for p in reversed(range(self.n)))
 
     def __repr__(self):
         return f"SnkRing(n={self.n}, k={self.k})"
+
+
+snk_ring = SnkRing
 
 
 class SnkElement(Frozen):
@@ -134,17 +145,10 @@ class SnkElement(Frozen):
     def items(self):
         return list(self._items)
 
-    def __eq__(self, other):
-        if not isinstance(other, SnkElement):
-            return NotImplemented
-        return self.ring is other.ring and self._items == other._items
-
-    __hash__ = None
-
     def _plus(self, other, sign):
         if not isinstance(other, SnkElement):
             return NotImplemented
-        if other.ring is not self.ring:
+        if other.ring != self.ring:
             raise ValueError("elements live in different rings")
         acc = dict(self._items)
         for i, c in other._items:
@@ -175,7 +179,7 @@ def _project_row(f, n, k):
     (monomial index, nonzero coefficient) pairs.  Monomials with an exponent
     >= k die; the cost follows the terms of f, not k^n.
     """
-    index = snk_ring(n, k).index
+    index = SnkRing(n, k).index
     nx = f.nx
     pad = (0,) * (n - min(n, nx))
     acc = {}
@@ -185,7 +189,7 @@ def _project_row(f, n, k):
         if any(exp[n:nx]):
             bad = max(i + 1 for i, e in enumerate(exp[:nx]) if e and i >= n)
             raise ValueError(f"variable x{bad} out of range for n={n}")
-        i = index.get(exp[:min(n, nx)] + pad)  # None: some exponent >= k
+        i = index(exp[:min(n, nx)] + pad)  # None: some exponent >= k
         if i is not None:
             acc[i] = acc.get(i, 0) + coeff
     return tuple(sorted((i, c) for i, c in acc.items() if c))
@@ -195,7 +199,7 @@ def project_to_snk(f, n, k):
     """Project a Poly in x_1..x_n onto S_{n,k}: kill monomials with an
     exponent >= k.  The y-alphabet must be unused.
     """
-    return SnkElement(snk_ring(n, k), _project_row(f, n, k))
+    return SnkElement(SnkRing(n, k), _project_row(f, n, k))
 
 
 # -- integer lattices ----------------------------------------------------------
@@ -273,15 +277,15 @@ def _ideal_rows(n, k, generators):
     index(m) + i.  Each term adds (index(m) + i, c) to the row of every m in
     its box; g's terms come in ascending index, so every row comes sorted.
     """
-    ring = snk_ring(n, k)
+    ring = SnkRing(n, k)
     rows = set()
     for g in generators:
-        if g.ring is not ring:
+        if g.ring != ring:
             raise ValueError("generator does not live in S_{%d,%d}" % (n, k))
         row_of = defaultdict(list)
         for i, c in g._items:
             box = [0]
-            for p, e in enumerate(ring.monomials[i]):
+            for p, e in enumerate(ring.monomial(i)):
                 step = k ** (n - 1 - p)
                 box = [b + d * step for b in box for d in range(k - e)]
             for b in box:
@@ -295,7 +299,7 @@ def coinvariant_ideal_lattice(n, k, generators):
     by every monomial multiple of every generator (``_ideal_rows``).
     """
     _require_desk_scale(n, k)
-    return IntegerLattice(snk_ring(n, k).dim, _ideal_rows(n, k, generators))
+    return IntegerLattice(SnkRing(n, k).dim, _ideal_rows(n, k, generators))
 
 
 def _elementary_ideal(n, k):
@@ -340,7 +344,7 @@ def _certify_ideal_equal(ideal, e_gens, g_gens):
     low = ring.n - ring.k + 1
     for d, e, g in zip(range(low, ring.n + 1), e_gens, reversed(g_gens),
                        strict=True):
-        if any(sum(ring.monomials[i]) <= d for i, _ in (g - e).items()):
+        if any(sum(ring.monomial(i)) <= d for i, _ in (g - e).items()):
             return False
     return all(ideal.contains(g) for g in g_gens)
 
@@ -374,7 +378,9 @@ def _fubini_class_rows(n, k):
     The class of w is G_u relabelled by x_i := x_{sigma(i)}, for u and sigma
     of ``convex_standardization``; its Schubert row is the degree-l(u) part
     (module docstring).  G_u is filtered once per u, and a surviving term's
-    monomial index is one sum.
+    monomial index is one sum, by the base-k rule of ``SnkRing``: the
+    exponent of x_i moves to place sigma(i), whose digit weighs
+    k^(n-1-sigma(i)), counting places from 0.
     """
     terms_of = {}
     rows, bounded = [], True

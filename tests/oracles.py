@@ -14,13 +14,14 @@ of S_{n,k} and drops those with an exponent >= k: the counterpart of the
 box rule of `rings._ideal_rows`.
 """
 
+from itertools import product
 from math import comb
 from operator import add
 
 from pipedreams.bpd import Bpd, diagram_bpd
 from pipedreams.combinat import Permutation
 from pipedreams.pipedream import EXP_MAX, Poly, _label, k_signed
-from pipedreams.rings import snk_ring
+from pipedreams.rings import SnkRing
 
 
 def move_closure(start, moves):
@@ -122,16 +123,17 @@ def packed_sum(diagrams, nx, labels=None, ell=None):
 def ideal_rows(n, k, generators):
     """The sorted distinct rows m * g over every monomial m of S_{n,k} and
     every generator g, each product formed and looked up term by term."""
-    ring = snk_ring(n, k)
-    index = ring.index
+    ring = SnkRing(n, k)
+    monomials = list(product(range(k), repeat=n))
+    index = {m: i for i, m in enumerate(monomials)}
     rows = set()
     for g in generators:
-        if g.ring is not ring:
+        if g.ring != ring:
             raise ValueError("generator does not live in S_{%d,%d}" % (n, k))
-        gitems = [(ring.monomials[i], c) for i, c in g.items()]
+        gitems = [(monomials[i], c) for i, c in g.items()]
         if not gitems:
             continue
-        for m in ring.monomials:
+        for m in monomials:
             row = []
             for exp, coeff in gitems:
                 i = index.get(tuple(map(add, exp, m)))  # None: x_j^k = 0

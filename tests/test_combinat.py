@@ -3,10 +3,11 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 
-from pipedreams import Permutation, Word
+from pipedreams import Bpd, Permutation, PipeDream, Poly, Word
 from pipedreams.combinat import (
     all_permutations,
     convex_standardization,
@@ -119,6 +120,39 @@ def test_from_json_names_the_missing_field():
         Permutation.from_json('{"letters": [1]}')
     with pytest.raises(ValueError, match="word JSON lacks the 'k' field"):
         Word.from_json('{"letters": [1, 2]}')
+
+
+MALFORMED = {
+    "pipe dream N 2.5": (lambda: PipeDream.from_json(
+        '{"N": 2.5, "crosses": [[1.9, 1]]}'), "pipe dream N: 2.5 "),
+    "pipe dream cross 1.9": (lambda: PipeDream.from_json(
+        '{"N": 2, "crosses": [[1.9, 1]]}'), "pipe dream crosses: 1.9 "),
+    "pipe dream N -3": (lambda: PipeDream.from_json(
+        '{"N": -3, "crosses": []}'), "pipe dream N: -3 is not an int >= 0"),
+    "word k -5": (lambda: Word.from_json('{"letters": [], "k": -5}'),
+                  "word k: -5 is not an int >= 0"),
+    "word k 2.7": (lambda: Word([2], 2.7), "word k: 2.7 "),
+    "word k '3'": (lambda: Word.from_json('{"letters": [1], "k": "3"}'),
+                   "word k: '3' is not an int"),
+    "word letter true": (lambda: Word.from_json('{"letters": [true], "k": 1}'),
+                         "word letters: True is not an int"),
+    "permutation entry 1.0": (lambda: Permutation([2, 1.0]),
+                              "permutation one_line: 1.0 is not an int"),
+    "polynomial nx -1": (lambda: Poly.from_json(
+        '{"nx": -1, "ny": 0, "terms": []}'), "polynomial nx: -1 "),
+    "polynomial exp true": (lambda: Poly.from_json(
+        '{"nx": 1, "ny": 0, "terms": [{"coeff": "1", "exp": [true]}]}'),
+        "polynomial exp: True is not an int"),
+    "BPD n true": (lambda: Bpd.from_json('{"n": true, "tiles": [["CROSS"]]}'),
+                   "BPD n: True is not an int >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_sizes_and_entries_name_field_and_value(case):
+    call, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_all_permutations_counts():

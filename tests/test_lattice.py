@@ -146,6 +146,47 @@ def test_equality_distinguishes_sublattices():
     assert b == c
 
 
+def _unimodular_mix(rng, rows, ncols):
+    """The rows after random swaps, negations and row additions, which keep
+    the lattice they span, plus a zero row."""
+    rows = [dict(r) for r in rows] + [{}]
+    for _ in range(rng.randint(0, 6)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        op = rng.randrange(3)
+        if op == 0:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif op == 1:
+            rows[i] = {c: -v for c, v in rows[i].items()}
+        elif i != j:
+            t = rng.choice((-2, -1, 1, 2))
+            for c in range(ncols):
+                v = rows[i].get(c, 0) + t * rows[j].get(c, 0)
+                rows[i].pop(c, None)
+                if v:
+                    rows[i][c] = v
+    return [tuple(sorted(r.items())) for r in rows]
+
+
+def test_equality_is_two_way_containment(rng):
+    """Equal canonical rows against the oracle: each lattice holds every
+    generator of the other."""
+    outcomes = []
+    for trial in range(3000):
+        ncols = rng.randint(1, 5)
+        rows = random_sparse_rows(rng, rng.randint(0, 5), ncols, bound=4)
+        other = _unimodular_mix(rng, rows, ncols)
+        if trial % 2 and other:     # perturb: often a different lattice
+            i = rng.randrange(len(other))
+            other[i] = random_sparse_rows(rng, 1, ncols, bound=4)[0]
+        a, b = IntegerLattice(ncols, rows), IntegerLattice(ncols, other)
+        oracle = (all(b.contains_row(r) for r in rows)
+                  and all(a.contains_row(r) for r in other))
+        assert (a == b) == (b == a) == oracle, (ncols, rows, other)
+        outcomes.append(oracle)
+    assert 1000 < sum(outcomes) < 2500
+    assert IntegerLattice(2, []) != IntegerLattice(3, [])
+
+
 # -- membership ------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Quotient-ring verification: ranks, torsion, ideal equality, bases."""
 
+import itertools
 import math
 
 import pytest
@@ -41,15 +42,26 @@ def test_snk_ring_dimensions():
     for n, k in ((1, 1), (3, 2), (4, 3)):
         R = SnkRing(n, k)
         assert R.dim == k ** n
-        assert len(R.monomials) == R.dim
-        assert len(set(R.monomials)) == R.dim
-        assert all(max(m, default=0) < k for m in R.monomials)
+        monomials = [R.monomial(i) for i in range(R.dim)]
+        assert len(monomials) == R.dim
+        assert len(set(monomials)) == R.dim
+        assert all(max(m, default=0) < k for m in monomials)
+        assert monomials == list(itertools.product(range(k), repeat=n))
 
 
 def test_snk_index_and_variable_are_inverse():
     R = SnkRing(3, 2)
-    for i, m in enumerate(R.monomials):
-        assert R.index[m] == i
+    for i in range(R.dim):
+        assert R.index(R.monomial(i)) == i
+    assert R.index((0, 2, 0)) is None and R.index((1, 1, 3)) is None
+
+
+def test_ring_sizes_refuse_bools_and_nonpositive_ints():
+    for n, k in ((True, 2), (2, True), (0, 1), (2, 0), (2.0, 2)):
+        with pytest.raises(ValueError, match="need integers n >= 1, k >= 1"):
+            SnkRing(n, k)
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(True, True\)"):
+        verify_rings(True, True)
 
 
 def test_project_kills_kth_powers():
@@ -166,7 +178,7 @@ def test_ideal_rows_match_the_product_oracle():
                      grothendieck_ideal_generators(n, k)):
             assert rings._ideal_rows(n, k, gens) == ideal_rows(n, k, gens), (n, k)
     n, k = 4, 3
-    ring = rings.snk_ring(n, k)
+    ring = rings.SnkRing(n, k)
     # exponents up to k - 1, whose boxes are one wide in that coordinate
     tall = project_to_snk(Poly(n, 0, {(2, 1, 0, 0): 3, (0, 0, 2, 2): -1,
                                       (0, 0, 0, 0): 2}), n, k)
@@ -228,7 +240,7 @@ def test_certificate_rejects_higher_degree_term_outside_ideal():
     ring = e_gens[0].ring
     d = n - k + 1   # lowest degree of the last G-generator
     outside = next(
-        m for m in ring.monomials
+        m for m in map(ring.monomial, range(ring.dim))
         if sum(m) > d and not ideal.contains(project_to_snk(Poly(n, 0, {m: 1}), n, k)))
     stray = project_to_snk(Poly(n, 0, {outside: 1}), n, k)
     bad = g_gens[:-1] + [g_gens[-1] + stray]
@@ -279,13 +291,13 @@ def test_grothendieck_rows_stack_to_a_basis_oracle():
     higher degree."""
     for n, k in desk_scale_pairs():
         ideal = coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
-        monomials = rings.snk_ring(n, k).monomials
+        monomial = rings.SnkRing(n, k).monomial
         s_rows, _ = _fubini_class_rows(n, k)
         g_rows = []
         for w, s_row in zip(enumerate_fubini(n, k), s_rows, strict=True):
             g_row = _project_row(grothendieck_of_word(w), n, k)
-            low = min((sum(monomials[i]) for i, _ in g_row), default=None)
-            assert tuple(t for t in g_row if sum(monomials[t[0]]) == low) \
+            low = min((sum(monomial(i)) for i, _ in g_row), default=None)
+            assert tuple(t for t in g_row if sum(monomial(t[0])) == low) \
                 == s_row, w
             g_rows.append(g_row)
         stacked = IntegerLattice(k ** n, ideal._pivot_rows() + tuple(g_rows))
