@@ -2,11 +2,11 @@
 
 ``IntegerLattice`` is a sublattice of Z^ncols held in row Hermite normal form
 (HNF) and built from sparse rows; it answers rank, membership, equality,
-Smith invariants and freeness of the quotient.  ``rings`` re-exports it: its
-ideals of S_{n,k} are lattices in Z^{k^n}.  Beside it live Gaussian rank over
-a prime field and a dense Smith-normal-form routine.
+Smith invariants and freeness of the quotient, all from the one Hermite
+kernel.  ``rings`` re-exports it: its ideals of S_{n,k} are lattices in
+Z^{k^n}.  Beside it lives Gaussian rank over a prime field.
 
-Rows are sparse: iterables of ``(column, value)`` pairs with
+Rows are sparse: iterables of ``(column, value)`` pairs of ints with
 ``0 <= column < ncols``.  Duplicate columns are merged by addition.
 
 Coefficient growth is controlled pivot-bounded style: whenever a row is
@@ -18,6 +18,10 @@ pivot columns stay in ``[0, pivot)`` throughout.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+
+from .combinat import checked_int
 
 
 def xgcd(a, b):
@@ -50,9 +54,7 @@ class IntegerLattice:
     kernel_name = "pure"
 
     def __init__(self, ncols, sparse_rows):
-        if ncols < 0:
-            raise ValueError(f"ncols must be nonnegative, got {ncols}")
-        self.ncols = int(ncols)
+        self.ncols = checked_int("lattice", "ncols", ncols, 0)
         self._piv = {}  # leading column -> sparse row {col: nonzero int}
         self._canonical = True
         for items in sparse_rows:
@@ -60,7 +62,10 @@ class IntegerLattice:
 
     @classmethod
     def from_dense_rows(cls, rows):
-        rows = [list(map(int, r)) for r in rows]
+        """The lattice spanned by dense rows of equal width.  An entry is an
+        integer of any type with ``__index__`` (a sympy or numpy integer
+        too), but not a bool or a float."""
+        rows = [list(map(_dense_entry, r)) for r in rows]
         widths = {len(r) for r in rows}
         if len(widths) > 1:
             raise ValueError("rows must have equal width")
@@ -72,6 +77,9 @@ class IntegerLattice:
     def _clean(self, items):
         row = {}
         for c, v in items:
+            if type(c) is not int or type(v) is not int:
+                raise ValueError("lattice %s %r is not an int" % (
+                    ("column", c) if type(c) is not int else ("value", v)))
             if not 0 <= c < self.ncols:
                 raise IndexError(f"column {c} out of range for width {self.ncols}")
             row[c] = row.get(c, 0) + v
@@ -203,22 +211,45 @@ class IntegerLattice:
     __hash__ = None
 
     def snf_invariants(self):
-        """Smith invariant factors d1 | d2 | ... (nonzero ones only)."""
-        piv = self.pivot_values()
-        if all(v == 1 for v in piv):
-            return (1,) * len(piv)
-        if len(piv) * self.ncols > 400_000:
-            raise RuntimeError(
-                "exact SNF is not feasible at this size; pivot values "
-                f"{sorted(set(piv))} indicate possible torsion")
-        dense = [[0] * self.ncols for _ in piv]
-        for row, items in zip(dense, self.canonical_rows()):
-            for c, v in items:
-                row[c] = v
-        return tuple(snf_invariants_dense(dense))
+        """Smith invariant factors d1 | d2 | ..., the nonzero ones only, in
+        ascending order.
+
+        When every pivot is 1 the pivot minor is 1, so every invariant is 1.
+        Otherwise the Hermite forms of the rows and of the columns alternate
+        (Kannan and Bachem, SIAM J. Comput. 8, 1979) until every row holds
+        only its pivot.  This ends: from the second round on, the form M is
+        square, upper-triangular and of full rank.  The first pivot of the
+        next round is the gcd of M's first row, so it is at most M's first
+        pivot d.  If it is smaller, d strictly decreased; if it equals d,
+        then d divides that row, so row and column 1 clear and stay clear,
+        and the argument recurses on the rest.  The diagonal is then made
+        to divide down: (d_i, d_j) := (gcd, lcm) for i < j, over the
+        diagonal entries other than 1, which a unit block leaves as they
+        are.
+        """
+        rows = self.canonical_rows()
+        if all(r[0][1] == 1 for r in rows):
+            return (1,) * len(rows)
+        while any(len(r) > 1 for r in rows):
+            columns = {}
+            for i, r in enumerate(rows):
+                for c, v in r:
+                    columns.setdefault(c, []).append((i, v))
+            rows = IntegerLattice(len(rows), columns.values()).canonical_rows()
+        d = [r[0][1] for r in rows if r[0][1] != 1]
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                g = math.gcd(d[i], d[j])
+                d[i], d[j] = g, d[i] // g * d[j]
+        return (1,) * (len(rows) - len(d)) + tuple(d)
 
     def is_torsion_free(self):
-        """Is Z^ncols / lattice free?  (All invariant factors 1.)"""
+        """Is Z^ncols / lattice free?  (All invariant factors 1.)
+
+        The quotient has torsion exactly when the rank drops modulo some
+        prime, and such a prime divides a pivot.  When trial division leaves
+        a pivot cofactor of 10^12 or more unsplit, the Smith invariants
+        decide; this fallback never raises."""
         primes = set()
         for v in self.pivot_values():
             if v != 1:
@@ -284,66 +315,11 @@ def rank_mod_p(rows, ncols, p):
     return len(piv)
 
 
-def _smallest_to_corner(a, t, m, n):
-    """Swap a nonzero entry of least magnitude in the trailing block
-    a[t:m][t:n], the first in row-major order, to (t, t); False if the block
-    is zero."""
-    best = min(((abs(a[i][j]), i, j) for i in range(t, m)
-                for j in range(t, n) if a[i][j]), default=None)
-    if best is None:
-        return False
-    _, i, j = best
-    a[t], a[i] = a[i], a[t]
-    for r in a:
-        r[t], r[j] = r[j], r[t]
-    return True
-
-
-def snf_invariants_dense(mat):
-    """Smith invariant factors d1 | d2 | ... of a dense integer matrix.
-
-    Returns the positive invariants only (their count is the rank).  Textbook
-    pivoting on the smallest entry; meant for desk-scale matrices.
-    """
-    a = [list(r) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(r) != n for r in a):
-        raise ValueError("ragged matrix")
-    out = []
-    t = 0
-    while t < m and t < n and _smallest_to_corner(a, t, m, n):
-        while True:
-            clean = True
-            for i in range(t + 1, m):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    clean = False
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for r in a:
-                        r[j] -= q * r[t]
-                if a[t][j]:
-                    clean = False
-            if not clean:
-                # remainders left behind are smaller than the corner; re-pivot
-                _smallest_to_corner(a, t, m, n)
-                continue
-            d = a[t][t]
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % d:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-        out.append(abs(a[t][t]))
-        t += 1
-    return out
+def _dense_entry(v):
+    """A dense lattice entry as an int; a ValueError names any other value."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"lattice entry {v!r} is not an int")

@@ -221,31 +221,9 @@ class Bpd(Frozen):
     # -- structural validation ----------------------------------------------
 
     def validate(self):
-        """Check edge-matching and boundary conditions; raises ValueError."""
-        N = self.N
-        for r in range(1, N + 1):
-            for c in range(1, N + 1):
-                s = _SIDES[self.tile(r, c)]
-                # east edge vs west edge of the right neighbor
-                e = bool(s & E_)
-                if c == N:
-                    if not e:
-                        raise ValueError("row %d fails to exit east" % r)
-                else:
-                    if e != bool(_SIDES[self.tile(r, c + 1)] & W_):
-                        raise ValueError("edge mismatch east of (%d,%d)" % (r, c))
-                # south edge vs north edge of the lower neighbor
-                so = bool(s & S_)
-                if r == N:
-                    if not so:
-                        raise ValueError("column %d fails to enter south" % c)
-                else:
-                    if so != bool(_SIDES[self.tile(r + 1, c)] & N_):
-                        raise ValueError("edge mismatch south of (%d,%d)" % (r, c))
-                if r == 1 and (s & N_):
-                    raise ValueError("pipe escapes north at column %d" % c)
-                if c == 1 and (s & W_):
-                    raise ValueError("pipe enters west at row %d" % r)
+        """Check that the pipes fit edge to edge, enter from the south and
+        leave to the east: True, or a ValueError naming where they do not."""
+        self._trace()
         return True
 
     # -- tracing ----------------------------------------------------------------

@@ -120,11 +120,12 @@ class Poly(Frozen):
                              % (tuple(exp), len(exp), n))
         try:
             b = bytes(exp)
-            if n and max(b) > EXP_MAX:
+            if n and max(b) > EXP_MAX or bool in map(type, exp):
                 raise ValueError
         except (TypeError, ValueError):
             v = next(v for v, a in enumerate(exp)
-                     if not isinstance(a, int) or not 0 <= a <= EXP_MAX)
+                     if isinstance(a, bool) or not isinstance(a, int)
+                     or not 0 <= a <= EXP_MAX)
             raise ValueError("exponent %r of %s is outside 0..%d" % (
                 exp[v], _variable(v, self.nx), EXP_MAX)) from None
         return int.from_bytes(b, "little")

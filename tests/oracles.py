@@ -9,6 +9,9 @@ these are their brute-force counterparts over `enumerate_*`.
 closure of its diagram BPD, tracing each one, with no row rule: the
 counterpart of `enumerate_reduced_bpd`/`enumerate_all_bpd`.
 
+`edges_match` checks a tile grid side by side, the walk that `Bpd._trace`
+replaces by following the pipes.
+
 `ideal_rows` forms every generator-term times monomial product of an ideal
 of S_{n,k} and drops those with an exponent >= k: the counterpart of the
 box rule of `rings._ideal_rows`.
@@ -18,7 +21,7 @@ from itertools import product
 from math import comb
 from operator import add
 
-from pipedreams.bpd import Bpd, diagram_bpd
+from pipedreams.bpd import _SIDES, E_, N_, S_, W_, Bpd, diagram_bpd
 from pipedreams.combinat import Permutation
 from pipedreams.pipedream import EXP_MAX, Poly, _label, k_signed
 from pipedreams.rings import SnkRing
@@ -44,7 +47,7 @@ def bpd_closure(w, reduced):
     """The reduced (or all K-theoretic) BPDs of w in `code_string` order:
     the closure of the diagram BPD under droops (and K-droops).  Each BPD
     reached is traced and must have the permutation w; tracing raises on
-    every grid `validate()` rejects."""
+    every grid `edges_match` rejects."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     start = diagram_bpd(w)
     seen = move_closure(start, lambda B: B._moves(droop=True,
@@ -53,6 +56,22 @@ def bpd_closure(w, reduced):
         if B.permutation() != w:
             raise AssertionError("droop closure escaped the permutation")
     return sorted(seen, key=Bpd.code_string)
+
+
+def edges_match(B):
+    """Does each side of each tile of B carry a pipe exactly when the
+    neighbour across it does, with pipes entering only from the south edge
+    and leaving only by the east edge?"""
+    N = B.N
+    for r in range(1, N + 1):
+        for c in range(1, N + 1):
+            s = _SIDES[B.tile(r, c)]
+            east = _SIDES[B.tile(r, c + 1)] & W_ if c < N else W_
+            south = _SIDES[B.tile(r + 1, c)] & N_ if r < N else N_
+            if (bool(s & E_) != bool(east) or bool(s & S_) != bool(south)
+                    or r == 1 and s & N_ or c == 1 and s & W_):
+                return False
+    return True
 
 
 def marks_union(diagrams):

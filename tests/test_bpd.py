@@ -422,21 +422,21 @@ def test_blank_rectangularity_no_violations_small_words():
                 assert check_word_bpd_rectangularity(word, reduced=False) == []
 
 
-def test_tracing_refuses_exactly_the_grids_validate_refuses():
-    """The droop closure of `oracles.bpd_closure` checks each BPD by tracing
-    it alone: `_trace` must raise on every grid `validate()` rejects, and on
-    no other.  Every grid of size
-    1 and 2, and one- and two-tile mutations of K-BPDs of S_3..S_5."""
+def test_tracing_refuses_exactly_the_grids_whose_edges_do_not_match():
+    """`validate()` and the droop closure of `oracles.bpd_closure` check each
+    BPD by tracing it alone: `_trace` must raise on every grid the
+    side-by-side walk `oracles.edges_match` rejects, and on no other.  Every
+    grid of size 1 and 2, and one- and two-tile mutations of K-BPDs of
+    S_3..S_5."""
+    from oracles import edges_match
+
     from pipedreams.combinat import all_permutations
 
     outcomes = set()
 
     def agree(tiles):
         B = Bpd(tiles)
-        try:
-            valid = B.validate()
-        except ValueError:
-            valid = False
+        valid = edges_match(B)
         try:
             traced = B._trace() is not None
         except ValueError:

@@ -4,6 +4,7 @@ Every routine is checked against sympy's independent normal-form
 implementations.
 """
 
+import operator
 import random
 
 import pytest
@@ -13,7 +14,9 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from pipedreams._lattice_py import rank_mod_p
-from pipedreams.rings import IntegerLattice, hnf
+from pipedreams.rings import (IntegerLattice, _ideal_rows,
+                              coinvariant_ideal_lattice,
+                              elementary_ideal_generators, hnf)
 
 
 def random_sparse_rows(rng, nrows, ncols, density=0.4, bound=6):
@@ -64,6 +67,70 @@ def test_snf_invariants_against_sympy(rng):
         want = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
         assert got == sorted(want) or got == want
         assert lat.is_torsion_free() == all(d == 1 for d in want)
+
+
+def sympy_invariants(rows, ncols):
+    snf = smith_normal_form(Matrix(dense(rows, ncols)), domain=ZZ)
+    return sorted(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i])
+
+
+def random_dense(rng, nrows, ncols, bound):
+    return [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_snf_invariants_on_wide_tall_and_rank_deficient_shapes(rng):
+    for trial in range(90):
+        kind = ("wide", "tall", "rank-deficient")[trial % 3]
+        short, long = rng.randint(1, 5), rng.randint(6, 10)
+        if kind == "rank-deficient":    # a product through `short` columns
+            b = random_dense(rng, long, short, 1000)
+            c = random_dense(rng, short, long - 1, 1000)
+            m = [[sum(map(operator.mul, row, col)) for col in zip(*c)]
+                 for row in b]
+        else:
+            m = random_dense(rng, short, long, rng.choice((9, 10 ** 6)))
+            if kind == "tall":
+                m = [list(col) for col in zip(*m)]
+        lat = IntegerLattice.from_dense_rows(m)
+        got = lat.snf_invariants()
+        snf = smith_normal_form(Matrix(m), domain=ZZ)
+        assert list(got) == sorted(abs(snf[i, i]) for i in range(min(snf.shape))
+                                   if snf[i, i]), m
+        assert len(got) == lat.rank <= (short if kind == "rank-deficient"
+                                        else min(len(m), len(m[0])))
+        assert all(b % a == 0 for a, b in zip(got, got[1:]))
+
+
+def test_snf_invariants_past_the_old_dense_size_limit():
+    lat = IntegerLattice(3000, [[(i, 2)] for i in range(300)])
+    assert lat.snf_invariants() == (2,) * 300
+    assert not lat.is_torsion_free()
+
+
+def test_ring_scale_invariants_count_the_rank_drop_mod_each_prime():
+    # I_e of S_{5,4} with the generator e_2 doubled: Z^1024 / I has torsion
+    gens = elementary_ideal_generators(5, 4)
+    gens[0] = 2 * gens[0]
+    rows = _ideal_rows(5, 4, gens)
+    lat = coinvariant_ideal_lattice(5, 4, gens)
+    invariants = lat.snf_invariants()
+    assert len(invariants) == lat.rank
+    primes = {p for v in lat.pivot_values() if v != 1
+              for p in sympy.primefactors(v)}
+    assert primes == {2}
+    for p in primes:
+        assert (sum(d % p == 0 for d in invariants)
+                == lat.rank - rank_mod_p(rows, lat.ncols, p))
+    assert lat.is_torsion_free() == all(d == 1 for d in invariants) is False
+
+
+def test_torsion_past_trial_division_falls_back_to_smith_invariants():
+    P = 1000000000039     # a prime above 10^12: trial division stops short
+    assert sympy.isprime(P)
+    assert IntegerLattice(2, [[(0, P), (1, 1)]]).is_torsion_free()
+    assert not IntegerLattice(2, [[(0, P)]]).is_torsion_free()
+    assert IntegerLattice(2, [[(0, P * P)]]).snf_invariants() == (P * P,)
 
 
 def pivot_product(lat):
@@ -229,6 +296,26 @@ def test_out_of_range_columns_are_named():
 def test_negative_width_is_refused():
     with pytest.raises(ValueError, match="-1"):
         IntegerLattice(-1, [])
+
+
+NON_INT_INPUTS = [
+    (lambda: IntegerLattice(2.5, []), "ncols: 2.5"),
+    (lambda: IntegerLattice(True, [[(0, 1)]]), "ncols: True"),
+    (lambda: hnf([[1.5, 2], [0, 3.9]]), "entry 1.5"),
+    (lambda: IntegerLattice(2, [[(0, 1.5), (1, 2)]]), "value 1.5"),
+    (lambda: IntegerLattice(3, [[(1.0, 2)]]), "column 1.0"),
+    (lambda: IntegerLattice(3, [[(True, 2)]]), "column True"),
+    (lambda: IntegerLattice(3, [[(1, True)]]), "value True"),
+    (lambda: hnf([[1, True]]), "entry True"),
+]
+
+
+@pytest.mark.parametrize("build, named", NON_INT_INPUTS,
+                         ids=[named for _, named in NON_INT_INPUTS])
+def test_non_int_widths_columns_and_values_are_named(build, named):
+    # each was once truncated or kept as it was
+    with pytest.raises(ValueError, match=named + " is not an int"):
+        build()
 
 
 def test_hnf_helper_wraps_dense_rows():

@@ -557,6 +557,16 @@ def test_an_exponent_past_the_field_width_names_its_variable():
             Poly(1, 1, {exp: 1})
 
 
+def test_a_bool_exponent_is_refused_by_name():
+    # bytes((True,)) packs True as 1, so unchecked Poly(1, 0, {(True,): 1})
+    # is x1
+    for nx, ny, exp, shown in ((1, 0, (True,), "True of x1"),
+                               (1, 1, (2, False), "False of y1")):
+        with pytest.raises(ValueError, match="exponent %s is outside 0..%d"
+                                             % (shown, EXP_MAX)):
+            Poly(nx, ny, {exp: 1})
+
+
 def test_a_power_refuses_a_negative_or_non_int_exponent():
     # unchecked, a constant's -1 power never returns, and x1's raises the
     # unrelated "passes 127" error
