@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .combinat import (  # noqa: F401
     Permutation,
-    RankTable,
     Word,
     enumerate_fubini,
     fubini_count,
@@ -14,6 +13,7 @@ from .combinat import (  # noqa: F401
 )
 from .poly import (  # noqa: F401
     Poly,
+    cache_info,
     elementary_symmetric,
     grassmannian_e_expansion,
     grothendieck,
@@ -88,7 +88,7 @@ from . import bpd, pipedream, poly
 
 def clear_caches():
     """Empty the package's caches, one `poly._Memo` each, and zero their
-    counts: the polynomial cache (`poly.cache_info()`), the memo of
+    counts: the polynomial cache (`cache_info()`), the memo of
     the diagram lists of pipe dreams and BPDs, which the word views read too
     (`row_cache_info()`), the memo of the sums by rows (`sum_cache_info()`),
     and the BPD row memo of labelled states (`bpd_row_cache_info()`).

@@ -2,7 +2,7 @@
 
 ``KERNEL_COMPILED`` stays only because ``perfbench/run.py`` reads it in every
 pass; delete this module when the benchmark drops its kernel metrics
-(ROADMAP item 2).
+(ROADMAP item 1).
 """
 
 KERNEL_COMPILED = False

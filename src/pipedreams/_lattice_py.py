@@ -7,7 +7,9 @@ kernel.  ``rings`` re-exports it: its ideals of S_{n,k} are lattices in
 Z^{k^n}.  Beside it lives Gaussian rank over a prime field.
 
 Rows are sparse: iterables of ``(column, value)`` pairs of ints with
-``0 <= column < ncols``.  Duplicate columns are merged by addition.
+``0 <= column < ncols``.  Duplicate columns are merged by addition.  One
+reader, ``_sparse_row``, takes in every row of a lattice and of
+``rank_mod_p``, and refuses a column or value that is not an int by name.
 
 Coefficient growth is controlled pivot-bounded style: whenever a row is
 inserted or a pivot row is rewritten, its entries at existing pivot columns
@@ -74,17 +76,6 @@ class IntegerLattice:
 
     # -- internals ---------------------------------------------------------
 
-    def _clean(self, items):
-        row = {}
-        for c, v in items:
-            if type(c) is not int or type(v) is not int:
-                raise ValueError("lattice %s %r is not an int" % (
-                    ("column", c) if type(c) is not int else ("value", v)))
-            if not 0 <= c < self.ncols:
-                raise IndexError(f"column {c} out of range for width {self.ncols}")
-            row[c] = row.get(c, 0) + v
-        return {c: v for c, v in row.items() if v}
-
     @staticmethod
     def _axpy(row, coef, src):
         """row += coef * src, dropping zeros."""
@@ -114,7 +105,7 @@ class IntegerLattice:
 
     def _add_row(self, items):
         """Fold one sparse row into the form."""
-        row = self._clean(items)
+        row = _sparse_row(items, self.ncols)
         while row:
             c = min(row)
             piv = self._piv.get(c)
@@ -186,7 +177,7 @@ class IntegerLattice:
 
     def contains_row(self, items):
         """Membership test: does the sparse row lie in the lattice?"""
-        row = self._clean(items)
+        row = _sparse_row(items, self.ncols)
         while row:
             c = min(row)
             piv = self._piv.get(c)
@@ -284,18 +275,30 @@ def _factorize(v, bound=10 ** 6):
     return out
 
 
+def _sparse_row(items, ncols):
+    """The sparse row `items` as {column: nonzero value}, duplicate columns
+    merged by addition.  A column or value that is not an int (a bool is not
+    one) raises a ValueError naming it, and a column outside 0..ncols-1 an
+    IndexError."""
+    row = {}
+    for c, v in items:
+        if type(c) is not int or type(v) is not int:
+            raise ValueError("lattice %s %r is not an int" % (
+                ("column", c) if type(c) is not int else ("value", v)))
+        if not 0 <= c < ncols:
+            raise IndexError(f"column {c} out of range for width {ncols}")
+        row[c] = row.get(c, 0) + v
+    return {c: v for c, v in row.items() if v}
+
+
 def rank_mod_p(rows, ncols, p):
-    """Rank over F_p of the matrix whose sparse rows are given."""
-    if p < 2:
-        raise ValueError("modulus must be a prime >= 2")
+    """Rank over F_p of the matrix whose sparse rows are given; the width
+    and the prime are ints, and the rows are read as by `IntegerLattice`."""
+    checked_int("lattice", "ncols", ncols, 0)
+    checked_int("lattice", "modulus p", p, 2)
     piv = {}  # column -> unit-pivot sparse row mod p
     for items in rows:
-        row = {}
-        for c, v in items:
-            if not 0 <= c < ncols:
-                raise IndexError(f"column {c} out of range for width {ncols}")
-            row[c] = (row.get(c, 0) + v) % p
-        row = {c: v for c, v in row.items() if v}
+        row = {c: v % p for c, v in _sparse_row(items, ncols).items() if v % p}
         while row:
             c = min(row)
             pr = piv.get(c)

@@ -13,36 +13,20 @@ east row i.
     NW      elbow: enters west, turns north
 
 Each tile is the set of cell sides its pipes use (`_SIDES`, inverted by
-`_TILE_OF_SIDES`); moves, tracing and the diagram BPD all read that table.
-A non-CROSS tile carries its one pipe from its S or W side to its N or E
-side, and the pipes entering a cell are exactly its S/W sides.
+`_TILE_OF_SIDES`); tracing and the diagram BPD read that table, and so do
+the droop moves of the test suite (`tests/oracles.py`, with their table of
+side edits).  A non-CROSS tile carries its one pipe from its S or W side to
+its N or E side, and the pipes entering a cell are exactly its S/W sides.
 
 The *diagram* BPD of w has an SE elbow at (i, w(i)), each pipe's vertical
 strand below its elbow and its horizontal strand to the right; its blank
-cells form the Rothe diagram of w.  A droop of the SE elbow at (i, j) to
-(i2, j2), i2 > i and j2 > j, moves the pipe off the top and left edges of
-the rectangle and onto its bottom and right edges:
-
-    cells                       sides dropped   sides added
-    (i, j)                      S, E            -
-    (i, j2)                     W               S
-    (i2, j)                     N               E
-    top edge   (i, j+1..j2-1)   E, W            -
-    left edge  (i+1..i2-1, j)   N, S            -
-    bottom edge                 -               E, W
-    right edge                  -               N, S
-    (i2, j2)                    -               N, W
-
-Each edit needs its dropped sides present and its added sides absent, and
-the rectangle may hold no elbow but (i, j) and (i2, j2).  The destination
-decides the move: a BLANK becomes NW (a droop), another pipe's SE elbow
-becomes CROSS (a K-droop, a second, resolved crossing of the pair).  Droops
-generate all reduced BPDs from the diagram BPD, and droops with K-droops
-all K-theoretic BPDs; the package lists them by rows (below), and the test
-suite keeps the droop closure as the oracle of those lists.  A BPD's K
-weight carries its sign (-1)^(blanks - len(w)), and so does that of a
-`WordBpd`, the `pipedream.WordDiagram` view of a BPD of std(conv(word)) on
-the word's first n rows and k columns.
+cells form the Rothe diagram of w.  Droops generate all reduced BPDs from
+the diagram BPD, and droops with K-droops all K-theoretic BPDs; the package
+lists them by rows (below), and the test suite keeps the droop closure as
+the oracle of those lists.  A BPD's K weight carries its sign
+(-1)^(blanks - len(w)), and so does that of a `WordBpd`, the
+`pipedream.WordDiagram` view of a BPD of std(conv(word)) on the word's
+first n rows and k columns.
 
 A BPD reads its blanks and NW elbows in one pass over its tiles, on first
 use, into two ints of bits (`Bpd._marks`, the cell (r, c) at bit
@@ -181,12 +165,6 @@ _TILE_OF_DIGIT = {str(int(t)): t for t in Tile}
 BpdRectangularityViolation = RectangularityViolation
 
 
-def _cells(tiles, kind):
-    """The (r, c) of every `kind` tile, row-major, 1-indexed."""
-    return [(r, c) for r, row in enumerate(tiles, start=1)
-            for c, t in enumerate(row, start=1) if t is kind]
-
-
 class Bpd(Frozen):
     """An immutable N x N grid of tiles."""
 
@@ -322,72 +300,6 @@ class Bpd(Frozen):
     def is_reduced(self, w=None):
         w = w or self.permutation()
         return len(self.blanks()) == w.inversions()
-
-    # -- moves ---------------------------------------------------------------------
-
-    def _moves(self, droop, k_droop):
-        """The droop moves (`droop`) and K-droop moves (`k_droop`) from one
-        walk over (SE elbow, destination) pairs; the K closure asks for both.
-
-        A BLANK destination makes a droop.  Another pipe's SE elbow makes a
-        K-droop, whose two pipes must already cross.  Crossing somewhere is
-        necessary but not sufficient: if the existing crossing lies
-        downstream of the destination, the new tile would become the pair's
-        first crossing and rewire the permutation.  K candidates that alter
-        the traced permutation are therefore discarded; the source is traced
-        once, for both the candidates and the permutation they must keep.
-        """
-        if k_droop:
-            one_line, crossed, se_pipe = self._trace()
-            w = Permutation(one_line)
-        N, out = self.N, []
-        for i, j in _cells(self.tiles, Tile.SE):
-            for i2 in range(i + 1, N + 1):
-                for j2 in range(j + 1, N + 1):
-                    dest = self.tiles[i2 - 1][j2 - 1]
-                    onto_se = dest is Tile.SE
-                    if onto_se:
-                        if not (k_droop and frozenset(
-                                (se_pipe[i, j], se_pipe[i2, j2])) in crossed):
-                            continue
-                    elif not (droop and dest is Tile.BLANK):
-                        continue
-                    Q = self._droop(i, j, i2, j2)
-                    if Q is not None and (not onto_se or Q.permutation() == w):
-                        out.append(Q)
-        return out
-
-    def _droop(self, i, j, i2, j2):
-        """The grid after drooping the SE elbow at (i, j) to (i2, j2) by the
-        module's droop table, or None if the rectangle holds another elbow
-        or a cell lacks a side it must drop or has a side it must add."""
-        g = [list(row) for row in self.tiles]
-        for r in range(i, i2 + 1):
-            for c in range(j, j2 + 1):
-                if (g[r - 1][c - 1] in (Tile.SE, Tile.NW)
-                        and (r, c) not in ((i, j), (i2, j2))):
-                    return None
-        cols, rows = range(j + 1, j2), range(i + 1, i2)
-        edits = [(i, j, S_ | E_, 0), (i, j2, W_, S_), (i2, j, N_, E_),
-                 (i2, j2, 0, N_ | W_)]
-        edits += [(i, c, E_ | W_, 0) for c in cols]     # top edge
-        edits += [(r, j, N_ | S_, 0) for r in rows]     # left edge
-        edits += [(i2, c, 0, E_ | W_) for c in cols]    # bottom edge
-        edits += [(r, j2, 0, N_ | S_) for r in rows]    # right edge
-        for r, c, drop, add in edits:
-            sides = _SIDES[g[r - 1][c - 1]]
-            if sides & drop != drop or sides & add:
-                return None
-            g[r - 1][c - 1] = _TILE_OF_SIDES[(sides ^ drop) | add]
-        return Bpd(g)
-
-    def droop_moves(self):
-        """All BPDs one droop move away, canonically ordered."""
-        return sorted(self._moves(droop=True, k_droop=False), key=Bpd.code_string)
-
-    def k_droop_moves(self):
-        """All BPDs one K-theoretic droop move away, canonically ordered."""
-        return sorted(self._moves(droop=False, k_droop=True), key=Bpd.code_string)
 
     # -- weights -----------------------------------------------------------------
 

@@ -181,26 +181,6 @@ class Permutation(Frozen):
             for i in range(len(ol))
         )
 
-    def descents(self):
-        ol = self.one_line
-        return [i for i in range(1, len(ol)) if ol[i - 1] > ol[i]]
-
-    def ascents(self):
-        ol = self.one_line
-        return [i for i in range(1, len(ol)) if ol[i - 1] < ol[i]]
-
-    def swap(self, i):
-        """Right multiplication by s_i: exchange positions i and i+1."""
-        ol = list(self.one_line)
-        ol[i - 1], ol[i] = ol[i], ol[i - 1]
-        return Permutation(ol)
-
-    def demazure_right(self, i):
-        """0-Hecke product w * s_i: apply s_i only if it increases length."""
-        if self(i) < self(i + 1):
-            return self.swap(i)
-        return self
-
     def extend(self, m):
         """Pad with fixed points up to S_m."""
         if m < self.n:
@@ -302,9 +282,6 @@ class Word(Frozen):
                 out.append(i)
         return frozenset(out)
 
-    def repeated_positions(self):
-        return frozenset(range(1, self.n + 1)) - self.initial_positions()
-
     def first_occurrence(self, letter):
         """First position carrying `letter`, or None if absent."""
         for i, v in enumerate(self.letters, start=1):
@@ -330,9 +307,6 @@ class Word(Frozen):
         for v in order:
             out.extend([v] * counts[v])
         return Word(out, self.k)
-
-    def is_convex(self):
-        return self.letters == self.convexify().letters
 
     def associated_permutation(self):
         """The lex-minimal sigma with w(sigma(i)) = convexify(w)(i).
@@ -377,9 +351,6 @@ class Word(Frozen):
             out[n + t - 1] = j
         return Permutation(out)
 
-    def rank_table(self):
-        return RankTable(self)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
@@ -388,35 +359,6 @@ class Word(Frozen):
     @classmethod
     def from_json(cls, text):
         return cls(*json_fields(text, "word", "letters", "k"))
-
-
-class RankTable:
-    """rk(w)[i, j] = #{l <= j : w_l <= i}, for i in [k], j in [n].
-
-    Rows are indexed by letters, columns by positions, both 1-based.
-    """
-
-    def __init__(self, word):
-        self.word = word
-        k, n = word.k, word.n
-        table = [[0] * (n + 1) for _ in range(k + 1)]
-        for i in range(1, k + 1):
-            acc = 0
-            for j in range(1, n + 1):
-                if word.letters[j - 1] <= i:
-                    acc += 1
-                table[i][j] = acc
-        self._t = table
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self._t[i][j]
-
-    def rows(self):
-        return [row[1:] for row in self._t[1:]]
-
-    def __repr__(self):
-        return "RankTable(%r)" % (str(self.word),)
 
 
 def convex_standardization(letters, k):
@@ -468,11 +410,6 @@ def stirling2(n, k):
 def fubini_count(n, k):
     """Number of Fubini words in [k]^n (surjections [n] -> [k])."""
     return math.factorial(k) * stirling2(n, k)
-
-
-def fubini_number(n):
-    """Total number of Fubini words of length n over all alphabets [k]."""
-    return sum(fubini_count(n, k) for k in range(0, n + 1)) if n else 1
 
 
 def enumerate_fubini(n, k):

@@ -128,15 +128,6 @@ def random_unitriangular(k, rng, p=None):
     return coerce_matrix(rows, p)
 
 
-def random_diagonal(n, rng, p=None):
-    """A random invertible n x n diagonal matrix (entries in +-[1, 9])."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        v = rng.choice([-1, 1]) * rng.randint(1, 9)
-        rows[i][i] = v
-    return coerce_matrix(rows, p)
-
-
 # -- pattern matrices ---------------------------------------------------------------
 
 

@@ -14,8 +14,8 @@ bits run in row-major order; sorting the ints by their ascending bit
 indices gives the sorted cross list order.  The Demazure product reads each
 row's bits from high to low.  `crosses`, the frozenset of (r, c) cells, is
 built on first use.  The (K-)chute moves of Bergeron-Billey and
-Knutson-Miller stay as `chute_moves` and `k_chute_moves`; the test suite
-checks the enumeration against their closure.
+Knutson-Miller live in the test suite (`tests/oracles.py`), which checks
+the enumeration against their closure.
 
 Enumeration by rows (compatible sequences, Billey-Jockusch-Stanley 1993;
 the Demazure product view of Knutson-Miller 2005).  Write delta(D) for the
@@ -150,38 +150,6 @@ def _demazure(bits, N):
     return tuple(u)
 
 
-def _chute_children(bits, N, slide, copy):
-    """The crosses one chute move (`slide`) or K-chute move (`copy`) away
-    from the crosses `bits` of a pipe dream of size N.
-
-    A move takes a cross at (k, j+1), j >= 1, with (k+1, j+1) empty; rows k
-    and k+1 are full across columns i+1..j and empty at column i, and
-    (k+1, i) lies in the staircase.  A chute move slides the cross to
-    (k+1, i); a K-chute move copies it there, the original staying.
-    """
-    if not bits:
-        return []
-    out = []
-    below = bits >> N                   # bit t: is the cell under t a cross
-    both, either = bits & below, bits | below
-    first_column = ((1 << N * N) - 1) // ((1 << N) - 1)
-    rest = bits & ~below & ~first_column
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        b = low.bit_length() - 1
-        k, j = divmod(b, N)             # the cross (k+1, j+1), 0-based
-        t = b - 1                       # the cell (k+1, i), i from j down
-        while t >= b - j and both >> t & 1:
-            t -= 1
-        if t >= b - j and not either >> t & 1 and k + t - (b - j) + 3 <= N:
-            if slide:
-                out.append(bits ^ low | 1 << t + N)
-            if copy:
-                out.append(bits | 1 << t + N)
-    return out
-
-
 class PipeDream(Frozen):
     """An immutable set of crosses in the staircase of size N, held as one
     int `bits`: the cross (r, c) is bit (r-1)*N + (c-1)."""
@@ -227,11 +195,6 @@ class PipeDream(Frozen):
 
     # -- permutation ---------------------------------------------------------
 
-    def reading_word(self):
-        """Simple-reflection indices: rows top->bottom, right->left."""
-        return [r + c - 1
-                for r, c in sorted(self.crosses, key=lambda rc: (rc[0], -rc[1]))]
-
     def permutation(self):
         """Demazure (0-Hecke) product of the reading word, trimmed."""
         return Permutation(self._demazure())
@@ -240,69 +203,9 @@ class PipeDream(Frozen):
         """`permutation()`'s one-line tuple, with no `Permutation` built."""
         return _demazure(self.bits, self.N)
 
-    def permutation_by_tracing(self):
-        """Trace the pipes, resolving repeated crossings of a pair as bumps.
-
-        Pipes enter at the west edge of each row heading east and exit at
-        the north edge; cells are processed in anti-diagonal order so each
-        crossing event sees the prior history of its two pipes.  For a
-        reduced pipe dream this is plain pipe tracing.
-        """
-        N = self.N
-        east_in = {}   # pipe arriving at (r, c) heading east
-        north_in = {}  # pipe arriving at (r, c) heading north
-        for r in range(1, N + 1):
-            east_in[(r, 1)] = r
-        exits = {}
-        crossed = set()
-        for t in range(1 - N, N):
-            for r in range(N, 0, -1):
-                c = t + r
-                if not 1 <= c <= N:
-                    continue
-                a = east_in.get((r, c))   # westbound input, heading east
-                b = north_in.get((r, c))  # southbound input, heading north
-                if a is None and b is None:
-                    continue
-                if self._has(r, c):
-                    pair = frozenset((a, b)) if a is not None and b is not None else None
-                    if pair is not None and pair not in crossed:
-                        crossed.add(pair)
-                        go_east, go_north = a, b
-                    else:
-                        # bump: repeated crossing (or a lone pipe) bends
-                        go_east, go_north = b, a
-                else:
-                    go_east, go_north = b, a
-                if go_east is not None:
-                    if c + 1 <= N:
-                        east_in[(r, c + 1)] = go_east
-                    else:
-                        raise AssertionError("pipe escaped east; N too small")
-                if go_north is not None:
-                    if r - 1 >= 1:
-                        north_in[(r - 1, c)] = go_north
-                    else:
-                        exits[go_north] = c
-        one_line = [exits[i] for i in range(1, N + 1)]
-        return Permutation(one_line).trim()
-
     def is_reduced(self, w=None):
         w = w or self.permutation()
         return len(self) == w.inversions()
-
-    # -- moves ---------------------------------------------------------------
-
-    def chute_moves(self):
-        """All pipe dreams one chute move away (cross slides down-left)."""
-        return [PipeDream._of(b, self.N)
-                for b in _chute_children(self.bits, self.N, True, False)]
-
-    def k_chute_moves(self):
-        """All pipe dreams one K-theoretic chute move away (cross copies
-        down-left, original stays)."""
-        return [PipeDream._of(b, self.N)
-                for b in _chute_children(self.bits, self.N, False, True)]
 
     # -- weights ---------------------------------------------------------------
 
@@ -655,12 +558,6 @@ def _sum_poly(found, nx, negate=False):
 
 
 # -- word diagrams ---------------------------------------------------------------
-
-
-def word_row_labels(word):
-    """Row r of a word diagram carries the variable x_{sigma(r)}, where
-    sigma matches positions of convexify(word) to positions of word."""
-    return _word_u(word)[2]
 
 
 def _outside(bits, n, k, N):

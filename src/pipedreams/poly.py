@@ -302,20 +302,6 @@ class Poly(Frozen):
             used |= e
         return ((used & ((1 << 8 * self.nx) - 1)).bit_length() + 7) // 8
 
-    def evaluate(self, xs, ys=()):
-        """Exact evaluation; xs/ys may hold ints or Fractions."""
-        if len(xs) != self.nx or len(ys) != self.ny:
-            raise ValueError("evaluation point arity mismatch")
-        pt = tuple(xs) + tuple(ys)
-        total = 0
-        for e, c in self.items():
-            v = c
-            for b, a in zip(pt, e):
-                if a:
-                    v *= b ** a
-            total += v
-        return total
-
     # -- substitutions ---------------------------------------------------------
 
     def specialize_y_zero(self):
@@ -336,14 +322,6 @@ class Poly(Frozen):
                         {e & xs | e >> old << new: c
                          for e, c in self.terms.items()})
 
-    def permute_x(self, pi):
-        """Substitute x_i := x_{pi(i)} for a permutation pi of [m], m <= nx."""
-        pi = pi if isinstance(pi, Permutation) else Permutation(pi)
-        if pi.n > self.nx:
-            raise ValueError("permute_x: a permutation of %d letters, but "
-                             "nx = %d" % (pi.n, self.nx))
-        return self._relabel(self.nx, [p - 1 for p in pi.one_line])
-
     def _relabel(self, nx, pos):
         """x_(j+1) := x_(pos[j]+1) for pos a permutation of range(m), in nx
         x variables and the y block after x_nx; no x beyond nx may occur."""
@@ -359,18 +337,9 @@ class Poly(Frozen):
 
     # -- divided differences -----------------------------------------------
 
-    def _check_operator_index(self, i, op="d"):
+    def _check_operator_index(self, i):
         if i < 1 or i + 1 > self.nx:
-            raise ValueError("%s_%d needs x_%d in scope" % (op, i, i + 1))
-
-    def swap_x(self, i):
-        """Exchange the variables x_i and x_{i+1}."""
-        self._check_operator_index(i, "s")
-        s = 8 * (i - 1)
-        d = (1 << s + 8) - (1 << s)     # one unit moved from x_i to x_{i+1}
-        return Poly._of(self.nx, self.ny,
-                        {e + ((e >> s & 0xFF) - (e >> s + 8 & 0xFF)) * d: c
-                         for e, c in self.terms.items()})
+            raise ValueError("d_%d needs x_%d in scope" % (i, i + 1))
 
     def divided_difference(self, i):
         """d_i f = (f - s_i f) / (x_i - x_{i+1}), computed division-free."""
@@ -598,12 +567,10 @@ _CACHE = _Memo(lambda p: len(p.terms), CACHE_TERMS, "terms",
 
 def cache_info():
     """The polynomial cache: its entries and their terms, and its hits,
-    misses and evictions since the last `clear_caches()`."""
+    misses and evictions since the last `pipedreams.clear_caches()`.  A
+    caller reads it to see whether a table of polynomials was served from
+    the cache or evicted it, as `row_cache_info()` shows for the diagrams."""
     return _CACHE.info()
-
-
-def clear_caches():
-    _CACHE.clear()
 
 
 def _staircase(n, nx, ny, double, k_theory):
@@ -722,14 +689,6 @@ def schubert_of_word(word):
 def grothendieck_of_word(word):
     """Grothendieck polynomial of a word (same relabeling as Schubert)."""
     return _word_poly(word, grothendieck)
-
-
-def schubert_double_of_word(word):
-    return _word_poly(word, schubert_double)
-
-
-def grothendieck_double_of_word(word):
-    return _word_poly(word, grothendieck_double)
 
 
 # -- Grassmannian expansions ---------------------------------------------------

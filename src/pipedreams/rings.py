@@ -241,20 +241,6 @@ def grothendieck_ideal_generators(n, k):
     return out
 
 
-def special_nonfubini_word(i, n, k):
-    """The non-Fubini word missing the letter i whose Grothendieck polynomial
-    is the i-th special ideal generator: 1, 2, .., i-1, i+1, .., k padded to
-    length n with copies of its last letter.
-    """
-    _require_shape(n, k)
-    if k == 1:
-        raise ValueError("every word over a one-letter alphabet is Fubini")
-    if not 1 <= i <= k:
-        raise ValueError(f"missing letter must lie in [k]=[{k}]")
-    prefix = [j for j in range(1, k + 1) if j != i]
-    return Word(prefix + [prefix[-1]] * (n - k + 1), k=k)
-
-
 def k0_class_of_word(word):
     """The K-theory class of a word: its Grothendieck polynomial in S_{n,k}."""
     word = word if isinstance(word, Word) else Word(word)

@@ -12,6 +12,8 @@ import sympy
 
 from pipedreams import Permutation, Poly
 
+from oracles import ascents, swap
+
 
 def sympy_xs(n):
     return sympy.symbols(["x%d" % i for i in range(1, n + 1)])
@@ -59,9 +61,9 @@ def sympy_schubert(w):
     v = w
     word = []
     while v.inversions() < n * (n - 1) // 2:
-        i = next(a for a in v.ascents())
+        i = ascents(v)[0]
         word.append(i)
-        v = v.swap(i)
+        v = swap(v, i)
     for i in reversed(word):
         expr = sympy_divided_difference(expr, i, xs)
     return sympy.expand(expr)
@@ -76,9 +78,9 @@ def sympy_grothendieck(w):
     v = w
     word = []
     while v.inversions() < n * (n - 1) // 2:
-        i = next(a for a in v.ascents())
+        i = ascents(v)[0]
         word.append(i)
-        v = v.swap(i)
+        v = swap(v, i)
     for i in reversed(word):
         expr = sympy_isobaric(expr, i, xs)
     return sympy.expand(expr)

@@ -33,6 +33,8 @@ from pipedreams.poly import (
     schubert_of_word,
 )
 
+from oracles import droop_moves, k_droop_moves, tile_cells
+
 B_, H_, V_, C_, S_, N_ = (
     Tile.BLANK,
     Tile.HOR,
@@ -200,6 +202,7 @@ def test_every_enumerated_grid_is_a_bpd_of_w():
 
 
 def test_enumeration_neither_droops_nor_traces(monkeypatch):
+    import oracles
     from pipedreams import clear_caches
 
     def refuse(self, *args, **kwargs):
@@ -208,7 +211,7 @@ def test_enumeration_neither_droops_nor_traces(monkeypatch):
     expected = [[B.to_json() for B in f(w)]
                 for n in range(1, 6) for w in all_permutations(n)
                 for f in (enumerate_reduced_bpd, enumerate_all_bpd)]
-    monkeypatch.setattr(Bpd, "_moves", refuse)
+    monkeypatch.setattr(oracles, "bpd_moves", refuse)
     monkeypatch.setattr(Bpd, "_trace", refuse)
     clear_caches()
     assert [[B.to_json() for B in f(w)]
@@ -244,7 +247,7 @@ def test_enumeration_deterministic():
 def test_droop_moves_preserve_permutation():
     w = Permutation("24153")
     for B in enumerate_reduced_bpd(w):
-        for D in B.droop_moves():
+        for D in droop_moves(B):
             D.validate()
             assert D.permutation() == w
             assert D.is_reduced()
@@ -253,7 +256,7 @@ def test_droop_moves_preserve_permutation():
 def test_k_droop_adds_a_blank_and_keeps_hecke_class():
     w = Permutation("24153")
     for B in enumerate_all_bpd(w):
-        for D in B.k_droop_moves():
+        for D in k_droop_moves(B):
             D.validate()
             assert D.permutation() == w
             assert len(D.blanks()) == len(B.blanks()) + 1
@@ -268,7 +271,7 @@ def test_k_droop_skips_destinations_upstream_of_the_crossing():
     diagrams = enumerate_all_bpd(w)
     assert all(B.permutation() == w for B in diagrams)
     for B in diagrams:
-        for D in B.k_droop_moves():
+        for D in k_droop_moves(B):
             assert D.permutation() == w
     assert bpd_grothendieck(w) == grothendieck(w).restrict_arity(5)
 
@@ -279,7 +282,7 @@ def test_droops_from_diagram_reach_all_reduced_bpds():
     frontier = [diagram_bpd(w)]
     while frontier:
         B = frontier.pop()
-        for D in B.droop_moves():
+        for D in droop_moves(B):
             if D.code_string() not in seen:
                 seen.add(D.code_string())
                 frontier.append(D)
@@ -502,14 +505,13 @@ def poly_way_word_bpd_sum(word, reduced):
     """The word BPD sum one `Poly` per view: `diagram_weight` of the
     blanks and NW elbows found by scanning the tiles, signed by
     `k_signed`."""
-    from pipedreams.bpd import _cells
     from pipedreams.pipedream import diagram_weight, k_signed, weight_sum
 
     mode = "single" if reduced else "K-single"
     return weight_sum(
         (k_signed(diagram_weight(mode, word.n,
-                                 _cells(V.diagram.tiles, Tile.BLANK), V.labels,
-                                 _cells(V.diagram.tiles, Tile.NW)),
+                                 tile_cells(V.diagram.tiles, Tile.BLANK), V.labels,
+                                 tile_cells(V.diagram.tiles, Tile.NW)),
                   0 if reduced else V.excess)
          for V in enumerate_word_bpds(word, reduced=reduced)), word.n)
 
@@ -547,7 +549,6 @@ def test_bad_label_raises_the_diagram_weight_error_from_a_packed_bpd_sum(
 
 
 def test_marks_are_the_blanks_and_nw_elbows_of_the_tiles():
-    from pipedreams.bpd import _cells
     from pipedreams.combinat import all_permutations
 
     for n in range(1, 5):
@@ -557,9 +558,9 @@ def test_marks_are_the_blanks_and_nw_elbows_of_the_tiles():
                 assert B._marks() is B._marks()
                 for bits, kind in ((blank, Tile.BLANK), (nw, Tile.NW)):
                     assert bits == sum(1 << (r - 1) * B.N + c - 1
-                                       for r, c in _cells(B.tiles, kind))
-                assert B.blanks() == _cells(B.tiles, Tile.BLANK)
-                assert B.nw_elbows() == _cells(B.tiles, Tile.NW)
+                                       for r, c in tile_cells(B.tiles, kind))
+                assert B.blanks() == tile_cells(B.tiles, Tile.BLANK)
+                assert B.nw_elbows() == tile_cells(B.tiles, Tile.NW)
 
 
 # -- sums by rows --------------------------------------------------------------

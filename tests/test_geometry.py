@@ -18,12 +18,13 @@ from pipedreams.geometry import (
     matrix_from_json,
     matrix_to_json,
     pattern_matrix,
-    random_diagonal,
     random_matrix,
     random_unitriangular,
     reduction,
     word_of_matrix,
 )
+
+from oracles import random_diagonal
 
 
 REDUCTION_EXAMPLE = [

@@ -345,3 +345,18 @@ def test_rank_mod_p_drops_below_integer_rank():
     lat = IntegerLattice(2, rows)
     assert lat.rank == 2
     assert rank_mod_p(rows, 2, 2) == 1
+
+
+RANK_MOD_P_INPUTS = [
+    (([[(0, 1.5)]], 2, 3), "value 1.5"),        # was a TypeError from pow()
+    (([[(0, 1)]], 2, 4.0), "modulus p: 4.0"),   # the same TypeError
+    (([[(True, 1)]], 2, 3), "column True"),     # was read as column 1
+    (([[(0, 2)]], 2.5, 3), "ncols: 2.5"),       # was taken as a width
+]
+
+
+@pytest.mark.parametrize("args, named", RANK_MOD_P_INPUTS,
+                         ids=[named for _, named in RANK_MOD_P_INPUTS])
+def test_rank_mod_p_names_an_input_that_is_not_an_int(args, named):
+    with pytest.raises(ValueError, match=named + " is not an int"):
+        rank_mod_p(*args)

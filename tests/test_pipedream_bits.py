@@ -28,7 +28,8 @@ from pipedreams.pipedream import (
     word_pd_schubert,
 )
 
-from oracles import marks_union, packed_sum
+from oracles import (chute_moves, k_chute_moves, marks_union, packed_sum,
+                     permutation_by_tracing)
 
 
 def oracle_chute_targets(P, N):
@@ -92,8 +93,8 @@ def test_moves_match_the_frozenset_oracle():
         targets = list(oracle_chute_targets(P.crosses, P.N))
         slides = sorted(sorted(P.crosses - {src} | {dst}) for src, dst in targets)
         copies = sorted(sorted(P.crosses | {dst}) for _, dst in targets)
-        assert sorted(Q.sorted_crosses() for Q in P.chute_moves()) == slides
-        assert sorted(Q.sorted_crosses() for Q in P.k_chute_moves()) == copies
+        assert sorted(Q.sorted_crosses() for Q in chute_moves(P)) == slides
+        assert sorted(Q.sorted_crosses() for Q in k_chute_moves(P)) == copies
 
 
 def test_bits_protocol():
@@ -116,7 +117,7 @@ def test_bits_protocol():
 def test_tracing_agrees_with_the_bit_demazure_product():
     for P in small_diagrams() + [P for w in list(all_permutations(6))[::37]
                                  for P in enumerate_all(w)]:
-        assert P.permutation_by_tracing().one_line == P._demazure()
+        assert permutation_by_tracing(P).one_line == P._demazure()
 
 
 def poly_way_sum(diagrams, nx, labels=None, ell=None):

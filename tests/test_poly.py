@@ -11,24 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipedreams
-from pipedreams import Permutation, Word, poly
+from pipedreams import Permutation, Word, cache_info, clear_caches, poly
 from pipedreams.poly import (
     _CACHE,
     EXP_MAX,
     LemmaViolation,
     Poly,
-    cache_info,
-    clear_caches,
     elementary_symmetric,
     grassmannian_cycle,
     grassmannian_e_expansion,
     grothendieck,
     grothendieck_double,
-    grothendieck_double_of_word,
     grothendieck_of_word,
     schubert,
     schubert_double,
-    schubert_double_of_word,
     schubert_of_word,
 )
 
@@ -41,6 +37,8 @@ from conftest import (
     sympy_schubert,
     sympy_xs,
 )
+from oracles import (descents, evaluate, grothendieck_double_of_word,
+                     permute_x, schubert_double_of_word, swap_x)
 
 
 def monomial(nx, exps, coeff=1, ny=0, yexps=()):
@@ -79,10 +77,10 @@ def test_fraction_coefficients_survive_arithmetic():
 
 def test_evaluate_exact():
     f = monomial(2, (2, 1), 3) + Poly.const(1, 2)
-    assert f.evaluate((2, 5)) == 3 * 4 * 5 + 1
-    assert f.evaluate((Fraction(1, 2), 4)) == 3 * Fraction(1, 4) * 4 + 1
+    assert evaluate(f, (2, 5)) == 3 * 4 * 5 + 1
+    assert evaluate(f, (Fraction(1, 2), 4)) == 3 * Fraction(1, 4) * 4 + 1
     with pytest.raises(ValueError):
-        f.evaluate((1,))
+        evaluate(f, (1,))
 
 
 def test_degree_helpers():
@@ -97,15 +95,15 @@ def test_degree_helpers():
 def test_permute_x_relabels_variables():
     f = monomial(3, (1, 2, 0))
     sigma = Permutation("231")  # x1 -> x2, x2 -> x3, x3 -> x1
-    assert f.permute_x(sigma) == monomial(3, (0, 1, 2))
+    assert permute_x(f, sigma) == monomial(3, (0, 1, 2))
     with pytest.raises(ValueError, match="3 letters, but nx = 2"):
-        Poly(2, 0, {(1, 0): 1}).permute_x((1, 3, 2))
+        permute_x(Poly(2, 0, {(1, 0): 1}), (1, 3, 2))
 
 
 def test_swap_x_is_transposition():
     f = monomial(3, (1, 2, 0))
-    assert f.swap_x(1) == monomial(3, (2, 1, 0))
-    assert f.swap_x(1).swap_x(1) == f
+    assert swap_x(f, 1) == monomial(3, (2, 1, 0))
+    assert swap_x(swap_x(f, 1), 1) == f
 
 
 def test_restrict_arity():
@@ -266,7 +264,7 @@ def test_schubert_monomial_positivity():
     for p in itertools.permutations(range(1, 6)):
         f = schubert(Permutation(p))
         assert all(c > 0 for c in f.terms.values())
-        assert f.evaluate((1,) * 5) >= 1
+        assert evaluate(f, (1,) * 5) >= 1
 
 
 # -- Grothendieck polynomials -----------------------------------------------
@@ -340,7 +338,7 @@ def test_double_schubert_interpolation():
         w = Permutation(p)
         f = schubert_double(w)
         pt = tuple(Fraction(i, 7) for i in range(1, 5))
-        val = f.evaluate(pt, pt)
+        val = evaluate(f, pt, pt)
         if w.inversions():
             assert val == 0
         else:
@@ -409,8 +407,8 @@ def test_word_polynomial_variable_substitution():
             (grothendieck_double, grothendieck_double_of_word, True)):
         for word in _oracle_words(fubini):
             u = word.convexify().standardize()
-            expected = (base(u).restrict_arity(word.n)
-                        .permute_x(word.associated_permutation()))
+            expected = permute_x(base(u).restrict_arity(word.n),
+                                 word.associated_permutation())
             assert of_word(word) == expected, (of_word.__name__, word)
 
 
@@ -442,7 +440,7 @@ def test_grassmannian_cycle_shape():
         for i in range(1, n):
             v = grassmannian_cycle(i, n)
             assert v.inversions() == n - i
-            assert len(v.descents()) == 1
+            assert len(descents(v)) == 1
 
 
 def test_grassmannian_schubert_is_elementary():
@@ -535,8 +533,8 @@ def test_exponents_of_the_wrong_arity_are_refused():
         Poly(3, 0, {(1, 0, 0, 0): 1})
     assert f.coefficient((1, 0, 0)) == 1
     assert f.coefficient((200, 0, 0)) == f.coefficient((-1, 0, 0)) == 0
-    with pytest.raises(ValueError, match="s_3 needs x_4 in scope"):
-        f.swap_x(3)
+    with pytest.raises(ValueError, match="d_3 needs x_4 in scope"):
+        f.divided_difference(3)
     with pytest.raises(ValueError, match=r"e_1\(x_1..x_3\) needs nx >= 3"):
         elementary_symmetric(1, 3, nx=2, ny=1)
 

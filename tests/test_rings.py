@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import pipedreams
 from pipedreams import Permutation, Word, poly, rings
 from pipedreams.combinat import enumerate_fubini, stirling2
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck,
@@ -23,7 +24,6 @@ from pipedreams.rings import (
     k0_class_of_word,
     project_to_snk,
     rnk_rank,
-    special_nonfubini_word,
     snf_invariants,
     verify_grothendieck_basis,
     verify_rings,
@@ -33,6 +33,7 @@ from pipedreams.rings import (
 )
 
 from conftest import random_poly
+from oracles import special_nonfubini_word
 
 
 # -- the ambient ring ---------------------------------------------------------
@@ -355,13 +356,13 @@ def test_fubini_class_rows_refuse_variables_beyond_n(monkeypatch):
 
 
 def test_verify_rings_computes_no_schubert_polynomial():
-    poly.clear_caches()
+    pipedreams.clear_caches()
     try:
         assert verify_rings(5, 3)["ok"]
         kinds = {kind for _, kind in poly._CACHE}
         assert "G" in kinds and "S" not in kinds
     finally:
-        poly.clear_caches()
+        pipedreams.clear_caches()
 
 
 # -- quotient structure -----------------------------------------------------------

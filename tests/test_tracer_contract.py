@@ -11,9 +11,11 @@ import inspect
 from pathlib import Path
 
 from pipedreams import _backend
+from pipedreams import Permutation, Poly
 from pipedreams.rings import IntegerLattice
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+WORKLOADS = LAYERS.with_name("workloads.py")
 
 
 def load_layers():
@@ -119,3 +121,15 @@ def test_bpd_sums_enumerate_through_the_module_globals(monkeypatch):
         bpd.bpd_schubert(w, double=double)
         bpd.bpd_grothendieck(w, double=double)
     assert calls == {name: [size] for name, size in sizes.items()}
+
+
+def test_methods_the_workload_checks_call_exist():
+    # perfbench/workloads.py checks its tables through these methods; one
+    # removed would turn a run into `correct: false`, not a Tier-1 failure
+    text = WORKLOADS.read_text()
+    for cls, names in ((Poly, ("lowest_degree_component", "specialize_y_zero",
+                               "restrict_arity", "coefficient")),
+                       (Permutation, ("lehmer_code",))):
+        for name in names:
+            assert "." + name + "(" in text, name
+            assert callable(vars(cls).get(name)), (cls.__name__, name)

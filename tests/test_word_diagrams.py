@@ -302,8 +302,7 @@ def test_no_word_path_calls_the_word_methods(cold, monkeypatch):
                             schubert_of_word, verify_rings,
                             word_bpd_grothendieck, word_bpd_schubert,
                             word_pd_grothendieck, word_pd_schubert)
-    from pipedreams.poly import (grothendieck_double_of_word,
-                                 schubert_double_of_word)
+    from oracles import grothendieck_double_of_word, schubert_double_of_word
 
     def refuse(self, *args):
         raise AssertionError("a production path called a Word oracle")
