@@ -2,14 +2,17 @@
 
 ``IntegerLattice`` is a sublattice of Z^ncols held in row Hermite normal form
 (HNF) and built from sparse rows; it answers rank, membership, equality,
-Smith invariants and freeness of the quotient, all from the one Hermite
-kernel.  ``rings`` re-exports it: its ideals of S_{n,k} are lattices in
-Z^{k^n}.  Beside it lives Gaussian rank over a prime field.
+Smith invariants and freeness of the quotient.  ``rings`` re-exports it: its
+ideals of S_{n,k} are lattices in Z^{k^n}.  There is one elimination loop,
+``IntegerLattice._reduce``: inserting a row reduces it, membership is "the
+row reduces to nothing", torsion is read off the Smith invariants, and
+``rank_mod_p`` is the count of unit pivots of the lattice the rows span
+together with p Z^ncols.
 
 Rows are sparse: iterables of ``(column, value)`` pairs of ints with
 ``0 <= column < ncols``.  Duplicate columns are merged by addition.  One
-reader, ``_sparse_row``, takes in every row of a lattice and of
-``rank_mod_p``, and refuses a column or value that is not an int by name.
+reader, ``_sparse_row``, takes in every row, and refuses a column or value
+that is not an int by name.
 
 Coefficient growth is controlled pivot-bounded style: whenever a row is
 inserted or a pivot row is rewritten, its entries at existing pivot columns
@@ -19,7 +22,6 @@ pivot columns stay in ``[0, pivot)`` throughout.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
@@ -103,9 +105,25 @@ class IntegerLattice:
                     if q:
                         self._axpy(row, -q, piv)
 
+    def _reduce(self, row):
+        """Subtract pivot rows from `row` in place, bringing its leading entry
+        into [0, pivot), while that clears it; return what is left: nothing,
+        or a row led by a column with no pivot or by an entry in (0, pivot)."""
+        while row:
+            c = min(row)
+            piv = self._piv.get(c)
+            if piv is None:
+                return row
+            q = row[c] // piv[c]
+            if q:
+                self._axpy(row, -q, piv)
+            if c in row:
+                return row
+        return row
+
     def _add_row(self, items):
         """Fold one sparse row into the form."""
-        row = _sparse_row(items, self.ncols)
+        row = self._reduce(_sparse_row(items, self.ncols))
         while row:
             c = min(row)
             piv = self._piv.get(c)
@@ -116,12 +134,8 @@ class IntegerLattice:
                 self._piv[c] = row
                 self._canonical = False
                 return
-            q, rem = divmod(row[c], piv[c])
-            if q:
-                self._axpy(row, -q, piv)
-            if rem == 0:
-                continue
             # gcd step: pivot value shrinks to g, remainder row leaves column c
+            rem = row[c]
             g, x, y = xgcd(piv[c], rem)
             cols = set(piv) | set(row)
             newp = {}
@@ -139,7 +153,7 @@ class IntegerLattice:
             self._reduce_at_pivots(newp, c)
             self._piv[c] = newp
             self._canonical = False
-            row = newr
+            row = self._reduce(newr)
 
     def _pivot_rows(self):
         """The current basis rows as sorted sparse tuples, by pivot column."""
@@ -177,17 +191,7 @@ class IntegerLattice:
 
     def contains_row(self, items):
         """Membership test: does the sparse row lie in the lattice?"""
-        row = _sparse_row(items, self.ncols)
-        while row:
-            c = min(row)
-            piv = self._piv.get(c)
-            if piv is None:
-                return False
-            q, rem = divmod(row[c], piv[c])
-            if rem:
-                return False
-            self._axpy(row, -q, piv)
-        return True
+        return not self._reduce(_sparse_row(items, self.ncols))
 
     def contains(self, element):
         return self.contains_row(element.items())
@@ -218,9 +222,9 @@ class IntegerLattice:
         diagonal entries other than 1, which a unit block leaves as they
         are.
         """
+        if all(r[c] == 1 for c, r in self._piv.items()):
+            return (1,) * self.rank
         rows = self.canonical_rows()
-        if all(r[0][1] == 1 for r in rows):
-            return (1,) * len(rows)
         while any(len(r) > 1 for r in rows):
             columns = {}
             for i, r in enumerate(rows):
@@ -235,44 +239,11 @@ class IntegerLattice:
         return (1,) * (len(rows) - len(d)) + tuple(d)
 
     def is_torsion_free(self):
-        """Is Z^ncols / lattice free?  (All invariant factors 1.)
-
-        The quotient has torsion exactly when the rank drops modulo some
-        prime, and such a prime divides a pivot.  When trial division leaves
-        a pivot cofactor of 10^12 or more unsplit, the Smith invariants
-        decide; this fallback never raises."""
-        primes = set()
-        for v in self.pivot_values():
-            if v != 1:
-                f = _factorize(v)
-                if f is None:
-                    return all(d == 1 for d in self.snf_invariants())
-                primes.update(f)
-        if not primes:
-            return True
-        rows = self._pivot_rows()
-        return all(rank_mod_p(rows, self.ncols, p) == self.rank
-                   for p in sorted(primes))
+        """Is Z^ncols / lattice free?  (All Smith invariants 1.)"""
+        return all(d == 1 for d in self.snf_invariants())
 
     def __repr__(self):
         return f"<IntegerLattice rank {self.rank} in Z^{self.ncols}>"
-
-
-def _factorize(v, bound=10 ** 6):
-    """Prime factors of v, or None if a cofactor above the bound remains."""
-    v = abs(v)
-    out = set()
-    for p in itertools.chain([2], range(3, bound, 2)):
-        if p * p > v:
-            break
-        while v % p == 0:
-            out.add(p)
-            v //= p
-    if v > 1:
-        if v >= bound * bound:
-            return None
-        out.add(v)
-    return out
 
 
 def _sparse_row(items, ncols):
@@ -292,30 +263,19 @@ def _sparse_row(items, ncols):
 
 
 def rank_mod_p(rows, ncols, p):
-    """Rank over F_p of the matrix whose sparse rows are given; the width
-    and the prime are ints, and the rows are read as by `IntegerLattice`."""
+    """Rank over F_p, for a prime p, of the matrix whose sparse rows are
+    given; the width and the prime are ints, and the rows are read as by
+    `IntegerLattice`.
+
+    Let L be the lattice the rows span together with p Z^ncols.  L holds
+    p e_c, so the HNF pivot at each column c divides p: it is 1 or p.  The
+    product of the pivots is the index [Z^ncols : L] = |F_p^ncols / (row
+    span mod p)| = p^(ncols - rank_p), so the rank over F_p is the number
+    of unit pivots."""
     checked_int("lattice", "ncols", ncols, 0)
     checked_int("lattice", "modulus p", p, 2)
-    piv = {}  # column -> unit-pivot sparse row mod p
-    for items in rows:
-        row = {c: v % p for c, v in _sparse_row(items, ncols).items() if v % p}
-        while row:
-            c = min(row)
-            pr = piv.get(c)
-            if pr is None:
-                inv = pow(row[c], -1, p)
-                piv[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
-                break
-            coef = row.pop(c)
-            for cc, vv in pr.items():
-                if cc == c:
-                    continue
-                nv = (row.get(cc, 0) - coef * vv) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    return len(piv)
+    lattice = IntegerLattice(ncols, [[(c, p)] for c in range(ncols)] + list(rows))
+    return lattice.pivot_values().count(1)
 
 
 def _dense_entry(v):

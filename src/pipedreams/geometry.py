@@ -29,7 +29,8 @@ from fractions import Fraction
 from math import comb
 
 from ._lattice_py import rank_mod_p
-from .combinat import Frozen, Permutation, Word, convex_standardization
+from .combinat import (Frozen, Permutation, Word, checked_int,
+                       convex_standardization)
 
 
 class ReductionError(ValueError):
@@ -40,7 +41,8 @@ class ReductionError(ValueError):
 
 
 def _check_odd_prime(p):
-    if p < 3 or p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
+    checked_int("field", "modulus p", p, 3)
+    if p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
         raise ValueError("modulus must be an odd prime, got %r" % (p,))
     return p
 
@@ -307,6 +309,7 @@ def cell_dimension_report(word, p=1009, samples=120, seed=0):
     """
     word = word if isinstance(word, Word) else Word(word)
     _check_odd_prime(p)
+    checked_int("cell report", "samples", samples)
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
     pm = PatternMatrix(word)

@@ -23,7 +23,7 @@ from pipedreams.bpd import (
     word_bpd_schubert,
 )
 from pipedreams.combinat import all_permutations
-from pipedreams.pipedream import enumerate_all, enumerate_reduced
+from pipedreams.pipedream import enumerate_reduced
 from pipedreams.poly import (
     grothendieck,
     grothendieck_double,

@@ -1,7 +1,6 @@
 """Pattern matrices, the matrix reduction algorithm, and cell reports."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ import sympy
 
 from pipedreams import Word
 from pipedreams.geometry import (
-    PatternMatrix,
     ReductionError,
     cell_dimension_report,
     coerce_matrix,
@@ -294,3 +292,18 @@ def test_cell_dimension_report_consistent_case():
         rep["star_count"] == rep["kn_minus_length"]
         and rep["binom_plus_stars"] == rep["cell_dimension"]
     )
+
+
+FLOAT_INPUTS = [
+    (cell_dimension_report, ("12",), {"p": 3.0}, "modulus p: 3.0"),
+    (reduction, ([[1, 2], [3, 4]],), {"p": 5.0}, "modulus p: 5.0"),
+    (cell_dimension_report, ("12",), {"samples": 2.5}, "samples: 2.5"),
+]
+
+
+@pytest.mark.parametrize("call, args, kwargs, named", FLOAT_INPUTS,
+                         ids=[named for *_, named in FLOAT_INPUTS])
+def test_a_float_modulus_or_sample_count_is_named(call, args, kwargs, named):
+    # the modulus was a TypeError from pow(), and 2.5 samples were 3
+    with pytest.raises(ValueError, match=named + " is not an int"):
+        call(*args, **kwargs)

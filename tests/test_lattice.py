@@ -5,7 +5,6 @@ implementations.
 """
 
 import operator
-import random
 
 import pytest
 import sympy
@@ -126,11 +125,24 @@ def test_ring_scale_invariants_count_the_rank_drop_mod_each_prime():
 
 
 def test_torsion_past_trial_division_falls_back_to_smith_invariants():
-    P = 1000000000039     # a prime above 10^12: trial division stops short
+    # a prime pivot above 10^12: torsion is read from the Smith invariants,
+    # as for every pivot, with no factoring
+    P = 1000000000039
     assert sympy.isprime(P)
     assert IntegerLattice(2, [[(0, P), (1, 1)]]).is_torsion_free()
     assert not IntegerLattice(2, [[(0, P)]]).is_torsion_free()
     assert IntegerLattice(2, [[(0, P * P)]]).snf_invariants() == (P * P,)
+
+
+def test_torsion_check_of_unit_pivots_does_not_canonicalize(monkeypatch):
+    # every desk-scale I_e has unit pivots, and `verify rings` checks each
+    # one's freeness: that check must not pay for the canonical form
+    def refuse(self):
+        raise AssertionError("canonical_rows called")
+
+    lat = coinvariant_ideal_lattice(4, 3, elementary_ideal_generators(4, 3))
+    monkeypatch.setattr(IntegerLattice, "canonical_rows", refuse)
+    assert lat.is_torsion_free()
 
 
 def pivot_product(lat):
@@ -329,10 +341,11 @@ def test_hnf_helper_wraps_dense_rows():
 
 
 def test_rank_mod_p_against_sympy(rng):
-    for trial in range(20):
-        ncols = rng.randint(1, 7)
+    # widths up to 30: rank_mod_p starts from a pivot row p e_c in every column
+    for trial in range(30):
+        ncols = rng.randint(1, 7 if trial < 20 else 30)
         rows = random_sparse_rows(rng, rng.randint(1, 10), ncols, bound=30)
-        for p in (3, 5, 1009):
+        for p in (2, 3, 5, 1009):
             rows_p = [[(c, v % p) for c, v in r] for r in rows]
             got = rank_mod_p(rows_p, ncols, p)
             m = DomainMatrix.from_list(dense(rows, ncols), ZZ)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipedreams
-from pipedreams import Permutation, Word, cache_info, clear_caches, poly
+from pipedreams import Permutation, Word, cache_info, clear_caches
 from pipedreams.poly import (
     _CACHE,
     EXP_MAX,

@@ -7,6 +7,9 @@ exported by ``pipedreams/__init__.py``, or be named in the benchmark
 strings).  The package is read token by token, so a docstring or a comment
 does not count as a use, and neither does an import statement: a name that
 only the tests call belongs in ``tests/oracles.py``.
+
+No module of the package (but ``__init__``, whose imports are its exports),
+the tests or ``benchmarks/`` imports a name it does not use.
 """
 
 import ast
@@ -95,3 +98,23 @@ def test_the_scan_sees_an_unreached_name(tmp_path):
         f.write("\nfrom .combinat import _only_tested  # noqa: F401\n")
     assert (set(unreached(tmp_path)) - set(unreached())
             == {"combinat._only_tested"})
+
+
+def _unused_imports(path):
+    """The names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += list(ROOT.glob("tests/*.py")) + list(ROOT.glob("benchmarks/*.py"))
+    found = {"%s: %s" % (p.relative_to(p.parents[1]), name)
+             for p in paths for name in _unused_imports(p)}
+    assert sorted(found) == []

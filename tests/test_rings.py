@@ -6,10 +6,10 @@ import math
 import pytest
 
 import pipedreams
-from pipedreams import Permutation, Word, poly, rings
+from pipedreams import Word, poly, rings
 from pipedreams.combinat import enumerate_fubini, stirling2
-from pipedreams.poly import (Poly, elementary_symmetric, grothendieck,
-                             grothendieck_of_word, schubert, schubert_of_word)
+from pipedreams.poly import (Poly, elementary_symmetric, grothendieck_of_word,
+                             schubert_of_word)
 from pipedreams.rings import (
     BasisFailure,
     DeskScaleError,
