@@ -40,6 +40,51 @@ def checked_int(kind, name, value, low=None):
     return value
 
 
+#: Miller-Rabin with the first 13 primes as bases decides primality exactly
+#: below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def checked_prime(kind, name, value, low=2):
+    """`value` if it is a prime int >= `low`; else a ValueError naming the
+    field `name` of a `kind` and the value, as ``checked_int`` does.  A
+    value at or past ``_PRIME_BOUND`` (about 3.3 * 10^24) is refused, as
+    the test is exact only below it."""
+    checked_int(kind, name, value, low)
+    if value >= _PRIME_BOUND:
+        raise ValueError("%s %s: %r is too large to be tested for a prime "
+                         "(the bound is %d)"
+                         % (kind, name, value, _PRIME_BOUND))
+    if not _is_prime(value):
+        raise ValueError("%s %s: %r is not a prime" % (kind, name, value))
+    return value
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin over ``_PRIME_BASES``, for p below
+    ``_PRIME_BOUND``."""
+    if p < 2:
+        return False
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _parse_one_line(data, kind, name):
     """Accept an int-sequence, a digit string, or a comma-separated string."""
     if isinstance(data, str):
@@ -440,6 +485,42 @@ def fubini_letters(n, k):
                 yield from rec(prefix + (v,), new_missing)
 
     yield from rec((), frozenset(range(1, k + 1)))
+
+
+def fubini_blocks(n, k):
+    """Yield the set partitions of the positions 0..n-1 into exactly k
+    blocks, each a tuple of blocks in ascending order of their least
+    position, each block a tuple of ascending positions.
+
+    The Fubini words in [k]^n are these partitions times the orders of
+    [k]: the word whose letter at every position of the b-th block is
+    pi[b], for pi a permutation of 1..k.  Its letters occur first in the
+    order of the blocks, so conv(w) places the blocks one after another.
+    The walk is the restricted-growth recursion: position p joins an open
+    block or opens the next one, while the n - p positions left can still
+    open the k - (blocks open) blocks missing.
+
+    >>> list(fubini_blocks(3, 2))
+    [((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2))]
+    """
+    if not 0 <= k <= n or n and not k:
+        return
+
+    def rec(p, blocks):
+        if p == n:
+            yield tuple(map(tuple, blocks))
+            return
+        if n - p > k - len(blocks):
+            for block in blocks:
+                block.append(p)
+                yield from rec(p + 1, blocks)
+                block.pop()
+        if len(blocks) < k:
+            blocks.append([p])
+            yield from rec(p + 1, blocks)
+            blocks.pop()
+
+    yield from rec(0, [])
 
 
 def all_permutations(n):

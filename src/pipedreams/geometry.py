@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 
 from ._lattice_py import rank_mod_p
-from .combinat import (Frozen, Permutation, Word, checked_int,
+from .combinat import (Frozen, Permutation, Word, checked_int, checked_prime,
                        convex_standardization)
 
 
@@ -38,13 +38,6 @@ class ReductionError(ValueError):
 
 
 # -- fields ---------------------------------------------------------------------
-
-
-def _check_odd_prime(p):
-    checked_int("field", "modulus p", p, 3)
-    if p % 2 == 0 or any(p % q == 0 for q in range(3, int(p**0.5) + 1, 2)):
-        raise ValueError("modulus must be an odd prime, got %r" % (p,))
-    return p
 
 
 def _to_field(value, p):
@@ -73,7 +66,7 @@ def coerce_matrix(mat, p=None):
     """Validate a rectangular k x n matrix and coerce entries to the field
     (Fraction, or int mod p for an odd prime p)."""
     if p is not None:
-        _check_odd_prime(p)
+        checked_prime("field", "modulus p", p, 3)
     rows = [list(row) for row in mat]
     if not rows or not rows[0]:
         raise ValueError("matrix must be nonempty")
@@ -308,7 +301,7 @@ def cell_dimension_report(word, p=1009, samples=120, seed=0):
     never asserted).
     """
     word = word if isinstance(word, Word) else Word(word)
-    _check_odd_prime(p)
+    checked_prime("field", "modulus p", p, 3)
     checked_int("cell report", "samples", samples)
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)

@@ -23,9 +23,12 @@ compares two full lattices.  The lattice class, ``IntegerLattice``, lives in
 
 The class of a Fubini word w is G_u relabelled by x_i := x_{sigma(i)}, where
 u = std(conv(w)) and sigma is its associated permutation; ``verify_rings``
-builds every Schubert class row of one (n, k) in one pass per word and
-computes no Schubert polynomial.  The Schubert row is the part of the
-Grothendieck class of degree l(u), the inversion number of u, because:
+builds every Schubert class row of one (n, k) in one walk over the set
+partitions of the positions into k blocks, and computes no Schubert
+polynomial.  A partition fixes sigma for all k! words on it, and u is read
+off the block sizes and the order of the letters, so no word is
+standardized.  The Schubert row is the part of the Grothendieck class of
+degree l(u), the inversion number of u, because:
 
 - the lowest-degree part of G_u is S_u, of degree l(u) (Lascoux-
   Schuetzenberger; Fomin-Kirillov 1994): pi_i f = d_i f - d_i(x_{i+1} f),
@@ -50,11 +53,10 @@ to be thrown away.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import mul
+from itertools import permutations
 
 from ._lattice_py import IntegerLattice
-from .combinat import (Frozen, Permutation, Word, convex_standardization,
-                       fubini_count, fubini_letters)
+from .combinat import Frozen, Permutation, Word, fubini_blocks, fubini_count
 from .poly import (_within_word, elementary_symmetric, grassmannian_cycle,
                    grothendieck, grothendieck_of_word, schubert_of_word)
 
@@ -339,9 +341,10 @@ def _certify_ideal_equal(ideal, e_gens, g_gens):
 
 
 def _surviving_terms(u, n, k):
-    """The terms of G_u of degree l(u) that live in S_{n,k}, as (exponents,
-    coefficient) pairs, and whether some other surviving term of G_u has
-    degree below l(u).  A term survives when every exponent is < k."""
+    """The terms of G_u of degree l(u) that live in S_{n,k}, and whether
+    some other surviving term of G_u has degree below l(u).  A term
+    survives when every exponent is < k; it is kept as its coefficient and
+    its positions, 0-based, each repeated by its exponent."""
     length = Permutation(u).inversions()
     lowest, below = [], False
     for exp, coeff in _within_word(grothendieck(u), n).items():
@@ -349,43 +352,66 @@ def _surviving_terms(u, n, k):
         if max(exp) < k:
             degree = sum(exp)
             if degree == length:
-                lowest.append((exp, coeff))
+                lowest.append((coeff, [j for j, e in enumerate(exp)
+                                       for _ in range(e)]))
             elif degree < length:
                 below = True
     return lowest, below
 
 
+def _fubini_u(pi, sizes, k):
+    """u = std(conv(w)) of the Fubini word whose b-th block, of size
+    sizes[b], carries the letter pi[b]: pi[b] stands first in its run and
+    the repeats take k+1, k+2, .. in turn."""
+    u, r = [], k
+    for v, m in zip(pi, sizes):
+        u.append(v)
+        u.extend(range(r + 1, r + m))
+        r += m - 1
+    return tuple(u)
+
+
 def _fubini_class_rows(n, k):
     """Sparse S_{n,k} rows of the Schubert classes of the Fubini words of
-    [k]^n, in ``enumerate_fubini`` order, and whether the degree bound of
-    ``verify_rings`` holds: no Grothendieck class has a term below the
-    degree of its Schubert class.
+    [k]^n, and whether the degree bound of ``verify_rings`` holds: no
+    Grothendieck class has a term below the degree of its Schubert class.
 
-    The class of w is G_u relabelled by x_i := x_{sigma(i)}, for u and sigma
-    of ``convex_standardization``; its Schubert row is the degree-l(u) part
-    (module docstring).  G_u is filtered once per u, and a surviving term's
-    monomial index is one sum, by the base-k rule of ``SnkRing``: the
-    exponent of x_i moves to place sigma(i), whose digit weighs
-    k^(n-1-sigma(i)), counting places from 0.
+    The rows come in the order of the walk: each set partition of
+    ``fubini_blocks(n, k)``, times each order pi of [k] in
+    ``itertools.permutations`` order, is the word with letter pi[b] on the
+    b-th block.  The class of w is G_u relabelled by x_i := x_{sigma(i)};
+    its Schubert row is the degree-l(u) part (module docstring).  The
+    letters of w occur first in the order of its blocks, so sigma is the
+    blocks one after another, shared by the k! words of one partition, and
+    u depends only on pi and the block sizes (``_fubini_u``).  G_u is
+    filtered once per u, and a surviving term's monomial index is one sum,
+    by the base-k rule of ``SnkRing``: the exponent of x_i moves to place
+    sigma(i), whose digit weighs k^(n-1-sigma(i)), counting places from 0.
     """
-    terms_of = {}
-    rows, bounded = [], True
-    for letters in fubini_letters(n, k):
-        u, sigma = convex_standardization(letters, k)
-        if u not in terms_of:
-            terms_of[u], below = _surviving_terms(u, n, k)
-            bounded = bounded and not below
-        weights = [k ** (n - 1 - p) for p in sigma]
-        rows.append(tuple(sorted((sum(map(mul, exp, weights)), coeff)
-                                 for exp, coeff in terms_of[u])))
+    orders = list(permutations(range(1, k + 1)))
+    terms_of = {}                  # block sizes -> (terms, below) per order
+    rows = []
+    for blocks in fubini_blocks(n, k):
+        sizes = tuple(map(len, blocks))
+        if sizes not in terms_of:
+            terms_of[sizes] = [_surviving_terms(_fubini_u(pi, sizes, k), n, k)
+                               for pi in orders]
+        weight = [k ** (n - 1 - p)
+                  for block in blocks for p in block].__getitem__
+        for terms, _ in terms_of[sizes]:
+            rows.append(tuple(sorted([(sum(map(weight, at)), coeff)
+                                      for coeff, at in terms])))
+    bounded = not any(below for per_order in terms_of.values()
+                      for _, below in per_order)
     return rows, bounded
 
 
 def _basis_check(ideal, class_rows, dim, expected):
-    """Stack class rows on the ideal and test that they span Z^dim freely."""
+    """Stack class rows on the ideal, which is left as it is, and test that
+    they span Z^dim freely."""
     class_rows = sorted(class_rows,
                         key=lambda r: (r[0][0] if r else dim, len(r)))
-    stacked = IntegerLattice(dim, ideal._pivot_rows() + tuple(class_rows))
+    stacked = ideal.stacked(class_rows)
     offending = next((v for v in stacked.pivot_values() if v != 1), None)
     return {
         "stacked_rank": stacked.rank,
@@ -491,9 +517,13 @@ def verify_rings(n, k):
     no Schubert polynomial is computed.  The Schubert class s_w of a word is
     the degree-l(u) part of its Grothendieck class g_w: the lowest-degree
     part of G_u is S_u, relabelling x by sigma keeps degrees, and the
-    exponent < k filter of S_{n,k} acts term by term.  The Schubert rows,
-    stacked on I_e, form one lattice; ``schubert_basis`` holds if it is all
-    of Z^{k^n} with unit pivots and there are k^n - rank(I_e) rows.
+    exponent < k filter of S_{n,k} acts term by term.  The rows are built
+    in one walk over the set partitions of the n positions into k blocks
+    (``_fubini_class_rows``).  They are folded into one lattice that starts
+    from a copy of the I_e Hermite form (``IntegerLattice.stacked``), so
+    the I_e rows are not reduced again; ``schubert_basis`` holds if that
+    lattice is all of Z^{k^n} with unit pivots and there are k^n - rank(I_e)
+    rows.
 
     ``grothendieck_basis`` needs no lattice of its own.  There is one
     Grothendieck class per Schubert row, so the Schubert check counts both;

@@ -26,18 +26,19 @@ box rule of `rings._ideal_rows`.
 
 The rest are plain helpers on the package's values, written as free
 functions: descents and ascents, the right action of s_i and its 0-Hecke
-form, word predicates and rank tables, the Fubini numbers, evaluation and
-substitution of polynomials, the double polynomials of words, random
+form, word predicates and rank tables, the Fubini numbers and the Fubini
+words in the order of the block walk, evaluation and substitution of
+polynomials, the double polynomials of words, random
 diagonal matrices and the special non-Fubini words.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from operator import add
 
 from pipedreams.bpd import (_SIDES, _TILE_OF_SIDES, E_, N_, S_, W_, Bpd, Tile,
                             diagram_bpd)
-from pipedreams.combinat import Permutation, Word, fubini_count
+from pipedreams.combinat import Permutation, Word, fubini_blocks, fubini_count
 from pipedreams.geometry import coerce_matrix
 from pipedreams.pipedream import (EXP_MAX, PipeDream, Poly, _label, _word_u,
                                   k_signed)
@@ -92,6 +93,21 @@ def rank_table(word):
 def fubini_number(n):
     """Total number of Fubini words of length n over all alphabets [k]."""
     return sum(fubini_count(n, k) for k in range(0, n + 1)) if n else 1
+
+
+def fubini_walk(n, k):
+    """(letters, blocks, pi) of every Fubini word in [k]^n, in the order of
+    ``rings._fubini_class_rows``: each partition of ``fubini_blocks(n, k)``
+    times each order pi of [k], the letter pi[b] on the b-th block."""
+    out = []
+    for blocks in fubini_blocks(n, k):
+        for pi in permutations(range(1, k + 1)):
+            letters = [0] * n
+            for v, block in zip(pi, blocks):
+                for p in block:
+                    letters[p] = v
+            out.append((tuple(letters), blocks, pi))
+    return out
 
 
 def special_nonfubini_word(i, n, k):

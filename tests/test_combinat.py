@@ -6,18 +6,24 @@ import math
 import re
 
 import pytest
+import sympy
 
 from pipedreams import Bpd, Permutation, PipeDream, Poly, Word
 from pipedreams.combinat import (
+    _PRIME_BOUND,
     all_permutations,
+    checked_prime,
     convex_standardization,
     enumerate_fubini,
+    fubini_blocks,
     fubini_count,
     stirling2,
 )
+from pipedreams.rings import desk_scale_pairs
 
 from oracles import (ascents, demazure_right, descents, fubini_number,
-                     is_convex, rank_table, repeated_positions, swap)
+                     fubini_walk, is_convex, rank_table, repeated_positions,
+                     swap)
 
 
 # -- permutations -----------------------------------------------------------
@@ -297,5 +303,69 @@ def test_fubini_count_matches_enumeration():
         assert fubini_number(n) == total
 
 
+WALK_PAIRS = sorted({(n, 1) for n in range(13)} | {(n, n) for n in range(8)}
+                    | set(desk_scale_pairs()))
+
+
+@pytest.mark.parametrize("n, k", WALK_PAIRS)
+def test_block_walk_times_orders_is_the_fubini_words(n, k):
+    partitions = list(fubini_blocks(n, k))
+    assert len(partitions) == len(set(partitions)) == stirling2(n, k)
+    for blocks in partitions:
+        assert len(blocks) == k
+        assert sorted(p for b in blocks for p in b) == list(range(n))
+        assert all(b and list(b) == sorted(b) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+    words = [letters for letters, _, _ in fubini_walk(n, k)]
+    assert len(words) == len(set(words)) == fubini_count(n, k)
+    assert set(words) == {w.letters for w in enumerate_fubini(n, k)}
+
+
+def test_block_walk_is_empty_where_there_is_no_fubini_word():
+    for n, k in ((0, 1), (2, 3), (3, 0), (3, -1)):
+        assert list(fubini_blocks(n, k)) == [] == list(enumerate_fubini(n, k))
+
+
 def test_fubini_numbers_start():
     assert [fubini_number(n) for n in range(1, 6)] == [1, 3, 13, 75, 541]
+
+
+# -- primes -------------------------------------------------------------------
+
+
+def test_checked_prime_against_trial_division():
+    for v in range(2, 5000):
+        prime = all(v % q for q in range(2, math.isqrt(v) + 1))
+        if prime:
+            assert checked_prime("field", "p", v) == v
+        else:
+            with pytest.raises(ValueError, match="p: %d is not a prime" % v):
+                checked_prime("field", "p", v)
+
+
+def test_checked_prime_against_sympy_up_to_its_bound(rng):
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    # (318665857834031151167461 passes 2, 3, .., 37, but not 41)
+    values = [3215031751, 3825123056546413051, 318665857834031151167461,
+              2 ** 61 - 1, 2 ** 31 - 1, 561, 1105, _PRIME_BOUND - 1]
+    values += [rng.randrange(2, _PRIME_BOUND) for _ in range(300)]
+    values += [sympy.randprime(2, 10 ** 12) * sympy.randprime(2, 10 ** 12)
+               for _ in range(30)]
+    for v in values:
+        if sympy.isprime(v):
+            assert checked_prime("lattice", "modulus p", v) == v
+        else:
+            with pytest.raises(ValueError, match="is not a prime"):
+                checked_prime("lattice", "modulus p", v)
+
+
+@pytest.mark.parametrize("value, why", [
+    (4.0, "modulus p: 4.0 is not an int"),      # the int check comes first
+    (True, "modulus p: True is not an int"),
+    (1, "modulus p: 1 is not an int >= 2"),
+    (_PRIME_BOUND, "modulus p: %d is too large" % _PRIME_BOUND),
+    (10 ** 400 + 1, "modulus p: 1000.* is too large"),
+])
+def test_checked_prime_names_what_it_refuses(value, why):
+    with pytest.raises(ValueError, match=why):
+        checked_prime("lattice", "modulus p", value)

@@ -124,6 +124,16 @@ def test_reduction_mod_p_rejects_bad_denominators():
         reduction([[1]], p=4)  # modulus must be an odd prime
 
 
+@pytest.mark.parametrize("p, why", [
+    (9, "modulus p: 9 is not a prime"),
+    (2, "modulus p: 2 is not an int >= 3"),
+    (10 ** 400 + 1, "modulus p: 1000.* is too large"),  # was an OverflowError
+])
+def test_a_modulus_that_is_no_odd_prime_is_named(p, why):
+    with pytest.raises(ValueError, match=why):
+        reduction([[1]], p=p)
+
+
 def test_reduction_mod_p_matches_rational_reduction(rng):
     # when no denominator or pivot hits p, the two computations agree mod p
     for trial in range(60):

@@ -1,13 +1,17 @@
 """Quotient-ring verification: ranks, torsion, ideal equality, bases."""
 
 import itertools
+import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 import pipedreams
-from pipedreams import Word, poly, rings
-from pipedreams.combinat import enumerate_fubini, stirling2
+from pipedreams import Word, combinat, poly, rings
+from pipedreams.combinat import (convex_standardization, enumerate_fubini,
+                                 stirling2)
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck_of_word,
                              schubert_of_word)
 from pipedreams.rings import (
@@ -29,11 +33,12 @@ from pipedreams.rings import (
     verify_rings,
     _certify_ideal_equal,
     _fubini_class_rows,
+    _fubini_u,
     _project_row,
 )
 
 from conftest import random_poly
-from oracles import special_nonfubini_word
+from oracles import fubini_walk, special_nonfubini_word
 
 
 # -- the ambient ring ---------------------------------------------------------
@@ -263,7 +268,7 @@ def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
 
 
 def test_sparse_class_rows_match_dense_classes():
-    words = [Word(u, k=3) for u in enumerate_fubini(4, 3)]
+    words = [Word(letters, k=3) for letters, _, _ in fubini_walk(4, 3)]
     assert len(words) == 36
     chow_rows, bounded = _fubini_class_rows(4, 3)
     assert bounded
@@ -272,17 +277,63 @@ def test_sparse_class_rows_match_dense_classes():
 
 
 def test_fubini_class_rows_match_word_polynomials():
-    """The one-pass Schubert rows against the word-polynomial oracle, for
-    every Fubini word of every desk-scale (n, k)."""
+    """The Schubert rows of the block walk against the word-polynomial
+    oracle, for every Fubini word of every desk-scale (n, k)."""
     total = 0
     for n, k in desk_scale_pairs():
         s_rows, bounded = _fubini_class_rows(n, k)
         assert bounded, (n, k)
-        words = list(enumerate_fubini(n, k))
+        words = [Word(letters, k) for letters, _, _ in fubini_walk(n, k)]
         for w, s_row in zip(words, s_rows, strict=True):
             assert s_row == _project_row(schubert_of_word(w), n, k), w
         total += len(words)
     assert total == 12660
+
+
+def test_block_walk_gives_the_convex_standardization_of_each_word():
+    """sigma is the blocks one after another and u is read off the block
+    sizes and the letter order, as ``convex_standardization`` finds them."""
+    for n, k in desk_scale_pairs():
+        for letters, blocks, pi in fubini_walk(n, k):
+            sigma = tuple(p for block in blocks for p in block)
+            u = _fubini_u(pi, tuple(map(len, blocks)), k)
+            assert (u, sigma) == convex_standardization(letters, k), letters
+
+
+def test_fubini_class_rows_standardize_no_word(monkeypatch):
+    calls = []
+    real = combinat.convex_standardization
+
+    def counting(letters, k):
+        calls.append(letters)
+        return real(letters, k)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("pipedreams")
+                and getattr(module, "convex_standardization", None) is real):
+            monkeypatch.setattr(module, "convex_standardization", counting)
+    pipedreams.clear_caches()
+    try:
+        rows, bounded = _fubini_class_rows(5, 3)
+        assert bounded and len(rows) == 150
+        assert calls == []
+        schubert_of_word(Word("12312", 3))   # the counter sees the oracle
+        assert calls == [(1, 2, 3, 1, 2)]
+    finally:
+        pipedreams.clear_caches()
+
+
+def test_reports_match_the_recorded_ones():
+    """The reports of every desk-scale pair, as recorded before the class
+    rows were built by the block walk and stacked on a copy of I_e."""
+    recorded = json.loads((Path(__file__).parent / "data"
+                           / "ring_reports.json").read_text(encoding="utf-8"))
+    assert [(r["n"], r["k"]) for r in recorded] == desk_scale_pairs()
+    for r in recorded:
+        n, k = r["n"], r["k"]
+        assert verify_rings(n, k) == r["verify_rings"]
+        assert (verify_grothendieck_basis(n, k)
+                == r["verify_grothendieck_basis"])
 
 
 def test_grothendieck_rows_stack_to_a_basis_oracle():
@@ -295,7 +346,9 @@ def test_grothendieck_rows_stack_to_a_basis_oracle():
         monomial = rings.SnkRing(n, k).monomial
         s_rows, _ = _fubini_class_rows(n, k)
         g_rows = []
-        for w, s_row in zip(enumerate_fubini(n, k), s_rows, strict=True):
+        for (letters, _, _), s_row in zip(fubini_walk(n, k), s_rows,
+                                          strict=True):
+            w = Word(letters, k)
             g_row = _project_row(grothendieck_of_word(w), n, k)
             low = min((sum(monomial(i)) for i, _ in g_row), default=None)
             assert tuple(t for t in g_row if sum(monomial(t[0])) == low) \
