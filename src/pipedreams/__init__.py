@@ -91,7 +91,9 @@ def clear_caches():
     counts: the polynomial cache (`cache_info()`), the memo of
     the diagram lists of pipe dreams and BPDs, which the word views read too
     (`row_cache_info()`), the memo of the sums by rows (`sum_cache_info()`),
-    and the BPD row memo of labelled states (`bpd_row_cache_info()`).
-    These are all the caches the package has."""
-    for memo in (poly._CACHE, pipedream._ROWS, pipedream._SUMS, bpd._ROWS):
+    the BPD row memo of labelled states (`bpd_row_cache_info()`), and the
+    memo of the divided differences' step masks (`poly._MASKS`).  These are
+    all the caches the package has."""
+    for memo in (poly._CACHE, poly._MASKS, pipedream._ROWS, pipedream._SUMS,
+                 bpd._ROWS):
         memo.clear()

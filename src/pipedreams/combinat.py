@@ -95,6 +95,15 @@ def _parse_one_line(data, kind, name):
     return tuple(checked_int(kind, name, v) for v in data)
 
 
+def inverse_one_line(one_line):
+    """The one-line tuple of the inverse of a permutation's one-line
+    tuple."""
+    inv = [0] * len(one_line)
+    for i, v in enumerate(one_line, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
 def seq_to_string(seq):
     """Canonical string form: digit string if all entries fit one digit."""
     if all(1 <= v <= 9 for v in seq):
@@ -191,10 +200,7 @@ class Permutation(Frozen):
     # -- basic operations -------------------------------------------------
 
     def inverse(self):
-        inv = [0] * self.n
-        for i, v in enumerate(self.one_line, start=1):
-            inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation(inverse_one_line(self.one_line))
 
     def compose(self, other):
         """self after other: (self*other)(i) = self(other(i)).

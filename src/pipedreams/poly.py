@@ -38,9 +38,26 @@ identity term by term, in one pass over f and without forming x_{i+1} f:
 The two sums have total degrees p+q-1 and p+q, so they never cancel each
 other; the composite form is the test oracle.  Both sums only rewrite the
 bytes of x_i and x_{i+1}, so the key of each of their monomials is the
-term's key xored with a mask that depends on (p, q) alone.  A kernel call
-works the masks out once per (p, q) it meets; a term then costs a shift, a
-mask and one int xor per monomial.
+term's key xored with a mask that depends on (p, q) and the bit s of x_i
+alone.  The masks live in `_MASKS`, a memo by (s, pq), pq the two bytes:
+one entry holds the masks of both sums and the sign, so d_i and pi_i share
+it.  It holds at most MASK_MEMO masks, least recently used first; the four
+tables of the `poly-table` benchmark need 301, in 91 entries.  A kernel call keeps its own dict by pq in front of the memo, so
+a term costs one dict probe, then a shift, a mask and one int xor per
+monomial.
+
+The double polynomials climb the same way, with one shortcut.  Swapping
+the x and y blocks,
+
+    S_w(x; y) = (-1)^l(w) S_{w^-1}(y; x)      G_w(x; y) = G_{w^-1}(y; x)
+
+(Macdonald, Notes on Schubert Polynomials, 1991; the second in this
+module's x + y - xy convention, whose top factors are symmetric in x and
+y).  So a node v of a double climb whose inverse is cached takes that
+polynomial with its key's x and y bytes exchanged, negated for S when
+l(v) is odd, and the climb stops there.  The swap runs only at a climb
+node whose inverse is cached; every other node is made by a divided
+difference as before, and the single polynomials never take the swap.
 
 A `Poly` is immutable: as every value class, it derives from
 `combinat.Frozen`, so writing or deleting its attributes raises.  Computed
@@ -64,15 +81,16 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .combinat import (Frozen, Permutation, Word, _new, _setattr,
-                       checked_int, convex_standardization, json_fields)
+                       checked_int, convex_standardization, inverse_one_line,
+                       json_fields)
 
 EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
 
 
-def _steps(p, q, top, lo, hi, s):
-    """The masks whose xor takes the key of x_i^p x_{i+1}^q, x_i at bit s,
-    to the keys of x_i^t x_{i+1}^(top-t) for t = lo..hi-1."""
-    return tuple((p ^ t) << s | (q ^ top - t) << s + 8 for t in range(lo, hi))
+def _arity(nx, ny):
+    """(nx, ny) once both are checked to be ints >= 0."""
+    return (checked_int("polynomial", "nx", nx, 0),
+            checked_int("polynomial", "ny", ny, 0))
 
 
 def _variable(v, nx):
@@ -86,8 +104,7 @@ class Poly(Frozen):
     __slots__ = _fields = ("nx", "ny", "terms")
 
     def __new__(cls, nx, ny=0, terms=None):
-        p = cls._of(checked_int("polynomial", "nx", nx, 0),
-                    checked_int("polynomial", "ny", ny, 0), {})
+        p = cls._of(*_arity(nx, ny), {})
         if terms:
             packed = {}
             for exp, c in terms.items():
@@ -155,21 +172,23 @@ class Poly(Frozen):
 
     @classmethod
     def zero(cls, nx, ny=0):
-        return cls._of(nx, ny, {})
+        return cls._of(*_arity(nx, ny), {})
 
     @classmethod
     def const(cls, c, nx, ny=0):
-        return cls._of(nx, ny, {0: c} if c else {})
+        return cls._of(*_arity(nx, ny), {0: c} if c else {})
 
     @classmethod
     def x(cls, i, nx, ny=0):
-        if not 1 <= i <= nx:
+        nx, ny = _arity(nx, ny)
+        if not 1 <= checked_int("polynomial", "x index", i) <= nx:
             raise ValueError("x index %d is outside 1..nx = %d" % (i, nx))
         return cls._of(nx, ny, {1 << 8 * (i - 1): 1})
 
     @classmethod
     def y(cls, j, nx, ny):
-        if not 1 <= j <= ny:
+        nx, ny = _arity(nx, ny)
+        if not 1 <= checked_int("polynomial", "y index", j) <= ny:
             raise ValueError("y index %d is outside 1..ny = %d" % (j, ny))
         return cls._of(nx, ny, {1 << 8 * (nx + j - 1): 1})
 
@@ -244,9 +263,11 @@ class Poly(Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        try:
+            checked_int("polynomial", "exponent", k, 0)
+        except ValueError:
             raise ValueError("a Poly power needs an int exponent >= 0, not %r"
-                             % (k,))
+                             % (k,)) from None
         out = Poly.const(1, self.nx, self.ny)
         base = self
         while k:
@@ -313,6 +334,7 @@ class Poly(Frozen):
     def restrict_arity(self, new_nx):
         """Change the x block to new_nx variables; shrinking it, no dropped
         variable may occur."""
+        checked_int("polynomial", "nx", new_nx, 0)
         if new_nx < self.nx and self.max_x_index_used() > new_nx:
             raise ValueError("polynomial uses x beyond index %d" % new_nx)
         if not self.ny:
@@ -338,23 +360,21 @@ class Poly(Frozen):
     # -- divided differences -----------------------------------------------
 
     def _check_operator_index(self, i):
-        if i < 1 or i + 1 > self.nx:
+        if not 1 <= checked_int("polynomial", "operator index", i) < self.nx:
             raise ValueError("d_%d needs x_%d in scope" % (i, i + 1))
 
     def divided_difference(self, i):
         """d_i f = (f - s_i f) / (x_i - x_{i+1}), computed division-free."""
         self._check_operator_index(i)
         s = 8 * (i - 1)
-        moves = {}      # bytes of x_i, x_{i+1} -> (key changes, negate)
+        moves = {}      # bytes of x_i, x_{i+1} -> their `_step_masks`
         terms = {}
         for e, c in self.terms.items():
             pq = e >> s & 0xFFFF
             mv = moves.get(pq)
             if mv is None:
-                p, q = pq & 0xFF, pq >> 8
-                mv = moves[pq] = (_steps(p, q, p + q - 1, min(p, q),
-                                         max(p, q), s), p < q)
-            steps, negate = mv
+                mv = moves[pq] = _step_masks(s, pq)
+            steps, _, negate = mv
             if negate:
                 c = -c
             for step in steps:
@@ -370,17 +390,13 @@ class Poly(Frozen):
         """pi_i f = d_i((1 - x_{i+1}) f), in one pass over f; idempotent."""
         self._check_operator_index(i)
         s = 8 * (i - 1)
-        moves = {}      # bytes of x_i, x_{i+1} -> (key changes of the
-        terms = {}      # first sum, of the second, negate)
+        moves = {}      # bytes of x_i, x_{i+1} -> their `_step_masks`
+        terms = {}
         for e, c in self.terms.items():
             pq = e >> s & 0xFFFF
             mv = moves.get(pq)
             if mv is None:
-                p, q = pq & 0xFF, pq >> 8
-                mv = moves[pq] = (_steps(p, q, p + q - 1, min(p, q),
-                                         max(p, q), s),
-                                  _steps(p, q, p + q, min(p, q + 1),
-                                         max(p, q + 1), s), p <= q)
+                mv = moves[pq] = _step_masks(s, pq)
             # c d_i(x_i^p x_{i+1}^q), then -c d_i(x_i^p x_{i+1}^(q+1)); the
             # two loops stay unrolled because a loop over both runs costs
             # about 10 % of this kernel
@@ -556,6 +572,34 @@ class _Memo(OrderedDict):
         return found
 
 
+def _steps(p, q, top, lo, hi, s):
+    """The masks whose xor takes the key of x_i^p x_{i+1}^q, x_i at bit s,
+    to the keys of x_i^t x_{i+1}^(top-t) for t = lo..hi-1."""
+    return tuple((p ^ t) << s | (q ^ top - t) << s + 8 for t in range(lo, hi))
+
+
+# The step masks of the divided differences per (bit s of x_i, byte pair pq
+# of x_i, x_{i+1}): at most MASK_MEMO masks in all.
+MASK_MEMO = 100_000
+_MASKS = _Memo(lambda mv: len(mv[0]) + len(mv[1]), MASK_MEMO, "masks")
+
+
+def _step_masks(s, pq):
+    """(the masks of d_i, the masks of the second sum of pi_i, negate) for
+    the bytes pq = (p, q) of x_i, x_{i+1} at bit s.  d_i(x_i^p x_{i+1}^q)
+    takes the first masks, pi_i both, the second with the opposite sign;
+    `negate` is p <= q, which d_i reads as p < q since at p = q it has
+    no masks."""
+    key = (s, pq)
+    mv = _MASKS.lookup(key)
+    if mv is None:
+        p, q = pq & 0xFF, pq >> 8
+        mv = _MASKS.store(key, (
+            _steps(p, q, p + q - 1, min(p, q), max(p, q), s),
+            _steps(p, q, p + q, min(p, q + 1), max(p, q + 1), s), p <= q))
+    return mv
+
+
 # -- Schubert / Grothendieck --------------------------------------------------
 
 # The computed polynomials per (one-line tuple, kind): the tops w0, which it
@@ -569,7 +613,10 @@ def cache_info():
     """The polynomial cache: its entries and their terms, and its hits,
     misses and evictions since the last `pipedreams.clear_caches()`.  A
     caller reads it to see whether a table of polynomials was served from
-    the cache or evicted it, as `row_cache_info()` shows for the diagrams."""
+    the cache or evicted it, as `row_cache_info()` shows for the diagrams.
+    A double polynomial made from its inverse's by the x, y swap is
+    counted as one made by divided differences is.  The step masks' memo
+    is not counted here; `_MASKS.info()` gives its own."""
     return _CACHE.info()
 
 
@@ -601,30 +648,50 @@ def _schub_like(w, kind):
     k_theory = kind.startswith("G")
 
     # climb along first ascents until hitting a cached ancestor or the
-    # longest element, then apply the operators back down, caching as we go;
-    # the climb swaps entries of one-line tuples, because swapping an ascent
-    # of a permutation gives a permutation again
+    # longest element, or, for a double kind, a node whose inverse is
+    # cached, taken by `_swap_xy`; then apply the operators back down,
+    # caching as we go; the climb swaps entries of one-line tuples, because
+    # swapping an ascent of a permutation gives a permutation again
     path = []                      # operator index used at each climb step
     keys = [w.one_line]            # permutations along the climb
     v = w.one_line
     w0 = tuple(range(n, 0, -1))
+    cur = None
     while v != w0 and (v, kind) not in _CACHE:
+        if double:
+            mirror = (inverse_one_line(v), kind)
+            if mirror in _CACHE:
+                _CACHE.move_to_end(mirror)  # a use, not counted as a hit
+                odd = (w.inversions() + len(path)) & 1      # l(v) is odd
+                cur = _cache_put((v, kind), _swap_xy(
+                    _CACHE[mirror], odd and not k_theory))
+                break
         i = next(j for j in range(1, n) if v[j - 1] < v[j])
         path.append(i)
         v = v[:i - 1] + (v[i], v[i - 1]) + v[i + 1:]
         keys.append(v)
-    cur = _CACHE.get((v, kind))
     if cur is None:
-        cur = _cache_put((v, kind), _staircase(n, n, n if double else 0,
-                                               double, k_theory))
-    else:
-        _CACHE.move_to_end((v, kind))       # a use, not counted as a hit
+        cur = _CACHE.get((v, kind))
+        if cur is None:
+            cur = _cache_put((v, kind), _staircase(n, n, n if double else 0,
+                                                   double, k_theory))
+        else:
+            _CACHE.move_to_end((v, kind))   # a use, not counted as a hit
     for idx in range(len(path) - 1, -1, -1):
         i = path[idx]
         cur = (cur.isobaric_divided_difference(i) if k_theory
                else cur.divided_difference(i))
         cur = _cache_put((keys[idx], kind), cur)
     return cur
+
+
+def _swap_xy(p, negate):
+    """p(y; x), negated if `negate`, for p in as many x as y variables."""
+    shift = 8 * p.nx
+    low = (1 << shift) - 1
+    sign = -1 if negate else 1
+    return Poly._of(p.nx, p.ny, {(e & low) << shift | e >> shift: sign * c
+                                 for e, c in p.terms.items()})
 
 
 def _cache_put(key, poly):

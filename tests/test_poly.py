@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -207,6 +208,38 @@ def test_variable_index_outside_range_is_rejected(make, message):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Poly.zero(-1), r"polynomial nx: -1 is not an int >= 0"),
+    (lambda: Poly.zero(2, -1), r"polynomial ny: -1 is not an int >= 0"),
+    (lambda: Poly.const(1, -2), r"polynomial nx: -2 is not an int >= 0"),
+    (lambda: Poly.zero(True), r"polynomial nx: True is not an int >= 0"),
+    (lambda: Poly.const(1, 1, False), r"polynomial ny: False is not an int"),
+    (lambda: Poly.x(1, 2.5), r"polynomial nx: 2\.5 is not an int >= 0"),
+    (lambda: Poly.x(True, 2), r"polynomial x index: True is not an int"),
+    (lambda: Poly.y(1.0, 1, 1), r"polynomial y index: 1\.0 is not an int"),
+    (lambda: Poly.y(1, 1, -1), r"polynomial ny: -1 is not an int >= 0"),
+    (lambda: Poly.x(1, 2).restrict_arity(-1),
+     r"polynomial nx: -1 is not an int >= 0"),
+    (lambda: Poly.x(1, 2).restrict_arity(True),
+     r"polynomial nx: True is not an int >= 0"),
+    (lambda: Poly.x(1, 2).divided_difference(True),
+     r"polynomial operator index: True is not an int"),
+    (lambda: Poly.x(1, 2).divided_difference(1.0),
+     r"polynomial operator index: 1\.0 is not an int"),
+    (lambda: Poly.x(1, 2).isobaric_divided_difference(True),
+     r"polynomial operator index: True is not an int"),
+    (lambda: Poly.x(1, 2) ** True, r"int exponent >= 0, not True"),
+], ids=["zero-nx-1", "zero-ny-1", "const-nx-2", "zero-nx-True",
+        "const-ny-False", "x-nx-2.5", "x-index-True", "y-index-1.0",
+        "y-ny-1", "restrict-1", "restrict-True", "d-True", "d-1.0",
+        "pi-True", "pow-True"])
+def test_sizes_and_indices_must_be_ints(make, message):
+    # unchecked, Poly.zero(-1) kept nx = -1, Poly.zero(True) equalled
+    # Poly(1), d_True was d_1, and a float raised a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # -- Schubert polynomials ---------------------------------------------------
 
 
@@ -323,6 +356,77 @@ def test_double_base_cases():
                 x, y = Poly.x(i, n, n), Poly.y(j, n, n)
                 want_k = want_k * (x + y - x * y)
     assert gd == want_k
+
+
+def _yx(p, sign):
+    """The terms of sign * p(y; x) by exponent tuple: each tuple's x and y
+    blocks change places."""
+    n = p.nx
+    return {e[n:] + e[:n]: sign * c for e, c in p.items()}
+
+
+def _count_divided_differences(monkeypatch):
+    """The list of the operator indices that both divided differences are
+    called with from now on."""
+    calls = []
+    for name in ("divided_difference", "isobaric_divided_difference"):
+        monkeypatch.setattr(Poly, name, lambda self, i, op=getattr(Poly, name):
+                            calls.append(i) or op(self, i))
+    return calls
+
+
+@pytest.mark.parametrize("f, kind, top", [(schubert_double, "Sd", 6),
+                                          (grothendieck_double, "Gd", 5)])
+def test_a_double_polynomial_is_its_inverses_with_x_and_y_swapped(
+        monkeypatch, f, kind, top):
+    # S_w(x; y) = (-1)^l(w) S_{w^-1}(y; x) and G_w(x; y) = G_{w^-1}(y; x);
+    # the climb takes a node from its cached inverse that way, which must
+    # give what the divided differences give
+    calls = _count_divided_differences(monkeypatch)
+    for n in range(1, top + 1):
+        cold, swapped = {}, {}
+        for w in itertools.permutations(range(1, n + 1)):
+            if w in cold:
+                continue
+            clear_caches()
+            del calls[:]
+            f(w)
+            # alone, w climbs to w0 by divided differences only, and every
+            # node on the way is what it would be alone
+            chain = {ol: p for (ol, k), p in _CACHE.items() if k == kind}
+            assert len(calls) == len(chain) - 1, w
+            cold.update(chain)
+            for v in chain:
+                u = Permutation(v).inverse().one_line
+                if u not in chain and u not in swapped:
+                    del calls[:]
+                    swapped[u] = f(u)
+                    assert calls == [], u
+        assert len(cold) == math.factorial(n)
+        for w, p in cold.items():
+            u = Permutation(w).inverse()
+            sign = (-1) ** u.inversions() if kind == "Sd" else 1
+            assert dict(p.items()) == _yx(cold[u.one_line], sign), w
+            assert swapped.get(w, p) == p, w
+        assert set(swapped) == {w for w in cold
+                                if Permutation(w).inverse().one_line != w}
+    clear_caches()
+
+
+@pytest.mark.parametrize("f", [schubert, grothendieck])
+def test_a_single_polynomial_never_takes_the_swap(monkeypatch, f):
+    calls = _count_divided_differences(monkeypatch)
+    for w in itertools.permutations(range(1, 6)):
+        u = Permutation(w).inverse().one_line
+        if u == w:
+            continue
+        clear_caches()
+        want = f(u)
+        clear_caches()
+        f(w)
+        del calls[:]
+        assert f(u) == want and calls, w
+    clear_caches()
 
 
 def test_double_specializes_to_single():
