@@ -19,6 +19,7 @@ from .poly import (  # noqa: F401
     grothendieck,
     grothendieck_double,
     grothendieck_of_word,
+    mask_cache_info,
     schubert,
     schubert_double,
     schubert_of_word,
@@ -92,8 +93,8 @@ def clear_caches():
     the diagram lists of pipe dreams and BPDs, which the word views read too
     (`row_cache_info()`), the memo of the sums by rows (`sum_cache_info()`),
     the BPD row memo of labelled states (`bpd_row_cache_info()`), and the
-    memo of the divided differences' step masks (`poly._MASKS`).  These are
-    all the caches the package has."""
+    memo of the divided differences' step masks (`mask_cache_info()`).
+    These are all the caches the package has."""
     for memo in (poly._CACHE, poly._MASKS, pipedream._ROWS, pipedream._SUMS,
                  bpd._ROWS):
         memo.clear()

@@ -7,9 +7,7 @@ ideals of S_{n,k} are lattices in Z^{k^n}.  There is one elimination loop,
 ``IntegerLattice._reduce``: inserting a row reduces it, membership is "the
 row reduces to nothing", torsion is read off the Smith invariants, and
 ``rank_mod_p`` is the count of unit pivots of the lattice the rows span
-together with p Z^ncols, for a prime p.  ``IntegerLattice.stacked`` adds rows
-to a lattice without refeeding it: the new lattice starts from copies of the
-old one's pivot rows, so the old one is left as it is.
+together with p Z^ncols, for a prime p.
 
 Rows are sparse: iterables of ``(column, value)`` pairs of ints with
 ``0 <= column < ncols``.  Duplicate columns are merged by addition.  One
@@ -156,18 +154,6 @@ class IntegerLattice:
             self._piv[c] = newp
             self._canonical = False
             row = self._reduce(newr)
-
-    def stacked(self, sparse_rows):
-        """The lattice spanned by this one and `sparse_rows`.  It starts
-        from copies of this lattice's pivot rows, which are in Hermite form
-        already, and folds in only `sparse_rows`; this lattice is left as
-        it is."""
-        out = type(self)(self.ncols, ())
-        out._piv = {c: dict(r) for c, r in self._piv.items()}
-        out._canonical = self._canonical
-        for items in sparse_rows:
-            out._add_row(items)
-        return out
 
     def _pivot_rows(self):
         """The current basis rows as sorted sparse tuples, by pivot column."""

@@ -616,8 +616,14 @@ def cache_info():
     the cache or evicted it, as `row_cache_info()` shows for the diagrams.
     A double polynomial made from its inverse's by the x, y swap is
     counted as one made by divided differences is.  The step masks' memo
-    is not counted here; `_MASKS.info()` gives its own."""
+    is not counted here; `mask_cache_info()` reports it."""
     return _CACHE.info()
+
+
+def mask_cache_info():
+    """The same report for the memo of the divided differences' step
+    masks, whose weight is the masks it holds."""
+    return _MASKS.info()
 
 
 def _staircase(n, nx, ny, double, k_theory):

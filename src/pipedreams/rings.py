@@ -38,10 +38,10 @@ degree l(u), the inversion number of u, because:
   (every exponent < k), so it commutes with taking a homogeneous part.
 
 ``schubert_of_word``, ``grothendieck_of_word`` and ``_project_row`` remain
-the oracle for these rows.  The Grothendieck rows are not built: the
-Grothendieck basis follows from the Schubert basis by a certificate that is
-unitriangular in degree (proof in ``verify_rings``), and only checks that no
-surviving term of G_u has degree below l(u).
+the oracle for these rows.  No lattice is built from them: with the I_e
+Hermite rows, sorted by leading column, the Schubert rows form a k^n x k^n
+unitriangular matrix, and the Grothendieck rows differ from them only in
+higher degrees (proofs and checks in ``verify_rings``).
 
 The ideal rows m * g are read off boxes (``_ideal_rows``): for a term x^e of
 g, the monomials m with m * x^e in S_{n,k} are those with m_p <= k-1-e_p at
@@ -406,33 +406,48 @@ def _fubini_class_rows(n, k):
     return rows, bounded
 
 
-def _basis_check(ideal, class_rows, dim, expected):
-    """Stack class rows on the ideal, which is left as it is, and test that
-    they span Z^dim freely."""
-    class_rows = sorted(class_rows,
-                        key=lambda r: (r[0][0] if r else dim, len(r)))
-    stacked = ideal.stacked(class_rows)
-    offending = next((v for v in stacked.pivot_values() if v != 1), None)
-    return {
-        "stacked_rank": stacked.rank,
-        "full_rank": stacked.rank == dim,
-        "unimodular": offending is None,
-        "offending_invariant": offending,
-        "count": len(class_rows),
-        "expected": expected,
-        "basis": (stacked.rank == dim and offending is None
-                  and len(class_rows) == expected
-                  and ideal.rank + expected == dim),
-    }
+def _certificate_failure(pivots, class_rows, dim, expected):
+    """What breaks certificate (c) of ``verify_rings`` for the I_e pivots
+    {column: value} and the sorted sparse `class_rows`, or None; a row is
+    named by its place in `class_rows`."""
+    lead_of = {}                   # leading column -> its class row
+    for i, row in enumerate(class_rows):
+        if not row:
+            return f"class row {i} is empty"
+        c, v = row[0]
+        if v not in (1, -1):
+            return f"class row {i} leads at column {c} with {v}"
+        if c in pivots:
+            return f"class row {i} leads at column {c}, an I_e pivot column"
+        if c in lead_of:
+            return (f"class row {i} leads at column {c}, as class row "
+                    f"{lead_of[c]} does")
+        lead_of[c] = i
+    c = next((c for c, v in pivots.items() if v != 1), None)
+    if c is not None:
+        return f"the I_e pivot at column {c} is {pivots[c]}"
+    if len(pivots) + len(lead_of) < dim:   # distinct leads, off the pivots
+        c = next(c for c in range(dim) if c not in pivots and c not in lead_of)
+        return f"column {c} is no I_e pivot and leads no class row"
+    if len(class_rows) != expected:
+        return f"{len(class_rows)} class rows for {expected} expected"
+    return None
 
 
 def _basis_report(n, k, ideal, torsion_free):
-    """The Schubert basis by one stacked lattice, and the Grothendieck basis
-    by the degree-unitriangular certificate of ``verify_rings``."""
+    """The Schubert basis by certificate (c) of ``verify_rings``, and the
+    Grothendieck basis by its certificate (d)."""
     s_rows, bounded = _fubini_class_rows(n, k)
     expected = fubini_count(n, k)
     dim = k ** n
-    schubert = _basis_check(ideal, s_rows, dim, expected)
+    failure = _certificate_failure(dict(ideal.pivot_items()), s_rows, dim,
+                                   expected)
+    schubert = {"stacked_rank": dim, "full_rank": True, "unimodular": True,
+                "offending_invariant": None, "count": len(s_rows),
+                "expected": expected, "basis": failure is None}
+    if failure:                    # no rank computed
+        schubert.update(stacked_rank=None, full_rank=None, unimodular=None,
+                        failure=failure)
     report = {
         "n": n,
         "k": k,
@@ -461,22 +476,24 @@ def verify_grothendieck_basis(n, k):
     S_{n,k}/(e_{n-k+1..n}), and likewise the Fubini Schubert classes.
 
     Returns a report dict; raises BasisFailure if either check fails.  Its
-    "schubert" part reports the stacked lattice of the Schubert rows on
-    I_e: "stacked_rank", "full_rank", "unimodular", "offending_invariant",
-    "count", "expected" and "basis".  Its "grothendieck" part reports the
-    certificate of ``verify_rings`` that decides the Grothendieck basis from
-    the Schubert one: "certificate" names it, "degree_bound" is its check
-    (no surviving term of G_u below l(u)), and "count", "expected" and
-    "basis" are as for the Schubert part.
+    "schubert" part reports certificate (c) of ``verify_rings``, which
+    proves that the Schubert rows stacked on I_e span Z^{k^n} with unit
+    pivots: "stacked_rank", "full_rank", "unimodular" and
+    "offending_invariant" are k^n, True, True and None, or all None if (c)
+    fails, and then "failure" names the class row (its place in
+    ``_fubini_class_rows``) or the column at fault; "count", "expected" and
+    "basis" follow.  Its "grothendieck" part reports certificate (d):
+    "certificate" names it, "degree_bound" is its check (no surviving term
+    of G_u below l(u)), and "count", "expected" and "basis" are as above.
     """
     _require_desk_scale(n, k)
     ideal = _elementary_ideal(n, k)
     report = _basis_report(n, k, ideal, ideal.is_torsion_free())
     if not report["basis"]:
-        why = ("offending invariant: %r"
-               % report["schubert"]["offending_invariant"])
+        why = [report["schubert"].get("failure")]
         if not report["grothendieck"]["degree_bound"]:
-            why += "; some G_u has a surviving term below l(u)"
+            why.append("some G_u has a surviving term below l(u)")
+        why = "; ".join(filter(None, why))
         raise BasisFailure(
             f"basis verification failed at (n, k) = ({n}, {k}); {why}",
             report)
@@ -513,36 +530,46 @@ def verify_rings(n, k):
     by another route.  The general ``ideals_equal`` stays available as an
     independent oracle.
 
-    The Schubert basis rows are read off the Grothendieck polynomials, so
-    no Schubert polynomial is computed.  The Schubert class s_w of a word is
-    the degree-l(u) part of its Grothendieck class g_w: the lowest-degree
-    part of G_u is S_u, relabelling x by sigma keeps degrees, and the
-    exponent < k filter of S_{n,k} acts term by term.  The rows are built
-    in one walk over the set partitions of the n positions into k blocks
-    (``_fubini_class_rows``).  They are folded into one lattice that starts
-    from a copy of the I_e Hermite form (``IntegerLattice.stacked``), so
-    the I_e rows are not reduced again; ``schubert_basis`` holds if that
-    lattice is all of Z^{k^n} with unit pivots and there are k^n - rank(I_e)
-    rows.
+    The Schubert rows are the degree-l(u) parts of the Grothendieck
+    classes (module docstring), so no Schubert polynomial is computed; they
+    are built, each sorted by column, in one walk over the set partitions
+    of the n positions into k blocks (``_fubini_class_rows``).  No lattice
+    is built from them; ``schubert_basis`` holds once there are k! S(n,k)
+    rows and
+
+    (c) each row leads with +-1 at its smallest column, no two at one
+        column and none at a pivot column of the I_e Hermite form, every
+        I_e pivot is 1, and rank(I_e) + #rows = k^n.
+
+    Proof.  Then every column leads exactly one I_e Hermite row or class
+    row, so these k^n rows, sorted by leading column, form a unitriangular
+    matrix (+-1 on the diagonal): a Z-basis of Z^{k^n}.  So the class rows
+    span a complement of I_e and are a Z-basis of R_{n,k}.  Each part of
+    (c) is computed, in one pass over the rows and the pivots; that (c)
+    holds, i.e. that the leads fill the non-pivot columns, is only observed
+    (every lead is +1 at the 32 desk-scale pairs and at (8,3), (9,3), (7,4)
+    and (6,5)), not proved.  It is sufficient, not necessary: if it fails,
+    ``schubert_basis`` and ``ok`` are False, not decided again by another
+    route.
 
     ``grothendieck_basis`` needs no lattice of its own.  There is one
     Grothendieck class per Schubert row, so the Schubert check counts both;
     the Grothendieck basis holds once the Schubert basis holds and
 
-    (c) no term of any G_u that survives in S_{n,k} has degree < l(u).
+    (d) no term of any G_u that survives in S_{n,k} has degree < l(u).
 
     Proof.  I_e is spanned by homogeneous rows, so R = R_{n,k} is the direct
     sum of its homogeneous parts R_d.  The s_w are homogeneous and form a
     Z-basis of R, so {s_w : deg s_w = d} is a Z-basis of R_d: write r in
-    R_d in the s_w and keep the degree-d parts.  By (c), g_w = s_w + (parts
+    R_d in the s_w and keep the degree-d parts.  By (d), g_w = s_w + (parts
     of degree > l(u)), since relabelling and projection keep the degree of
     every term.  Each part of degree D > l(u) is a Z-combination of the s_v
     of degree D.  So, with the words in order of degree, the matrix taking
     the s_w to the g_w is unitriangular, and the g_w form a Z-basis too.
 
-    If (c) fails, ``grothendieck_basis`` is False and so is ``ok``; as for
+    If (d) fails, ``grothendieck_basis`` is False and so is ``ok``; as for
     ``ideal_equal``, it is not decided again by another route.  Stacking
-    the Grothendieck rows on I_e stays the test oracle.
+    the Schubert or the Grothendieck rows on I_e is the test oracle.
     """
     _require_desk_scale(n, k)
     e_gens = elementary_ideal_generators(n, k)

@@ -22,7 +22,9 @@ replaces by following the pipes.
 
 `ideal_rows` forms every generator-term times monomial product of an ideal
 of S_{n,k} and drops those with an exponent >= k: the counterpart of the
-box rule of `rings._ideal_rows`.
+box rule of `rings._ideal_rows`.  `stacked_basis_report` folds class rows
+into a lattice beside the I_e Hermite rows: the counterpart of the
+unitriangular certificate of the Schubert basis in `rings.verify_rings`.
 
 The rest are plain helpers on the package's values, written as free
 functions: descents and ascents, the right action of s_i and its 0-Hecke
@@ -43,7 +45,7 @@ from pipedreams.geometry import coerce_matrix
 from pipedreams.pipedream import (EXP_MAX, PipeDream, Poly, _label, _word_u,
                                   k_signed)
 from pipedreams.poly import _word_poly, grothendieck_double, schubert_double
-from pipedreams.rings import SnkRing
+from pipedreams.rings import IntegerLattice, SnkRing
 
 
 # -- permutations, words and counting -----------------------------------------
@@ -503,3 +505,24 @@ def ideal_rows(n, k, generators):
                 row.sort()
                 rows.add(tuple(row))
     return sorted(rows)
+
+
+def stacked_basis_report(ideal, class_rows, dim, expected):
+    """The "schubert" report of `rings.verify_grothendieck_basis` decided
+    by folding `class_rows` into one lattice with the Hermite rows of
+    `ideal`: do they span Z^dim with unit pivots?"""
+    class_rows = sorted(class_rows,
+                        key=lambda r: (r[0][0] if r else dim, len(r)))
+    stacked = IntegerLattice(dim, ideal._pivot_rows() + tuple(class_rows))
+    offending = next((v for v in stacked.pivot_values() if v != 1), None)
+    return {
+        "stacked_rank": stacked.rank,
+        "full_rank": stacked.rank == dim,
+        "unimodular": offending is None,
+        "offending_invariant": offending,
+        "count": len(class_rows),
+        "expected": expected,
+        "basis": (stacked.rank == dim and offending is None
+                  and len(class_rows) == expected
+                  and ideal.rank + expected == dim),
+    }

@@ -7,13 +7,14 @@ separately built rings of one (n, k) compare equal and add.
 
 import ast
 import importlib
+import itertools
 import pkgutil
 from pathlib import Path
 
 import pipedreams
 from pipedreams import (Permutation, Word, bpd_grothendieck, clear_caches,
-                        enumerate_all, pd_grothendieck, schubert,
-                        word_bpd_schubert, word_pd_schubert)
+                        enumerate_all, mask_cache_info, pd_grothendieck, poly,
+                        schubert, word_bpd_schubert, word_pd_schubert)
 from pipedreams.poly import Poly, _Memo
 from pipedreams.rings import SnkElement, SnkRing, project_to_snk
 
@@ -56,6 +57,20 @@ def test_clear_caches_empties_every_memo():
     assert len(memos) == 5 and all(len(v) for _, v in memos.values()), memos
     clear_caches()
     assert [name for name, v in memos.values() if len(v)] == []
+
+
+def test_mask_cache_info_reads_the_step_mask_memo():
+    clear_caches()
+    assert mask_cache_info() == {"entries": 0, "masks": 0, "hits": 0,
+                                 "misses": 0, "evictions": 0}
+    for w in itertools.permutations(range(1, 5)):
+        schubert(Permutation(w))
+    info = mask_cache_info()
+    assert info == poly._MASKS.info()
+    assert info["entries"] > 0 and info["masks"] > 0 and info["hits"] > 0
+    assert info["misses"] == info["entries"] and info["evictions"] == 0
+    clear_caches()
+    assert not any(mask_cache_info().values())
 
 
 def test_rings_built_apart_are_one_value():

@@ -266,33 +266,6 @@ def test_equality_is_two_way_containment(rng):
     assert IntegerLattice(2, []) != IntegerLattice(3, [])
 
 
-def test_stacked_lattice_spans_both_and_leaves_the_base_as_it_was(rng):
-    non_unit = 0
-    for trial in range(60):
-        ncols = rng.randint(1, 8)
-        base = IntegerLattice(ncols, random_sparse_rows(
-            rng, rng.randint(0, 8), ncols))
-        if trial % 2:
-            base.canonical_rows()
-        non_unit += any(v != 1 for v in base.pivot_values())
-        rows = random_sparse_rows(rng, rng.randint(0, 8), ncols)
-        before = base._pivot_rows()
-        stacked = base.stacked(rows)
-        want = IntegerLattice(ncols, base._pivot_rows() + tuple(rows))
-        assert stacked.canonical_rows() == want.canonical_rows()
-        assert stacked.pivot_values() == want.pivot_values()
-        assert base._pivot_rows() == before
-    assert non_unit >= 20
-
-
-def test_stacked_lattice_keeps_the_class_of_its_base():
-    class Sub(IntegerLattice):
-        pass
-
-    stacked = Sub(2, [[(0, 2)]]).stacked([[(1, 3)]])
-    assert type(stacked) is Sub and stacked.pivot_items() == [(0, 2), (1, 3)]
-
-
 # -- membership ------------------------------------------------------------------
 
 

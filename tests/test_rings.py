@@ -11,7 +11,7 @@ import pytest
 import pipedreams
 from pipedreams import Word, combinat, poly, rings
 from pipedreams.combinat import (convex_standardization, enumerate_fubini,
-                                 stirling2)
+                                 fubini_count, stirling2)
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck_of_word,
                              schubert_of_word)
 from pipedreams.rings import (
@@ -38,7 +38,7 @@ from pipedreams.rings import (
 )
 
 from conftest import random_poly
-from oracles import fubini_walk, special_nonfubini_word
+from oracles import fubini_walk, special_nonfubini_word, stacked_basis_report
 
 
 # -- the ambient ring ---------------------------------------------------------
@@ -267,6 +267,15 @@ def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
     assert calls == [(4, 3)]
 
 
+def _schubert_report(n, k):
+    """The ideal, the class rows, whether the degree bound holds, and the
+    certificate's "schubert" report."""
+    ideal = rings._elementary_ideal(n, k)
+    s_rows, bounded = _fubini_class_rows(n, k)
+    report = rings._basis_report(n, k, ideal, True)
+    return ideal, s_rows, bounded, report["schubert"]
+
+
 def test_sparse_class_rows_match_dense_classes():
     words = [Word(letters, k=3) for letters, _, _ in fubini_walk(4, 3)]
     assert len(words) == 36
@@ -278,14 +287,20 @@ def test_sparse_class_rows_match_dense_classes():
 
 def test_fubini_class_rows_match_word_polynomials():
     """The Schubert rows of the block walk against the word-polynomial
-    oracle, for every Fubini word of every desk-scale (n, k)."""
+    oracle, for every Fubini word of every desk-scale (n, k); and the fold
+    the certificate replaced: the oracle rows, stacked on I_e, span Z^{k^n}
+    with unit pivots, and the certificate reports what the fold does."""
     total = 0
     for n, k in desk_scale_pairs():
-        s_rows, bounded = _fubini_class_rows(n, k)
+        ideal, s_rows, bounded, certified = _schubert_report(n, k)
         assert bounded, (n, k)
         words = [Word(letters, k) for letters, _, _ in fubini_walk(n, k)]
-        for w, s_row in zip(words, s_rows, strict=True):
-            assert s_row == _project_row(schubert_of_word(w), n, k), w
+        rows = [_project_row(schubert_of_word(w), n, k) for w in words]
+        for w, s_row, row in zip(words, s_rows, rows, strict=True):
+            assert s_row == row, w
+        folded = stacked_basis_report(ideal, rows, k ** n, fubini_count(n, k))
+        assert folded["basis"] and folded["stacked_rank"] == k ** n, (n, k)
+        assert certified == folded, (n, k)
         total += len(words)
     assert total == 12660
 
@@ -386,7 +401,7 @@ def test_degree_certificate_rejects_a_term_below_the_length(monkeypatch):
     assert failure.value.report["schubert"]["basis"]
 
 
-def test_verify_rings_stacks_one_lattice_beside_the_ideal(monkeypatch):
+def test_verify_rings_builds_no_lattice_beside_the_ideal(monkeypatch):
     builds = []
 
     class Counting(IntegerLattice):
@@ -396,7 +411,73 @@ def test_verify_rings_stacks_one_lattice_beside_the_ideal(monkeypatch):
 
     monkeypatch.setattr(rings, "IntegerLattice", Counting)
     assert verify_rings(4, 3)["ok"]
-    assert builds == [81, 81]   # I_e, then the Schubert rows stacked on it
+    assert builds == [81]   # I_e; the Schubert rows are read, not folded
+
+
+# -- the unitriangular certificate of the Schubert basis ---------------------------
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (9, 3)])
+def test_certificate_and_fold_agree_past_the_ceiling(monkeypatch, n, k):
+    monkeypatch.setattr(rings, "DESK_CEILING", k ** n)
+    ideal, s_rows, _, certified = _schubert_report(n, k)
+    assert certified["basis"] and all(r[0][1] == 1 for r in s_rows)
+    assert certified == stacked_basis_report(ideal, s_rows, k ** n,
+                                             fubini_count(n, k))
+
+
+def _corrupt(rows, pivot):
+    """The five ways `test_certificate_rejects_broken_class_rows` breaks
+    the class rows, each with the failure the certificate must report."""
+    lead = rows[0][0][0]
+    return {
+        "repeated lead": (rows[:1] + rows[:1] + rows[2:],
+                          f"class row 1 leads at column {lead}, as class "
+                          f"row 0 does"),
+        "lead on a pivot": ([((pivot, 1),)] + rows[1:],
+                            f"class row 0 leads at column {pivot}, an I_e "
+                            f"pivot column"),
+        "lead of 2": ([tuple((c, 2 * v) for c, v in rows[0])] + rows[1:],
+                      f"class row 0 leads at column {lead} with 2"),
+        "empty row": ([()] + rows[1:], "class row 0 is empty"),
+        "row missing": (rows[:-1], f"column {rows[-1][0][0]} is no I_e "
+                                   f"pivot and leads no class row"),
+    }
+
+
+@pytest.mark.parametrize("case", ["repeated lead", "lead on a pivot",
+                                  "lead of 2", "empty row", "row missing"])
+def test_certificate_rejects_broken_class_rows(monkeypatch, case):
+    n, k = 4, 3
+    ideal, s_rows, _, _ = _schubert_report(n, k)
+    assert all(r[0][1] == 1 for r in s_rows)
+    bad, why = _corrupt(list(s_rows), ideal.pivot_items()[0][0])[case]
+    monkeypatch.setattr(rings, "_fubini_class_rows",
+                        lambda n, k: (bad, True))
+    rep = verify_rings(n, k)
+    assert not rep["schubert_basis"] and not rep["ok"]
+    assert rep["ideal_equal"] and rep["torsion_free"]
+    with pytest.raises(BasisFailure) as failure:
+        verify_grothendieck_basis(n, k)
+    assert str(failure.value) == (
+        f"basis verification failed at (n, k) = ({n}, {k}); {why}")
+    sub = failure.value.report["schubert"]
+    assert sub["failure"] == why and sub["basis"] is False
+    assert sub["stacked_rank"] is sub["full_rank"] is sub["unimodular"] \
+        is sub["offending_invariant"] is None
+    # the fold, which the certificate replaced, rejects the rows too
+    assert not stacked_basis_report(ideal, bad, k ** n,
+                                    fubini_count(n, k))["basis"]
+
+
+def test_certificate_rejects_a_pivot_other_than_one():
+    ideal, s_rows, _, _ = _schubert_report(4, 3)
+    pivots = dict(ideal.pivot_items())
+    assert rings._certificate_failure(pivots, s_rows, 81, 36) is None
+    c = max(pivots)
+    pivots[c] = 2
+    assert (rings._certificate_failure(pivots, s_rows, 81, 36)
+            == f"the I_e pivot at column {c} is 2")
 
 
 def test_fubini_class_rows_refuse_variables_beyond_n(monkeypatch):
