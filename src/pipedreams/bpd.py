@@ -13,10 +13,11 @@ east row i.
     NW      elbow: enters west, turns north
 
 Each tile is the set of cell sides its pipes use (`_SIDES`, inverted by
-`_TILE_OF_SIDES`); tracing and the diagram BPD read that table, and so do
-the droop moves of the test suite (`tests/oracles.py`, with their table of
-side edits).  A non-CROSS tile carries its one pipe from its S or W side to
-its N or E side, and the pipes entering a cell are exactly its S/W sides.
+`_TILE_OF_SIDES`); the diagram BPD and the test oracles read that table
+(`tests/oracles.py`: the droop moves, with their table of side edits, and
+`trace_pipes`).  A non-CROSS tile carries its one pipe from its S or W side
+to its N or E side, and the pipes entering a cell are exactly its S/W
+sides.
 
 The *diagram* BPD of w has an SE elbow at (i, w(i)), each pipe's vertical
 strand below its elbow and its horizontal strand to the right; its blank
@@ -38,7 +39,7 @@ Sums by rows (the row transfer of Brubaker-Frechette-Hardt-Tibor-Weber,
 Grothendieck polynomials", 2020).  Label each pipe by its south column and
 read the grid from the bottom row up, each row left to right.  Row r takes
 pipes in from the south at a column set A, |A| = r, sends r - 1 of them
-north and one east, and its scan carries at most one pipe from the west:
+north and one east, and carries at most one pipe from the west (`_tile_moves`):
 
     carrying  in A   tile   north         carrying after
     no        yes    VER    the pipe      no
@@ -48,8 +49,11 @@ north and one east, and its scan carries at most one pipe from the west:
     a         no     NW     a             no
     a         no     HOR    -             a
 
-The row must end carrying w(r), and row 1 then sends nothing north.  Two
-facts make this exact for K-BPDs with no memory of which pairs crossed:
+The row must end carrying w(r), and row 1 then sends nothing north.
+`Bpd._exits` reads a grid so, taking at each cell the entry whose tile is
+the cell's: the carries left at the east edges are `permutation()`, and
+`validate()` fails where no entry fits or a pipe leaves row 1 north.  Two
+facts make this exact for K-BPDs with no memory of the pairs that cross:
 
 * A CROSS tile with pipe a entering from the west and b from the south is
   a genuine crossing iff a < b, and a bump otherwise; either way max(a, b)
@@ -57,9 +61,12 @@ facts make this exact for K-BPDs with no memory of which pairs crossed:
   shared tiles one of them lies north-west of the other, and at a shared
   tile the north-western one enters from the west.  A genuine crossing
   swaps the sides and a bump keeps them.  At the bottom the smaller label
-  lies west, so at a pair's first meeting a < b and `Bpd._trace` crosses
-  them; afterwards the larger label lies north-west, every later meeting
-  has a > b, and `_trace` bumps it as an already crossed pair.
+  lies west, so at a pair's first meeting a < b and the pair crosses;
+  afterwards the larger label lies north-west, every later meeting has
+  a > b, and the 0-Hecke routing bumps it, as the pair has met before.
+  So the table, with no memory, routes the pipes as the 0-Hecke routing
+  does (`tests/oracles.py::trace_pipes` remembers the pairs that cross
+  and checks it).
 * blanks = CROSS tiles.  Proof: the pipe from (N, p) to (r, N) moves only
   north and east, so it visits 2N - p - r + 1 cells; over the N pipes
   these add up to N(2N + 1) - N(N + 1) = N^2.  A CROSS tile is visited
@@ -97,11 +104,10 @@ starting with none, and the row above takes its south sides from the
 columns this row sends north; row N takes every column from the south,
 row 1 sends nothing north, as the base has no pipe, and each row exits east
 carrying w(r).  Conversely each row of a BPD is one scan, as the table
-lists every tile that fits the sides its pipes enter.  By the first fact,
-at each CROSS the table sends north and east the pipes that `_trace` sends
-there, the other tiles pass their one pipe on alike, and ranking the labels
-keeps their order; so w(r) is `_trace`'s exit at row r.  A reduced chain
-has no bump, so by the second fact it has len(w) blanks.
+lists every tile that fits the sides its pipes enter.  Ranking the labels
+keeps their order, so by the first fact w(r) is the pipe that the 0-Hecke
+routing sends out of row r.  A reduced chain has no bump, so by the second
+fact it has len(w) blanks.
 """
 
 from __future__ import annotations
@@ -201,76 +207,34 @@ class Bpd(Frozen):
     def validate(self):
         """Check that the pipes fit edge to edge, enter from the south and
         leave to the east: True, or a ValueError naming where they do not."""
-        self._trace()
+        self._exits()
         return True
 
-    # -- tracing ----------------------------------------------------------------
-
-    def _trace(self):
-        """Resolve the pipes.
-
-        Returns (one_line, crossed, se_pipe):
-          one_line  - w with w(r) = south column of the pipe exiting row r;
-          crossed   - set of frozenset pipe pairs that genuinely cross;
-          se_pipe   - pipe id occupying each SE elbow, keyed by (r, c).
-
-        Tiles are processed in anti-diagonal order (increasing (N-r)+c), so
-        each crossing sees the full prior history of its two pipes; at a
-        cross tile whose pipes have already crossed, the tile acts as a
-        bump.  This is the 0-Hecke resolution of redundant crossings.  A
-        cell whose entering pipes are not exactly its tile's S/W sides
-        raises ValueError.
-        """
-        N = self.N
-        # inputs: south_in[(r,c)] pipe entering from the south edge,
-        #         west_in[(r,c)] pipe entering from the west edge
-        south_in = {(N, c): c for c in range(1, N + 1)}
-        west_in = {}
-        exits = {}
-        crossed = set()
-        se_pipe = {}
-        for t in range(0, 2 * N - 1):
-            for r in range(N, 0, -1):
-                c = t - (N - r) + 1
-                if not 1 <= c <= N:
-                    continue
-                tile = self.tile(r, c)
-                sides = _SIDES[tile]
-                b = south_in.get((r, c))  # heading north
-                a = west_in.get((r, c))   # heading east
-                entering = (S_ if b is not None else 0) | (W_ if a is not None else 0)
-                if entering != sides & (S_ | W_):
-                    raise ValueError("the pipes entering (%d,%d) do not fit its "
-                                     "%s tile" % (r, c, tile.name))
-                if tile is Tile.CROSS:
-                    pair = frozenset((a, b))
-                    if pair in crossed:
-                        go_north, go_east = a, b   # bump
-                    else:
-                        crossed.add(pair)
-                        go_north, go_east = b, a   # transversal crossing
-                else:
-                    pipe = a if b is None else b
-                    go_north = pipe if sides & N_ else None
-                    go_east = pipe if sides & E_ else None
-                    if tile is Tile.SE:
-                        se_pipe[(r, c)] = pipe
-                if go_north is not None:
-                    if r == 1:
-                        raise ValueError("pipe escaped north at column %d" % c)
-                    south_in[(r - 1, c)] = go_north
-                if go_east is not None:
-                    if c == N:
-                        exits[r] = go_east
-                    else:
-                        west_in[(r, c + 1)] = go_east
-        one_line = [exits[r] for r in range(1, N + 1)]
-        return one_line, crossed, se_pipe
+    def _exits(self):
+        """The label each row sends east, read by `_tile_moves` as the
+        module docstring says, or a ValueError where the pipes do not fit."""
+        south, exits = list(range(1, self.N + 1)), []
+        for r in range(self.N, 0, -1):
+            carry = 0
+            for c, tile in enumerate(self.tiles[r - 1]):
+                move = next((m for m in _tile_moves(carry, south[c])
+                             if m[2] is tile), None)
+                if move is None:
+                    raise ValueError("the pipes entering (%d,%d) do not fit "
+                                     "its %s tile" % (r, c + 1, tile.name))
+                carry, south[c], _ = move
+                if r == 1 and south[c]:
+                    raise ValueError("pipe escaped north at column %d" % (c + 1))
+            exits.append(carry)
+        return exits[::-1]
 
     def permutation(self):
-        """w with w(r) = the south column of the pipe exiting east row r."""
-        one_line, _, _ = self._trace()
-        return Permutation(one_line)
+        """w with w(r) = the south column of the pipe exiting east row r.
+
+        >>> diagram_bpd("2143").permutation()
+        Permutation('2143')
+        """
+        return Permutation(self._exits())
 
     # -- cells of interest -------------------------------------------------------
 
@@ -400,12 +364,23 @@ def bpd_row_cache_info():
     return _ROWS.info()
 
 
+def _tile_moves(carry, b):
+    """(label carried east, label sent north, tile) for each tile that fits
+    a cell entered by `carry` from the west and `b` from the south, 0 for
+    no pipe: the tile table of the module docstring."""
+    if not carry:
+        return ((0, b, Tile.VER), (b, 0, Tile.SE)) if b else ((0, 0, Tile.BLANK),)
+    if b:
+        return ((min(carry, b), max(carry, b), Tile.CROSS),)
+    return ((0, carry, Tile.NW), (carry, 0, Tile.HOR))
+
+
 def _row_scans(s):
     """Every row that the labelled state s (a label per column, 0 for no
-    pipe) scans to by the module's tile table: (label sent east, next state
-    with the labels above it lowered by one, blanks, NW elbows, bumps,
-    tiles), the cells as ints of column bits, the tiles one octal digit
-    each, column 1 first.  Memoized per state in `_ROWS`."""
+    pipe) scans to by the tile table `_tile_moves`: (label sent east, next
+    state with the labels above it lowered by one, blanks, NW elbows,
+    bumps, tiles), the cells as ints of column bits, the tiles one octal
+    digit each, column 1 first.  Memoized per state in `_ROWS`."""
     found = _ROWS.lookup(s)
     if found is not None:
         return found
@@ -413,17 +388,10 @@ def _row_scans(s):
     for c, b in enumerate(s):
         bit, grown = 1 << c, []
         for carry, north, blank, nw, bumps, code in partial:
-            if not carry:       # (carried east, sent north, tile) per tile
-                tiles = ((0, b, Tile.VER), (b, 0, Tile.SE)) if b else (
-                    (0, 0, Tile.BLANK),)
-            elif b:
-                tiles = ((min(carry, b), max(carry, b), Tile.CROSS),)
-            else:
-                tiles = ((0, carry, Tile.NW), (carry, 0, Tile.HOR))
             grown += ((east, north + (up,), blank | bit * (t is Tile.BLANK),
                        nw | bit * (t is Tile.NW),
                        bumps + (t is Tile.CROSS and carry > b), code << 3 | t)
-                      for east, up, t in tiles)
+                      for east, up, t in _tile_moves(carry, b))
         partial = grown
     return _ROWS.store(s, tuple(
         (e, tuple(a - (a > e) for a in north), blank, nw, bumps, code)

@@ -104,6 +104,15 @@ def inverse_one_line(one_line):
     return tuple(inv)
 
 
+def _trimmed(t):
+    """The one-line sequence t as a tuple without trailing fixed points; an
+    identity, the empty one too, trims to (1,)."""
+    n = len(t)
+    while n > 1 and t[n - 1] == n:
+        n -= 1
+    return tuple(t[:n]) or (1,)
+
+
 def seq_to_string(seq):
     """Canonical string form: digit string if all entries fit one digit."""
     if all(1 <= v <= 9 for v in seq):
@@ -242,10 +251,7 @@ class Permutation(Frozen):
 
     def trim(self):
         """Drop trailing fixed points; any identity trims to S_1's."""
-        ol = list(self.one_line)
-        while len(ol) > 1 and ol[-1] == len(ol):
-            ol.pop()
-        return Permutation(ol or (1,))
+        return Permutation(_trimmed(self.one_line))
 
     def stable_eq(self, other):
         """Equality up to trailing fixed points."""
@@ -426,15 +432,22 @@ def convex_standardization(letters, k):
     runs = {}                   # letter -> its positions; first-occurrence order
     for p, v in enumerate(letters):
         runs.setdefault(v, []).append(p)
-    u, sigma = [], []
-    r = k                       # the last k + r handed to a repeated position
-    for v, positions in runs.items():
+    sigma = tuple(p for positions in runs.values() for p in positions)
+    return standardized_runs(runs.keys(), map(len, runs.values()), k), sigma
+
+
+def standardized_runs(letters, sizes, k):
+    """std(conv(w)) as a one-line tuple, for the word w in [k]^n whose j-th
+    distinct letter, in order of first occurrence, is letters[j], occurring
+    sizes[j] times: each run of conv(w) keeps its letter first, the repeats
+    take k+1, k+2, .. in turn, and the letters w lacks follow, ascending."""
+    u, r = [], k                # r: the last number handed to a repeat
+    for v, m in zip(letters, sizes):
         u.append(v)
-        u.extend(range(r + 1, r + len(positions)))
-        r += len(positions) - 1
-        sigma.extend(positions)
-    u.extend(v for v in range(1, k + 1) if v not in runs)
-    return tuple(u), tuple(sigma)
+        u.extend(range(r + 1, r + m))
+        r += m - 1
+    u.extend(v for v in range(1, k + 1) if v not in letters)
+    return tuple(u)
 
 
 # -- enumeration -----------------------------------------------------------

@@ -96,8 +96,8 @@ from __future__ import annotations
 
 import json
 
-from .combinat import (Frozen, Permutation, Word, checked_int,
-                       convex_standardization, json_fields)
+from .combinat import (Frozen, Permutation, Word, _trimmed, checked_int,
+                       convex_standardization, inverse_one_line, json_fields)
 from .poly import EXP_MAX, Poly, _Memo, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -145,9 +145,7 @@ def _demazure(bits, N):
             x, y = u[a], u[a + 1]
             if x < y:
                 u[a], u[a + 1] = y, x
-    while len(u) > 1 and u[-1] == len(u):
-        u.pop()
-    return tuple(u)
+    return _trimmed(u) if N else ()     # N = 0: the empty permutation
 
 
 class PipeDream(Frozen):
@@ -378,15 +376,6 @@ def _enumerate(w, reduced):
     return [PipeDream._of(b, N) for b in bits]
 
 
-def _trimmed(t):
-    """The one-line sequence t as a tuple without trailing fixed points; an
-    identity, the empty one too, trims to (1,)."""
-    n = len(t)
-    while n > 1 and t[n - 1] == n:
-        n -= 1
-    return tuple(t[:n]) or (1,)
-
-
 def _first_row_blocks(X, rows, done, reduced, N):
     """The diagrams of X, as the blocks C | (D' << N) for (X'_C, C, C's
     bits) in `rows`, D' from the list done[X'_C], ordered as the module
@@ -527,9 +516,7 @@ def _pd_sums(u, reduced):
     (-1)^crosses, not yet the top sign (-1)^len(u).  A row of more than
     EXP_MAX crosses is refused, as its packed exponent would reach the
     guard bit."""
-    N, x = len(u), [0] * len(u)
-    for i, a in enumerate(u, start=1):
-        x[a - 1] = i
+    N, x = len(u), _trimmed(inverse_one_line(u))
 
     def expand(y):
         X = frozenset({y})
@@ -545,7 +532,7 @@ def _pd_sums(u, reduced):
                 parts.append((v, factor, row))
         return parts
 
-    return _sum_by_rows(_trimmed(x), (1,), ("pd", reduced, N), expand, 8, N)
+    return _sum_by_rows(x, (1,), ("pd", reduced, N), expand, 8, N)
 
 
 def _sum_poly(found, nx, negate=False):

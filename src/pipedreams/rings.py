@@ -56,7 +56,8 @@ from collections import defaultdict
 from itertools import permutations
 
 from ._lattice_py import IntegerLattice
-from .combinat import Frozen, Permutation, Word, fubini_blocks, fubini_count
+from .combinat import (Frozen, Permutation, Word, fubini_blocks, fubini_count,
+                       standardized_runs)
 from .poly import (_within_word, elementary_symmetric, grassmannian_cycle,
                    grothendieck, grothendieck_of_word, schubert_of_word)
 
@@ -359,18 +360,6 @@ def _surviving_terms(u, n, k):
     return lowest, below
 
 
-def _fubini_u(pi, sizes, k):
-    """u = std(conv(w)) of the Fubini word whose b-th block, of size
-    sizes[b], carries the letter pi[b]: pi[b] stands first in its run and
-    the repeats take k+1, k+2, .. in turn."""
-    u, r = [], k
-    for v, m in zip(pi, sizes):
-        u.append(v)
-        u.extend(range(r + 1, r + m))
-        r += m - 1
-    return tuple(u)
-
-
 def _fubini_class_rows(n, k):
     """Sparse S_{n,k} rows of the Schubert classes of the Fubini words of
     [k]^n, and whether the degree bound of ``verify_rings`` holds: no
@@ -383,8 +372,8 @@ def _fubini_class_rows(n, k):
     its Schubert row is the degree-l(u) part (module docstring).  The
     letters of w occur first in the order of its blocks, so sigma is the
     blocks one after another, shared by the k! words of one partition, and
-    u depends only on pi and the block sizes (``_fubini_u``).  G_u is
-    filtered once per u, and a surviving term's monomial index is one sum,
+    u depends only on pi and the block sizes (``standardized_runs``).  G_u
+    is filtered once per u, and a surviving term's monomial index is one sum,
     by the base-k rule of ``SnkRing``: the exponent of x_i moves to place
     sigma(i), whose digit weighs k^(n-1-sigma(i)), counting places from 0.
     """
@@ -394,8 +383,8 @@ def _fubini_class_rows(n, k):
     for blocks in fubini_blocks(n, k):
         sizes = tuple(map(len, blocks))
         if sizes not in terms_of:
-            terms_of[sizes] = [_surviving_terms(_fubini_u(pi, sizes, k), n, k)
-                               for pi in orders]
+            terms_of[sizes] = [_surviving_terms(standardized_runs(pi, sizes, k),
+                                                n, k) for pi in orders]
         weight = [k ** (n - 1 - p)
                   for block in blocks for p in block].__getitem__
         for terms, _ in terms_of[sizes]:

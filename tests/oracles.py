@@ -13,12 +13,15 @@ them is the counterpart of `enumerate_reduced`/`enumerate_all`.
 of the Demazure product `PipeDream.permutation()` reads off its crosses.
 
 `bpd_closure` lists the BPDs of a permutation as the droop (and K-droop)
-closure of its diagram BPD, tracing each one, with no row rule: the
+closure of its diagram BPD, tracing each one by `trace_pipes`, with no
+row rule: the
 counterpart of `enumerate_reduced_bpd`/`enumerate_all_bpd`.  `bpd_moves`
 walks the droops and `droop` rewrites a grid by the table of side edits.
 
-`edges_match` checks a tile grid side by side, the walk that `Bpd._trace`
-replaces by following the pipes.
+`trace_pipes` follows the pipes of a tile grid anti-diagonally, crossing a
+pair at its first meeting and bumping it at every later one: the 0-Hecke
+routing that `Bpd.permutation()` and `validate()` read off the row table.
+`edges_match` checks a tile grid side by side, with no pipe followed.
 
 `ideal_rows` forms every generator-term times monomial product of an ideal
 of S_{n,k} and drops those with an exponent >= k: the counterpart of the
@@ -325,6 +328,68 @@ def droop(B, i, j, i2, j2):
     return Bpd(g)
 
 
+def trace_pipes(B):
+    """Resolve the pipes.
+
+    Returns (one_line, crossed, se_pipe):
+      one_line  - w with w(r) = south column of the pipe exiting row r;
+      crossed   - set of frozenset pipe pairs that genuinely cross;
+      se_pipe   - pipe id occupying each SE elbow, keyed by (r, c).
+
+    Tiles are processed in anti-diagonal order (increasing (N-r)+c), so
+    each crossing sees the full prior history of its two pipes; at a
+    cross tile whose pipes have already crossed, the tile acts as a
+    bump.  This is the 0-Hecke resolution of redundant crossings.  A
+    cell whose entering pipes are not exactly its tile's S/W sides
+    raises ValueError.
+    """
+    N = B.N
+    # inputs: south_in[(r,c)] pipe entering from the south edge,
+    #         west_in[(r,c)] pipe entering from the west edge
+    south_in = {(N, c): c for c in range(1, N + 1)}
+    west_in = {}
+    exits = {}
+    crossed = set()
+    se_pipe = {}
+    for t in range(0, 2 * N - 1):
+        for r in range(N, 0, -1):
+            c = t - (N - r) + 1
+            if not 1 <= c <= N:
+                continue
+            tile = B.tile(r, c)
+            sides = _SIDES[tile]
+            b = south_in.get((r, c))  # heading north
+            a = west_in.get((r, c))   # heading east
+            entering = (S_ if b is not None else 0) | (W_ if a is not None else 0)
+            if entering != sides & (S_ | W_):
+                raise ValueError("the pipes entering (%d,%d) do not fit its "
+                                 "%s tile" % (r, c, tile.name))
+            if tile is Tile.CROSS:
+                pair = frozenset((a, b))
+                if pair in crossed:
+                    go_north, go_east = a, b   # bump
+                else:
+                    crossed.add(pair)
+                    go_north, go_east = b, a   # transversal crossing
+            else:
+                pipe = a if b is None else b
+                go_north = pipe if sides & N_ else None
+                go_east = pipe if sides & E_ else None
+                if tile is Tile.SE:
+                    se_pipe[(r, c)] = pipe
+            if go_north is not None:
+                if r == 1:
+                    raise ValueError("pipe escaped north at column %d" % c)
+                south_in[(r - 1, c)] = go_north
+            if go_east is not None:
+                if c == N:
+                    exits[r] = go_east
+                else:
+                    west_in[(r, c + 1)] = go_east
+    one_line = [exits[r] for r in range(1, N + 1)]
+    return one_line, crossed, se_pipe
+
+
 def bpd_moves(B, droops, k_droops):
     """The droop moves (`droops`) and K-droop moves (`k_droops`) of B from
     one walk over (SE elbow, destination) pairs; the K closure asks for both.
@@ -338,8 +403,7 @@ def bpd_moves(B, droops, k_droops):
     both the candidates and the permutation they must keep.
     """
     if k_droops:
-        one_line, crossed, se_pipe = B._trace()
-        w = Permutation(one_line)
+        one_line, crossed, se_pipe = trace_pipes(B)
     N, out = B.N, []
     for i, j in tile_cells(B.tiles, Tile.SE):
         for i2 in range(i + 1, N + 1):
@@ -353,7 +417,8 @@ def bpd_moves(B, droops, k_droops):
                 elif not (droops and dest is Tile.BLANK):
                     continue
                 Q = droop(B, i, j, i2, j2)
-                if Q is not None and (not onto_se or Q.permutation() == w):
+                if Q is not None and (not onto_se
+                                      or trace_pipes(Q)[0] == one_line):
                     out.append(Q)
     return out
 
@@ -390,13 +455,13 @@ def move_closure(start, moves):
 def bpd_closure(w, reduced):
     """The reduced (or all K-theoretic) BPDs of w in `code_string` order:
     the closure of the diagram BPD under droops (and K-droops).  Each BPD
-    reached is traced and must have the permutation w; tracing raises on
-    every grid `edges_match` rejects."""
+    reached is traced by `trace_pipes` and must have the permutation w;
+    tracing raises on every grid `edges_match` rejects."""
     w = w if isinstance(w, Permutation) else Permutation(w)
     start = diagram_bpd(w)
     seen = move_closure(start, lambda B: bpd_moves(B, True, not reduced))
     for B in seen - {start}:
-        if B.permutation() != w:
+        if tuple(trace_pipes(B)[0]) != w.one_line:
             raise AssertionError("droop closure escaped the permutation")
     return sorted(seen, key=Bpd.code_string)
 

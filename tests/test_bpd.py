@@ -212,7 +212,7 @@ def test_enumeration_neither_droops_nor_traces(monkeypatch):
                 for n in range(1, 6) for w in all_permutations(n)
                 for f in (enumerate_reduced_bpd, enumerate_all_bpd)]
     monkeypatch.setattr(oracles, "bpd_moves", refuse)
-    monkeypatch.setattr(Bpd, "_trace", refuse)
+    monkeypatch.setattr(Bpd, "_exits", refuse)
     clear_caches()
     assert [[B.to_json() for B in f(w)]
             for n in range(1, 6) for w in all_permutations(n)
@@ -426,12 +426,13 @@ def test_blank_rectangularity_no_violations_small_words():
 
 
 def test_tracing_refuses_exactly_the_grids_whose_edges_do_not_match():
-    """`validate()` and the droop closure of `oracles.bpd_closure` check each
-    BPD by tracing it alone: `_trace` must raise on every grid the
-    side-by-side walk `oracles.edges_match` rejects, and on no other.  Every
-    grid of size 1 and 2, and one- and two-tile mutations of K-BPDs of
-    S_3..S_5."""
-    from oracles import edges_match
+    """`validate()`, by the row table, and the anti-diagonal walk
+    `oracles.trace_pipes` of the droop closure each check a grid alone: both
+    must raise on every grid the side-by-side walk `oracles.edges_match`
+    rejects, and on no other, and on a grid they accept `permutation()`
+    must be the traced one.  Every grid of size 1 and 2, and one- and
+    two-tile mutations of K-BPDs of S_3..S_5."""
+    from oracles import edges_match, trace_pipes
 
     from pipedreams.combinat import all_permutations
 
@@ -441,10 +442,16 @@ def test_tracing_refuses_exactly_the_grids_whose_edges_do_not_match():
         B = Bpd(tiles)
         valid = edges_match(B)
         try:
-            traced = B._trace() is not None
+            traced = trace_pipes(B)[0]
         except ValueError:
-            traced = False
-        assert valid == traced, B
+            traced = None
+        try:
+            checked = B.validate()
+        except ValueError:
+            checked = False
+        assert valid == checked == (traced is not None), B
+        if valid:
+            assert B.permutation().one_line == tuple(traced), B
         outcomes.add(valid)
 
     for N in (1, 2):
@@ -465,13 +472,14 @@ def test_tracing_refuses_exactly_the_grids_whose_edges_do_not_match():
 
 
 def test_diagram_work_is_bounded(monkeypatch):
-    """Upper bounds on pipe tracing and grid validation, so a change to the
-    enumerations that re-checks diagrams shows up here.  The memos start
-    empty, so a memo warmed by earlier tests cannot hide their work."""
+    """Upper bounds on pipe reading (`_exits`) and grid validation, so a
+    change to the enumerations that re-checks diagrams shows up here.  The
+    memos start empty, so a memo warmed by earlier tests cannot hide their
+    work."""
     from pipedreams import clear_caches
     from pipedreams.combinat import all_permutations, enumerate_fubini
 
-    calls = {"_trace": 0, "validate": 0}
+    calls = {"_exits": 0, "validate": 0}
 
     def counting(name):
         method = getattr(Bpd, name)
@@ -488,14 +496,14 @@ def test_diagram_work_is_bounded(monkeypatch):
     for w in all_permutations(4):
         enumerate_reduced_bpd(w)
         enumerate_all_bpd(w)
-    assert calls["_trace"] <= 79 and calls["validate"] <= 83, calls
-    calls.update(_trace=0, validate=0)
+    assert calls["_exits"] <= 79 and calls["validate"] <= 83, calls
+    calls.update(_exits=0, validate=0)
     for n in range(1, 5):
         for k in range(1, n + 1):
             for word in enumerate_fubini(n, k):
                 enumerate_word_bpds(word, reduced=True)
                 enumerate_word_bpds(word, reduced=False)
-    assert calls["_trace"] <= 91 and calls["validate"] <= 103, calls
+    assert calls["_exits"] <= 91 and calls["validate"] <= 103, calls
 
 
 # -- word BPD sums on ints ---------------------------------------------------
@@ -596,16 +604,17 @@ def trace_by_labels(B):
 
 
 def test_a_cross_is_genuine_iff_its_west_label_is_smaller():
-    # the first fact of the module docstring, against `_trace`'s memory of
-    # crossed pairs, and the second: blanks = crosses, blanks - len(w) =
-    # bumps; over the droop closure, which reads no row rule
-    from oracles import bpd_closure
+    # the first fact of the module docstring, against the memory of
+    # crossed pairs of `oracles.trace_pipes`, and the second: blanks =
+    # crosses, blanks - len(w) = bumps; over the droop closure, which reads
+    # no row rule
+    from oracles import bpd_closure, trace_pipes
 
     count = 0
     for n in range(1, 6):
         for w in all_permutations(n):
             for B in bpd_closure(w, reduced=False):
-                one_line, crossed, _ = B._trace()
+                one_line, crossed, _ = trace_pipes(B)
                 by_labels, genuine, bumps = trace_by_labels(B)
                 assert by_labels == tuple(one_line) == w.one_line
                 assert genuine == crossed, B

@@ -107,6 +107,7 @@ def test_extend_trim_stable_eq():
     w = Permutation("21")
     assert w.extend(4).one_line == (2, 1, 3, 4)
     assert Permutation("2134").trim().one_line == (2, 1)
+    assert Permutation(()).trim().one_line == (1,)
     assert w.stable_eq(Permutation("2134"))
     assert not w.stable_eq(Permutation("1234"))
 

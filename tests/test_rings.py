@@ -11,7 +11,7 @@ import pytest
 import pipedreams
 from pipedreams import Word, combinat, poly, rings
 from pipedreams.combinat import (convex_standardization, enumerate_fubini,
-                                 fubini_count, stirling2)
+                                 fubini_count, standardized_runs, stirling2)
 from pipedreams.poly import (Poly, elementary_symmetric, grothendieck_of_word,
                              schubert_of_word)
 from pipedreams.rings import (
@@ -33,7 +33,6 @@ from pipedreams.rings import (
     verify_rings,
     _certify_ideal_equal,
     _fubini_class_rows,
-    _fubini_u,
     _project_row,
 )
 
@@ -311,7 +310,7 @@ def test_block_walk_gives_the_convex_standardization_of_each_word():
     for n, k in desk_scale_pairs():
         for letters, blocks, pi in fubini_walk(n, k):
             sigma = tuple(p for block in blocks for p in block)
-            u = _fubini_u(pi, tuple(map(len, blocks)), k)
+            u = standardized_runs(pi, map(len, blocks), k)
             assert (u, sigma) == convex_standardization(letters, k), letters
 
 

@@ -212,7 +212,8 @@ def test_a_permutation_is_its_own_fubini_word():
 
 def test_the_empty_inputs_have_one_empty_diagram():
     # S_0 and the word () in [0]^0: every list holds one diagram with no
-    # cell, on no row, weighing 1 (the sums are checked with the n > 0 ones)
+    # cell, on no row, weighing 1 (the sums are checked with the n > 0 ones),
+    # whose permutation is S_0's, not the trim of S_0's identity to S_1's
     from pipedreams import (Permutation, Poly, enumerate_reduced,
                             enumerate_reduced_bpd)
 
@@ -221,6 +222,7 @@ def test_the_empty_inputs_have_one_empty_diagram():
                        enumerate_reduced_bpd, enumerate_all_bpd):
         D, = enumerate_(e)
         assert D.N == 0 and D._marks() == (0, 0), enumerate_
+        assert D.permutation().one_line == (), enumerate_
     for enumerate_word in (enumerate_word_pds, enumerate_word_bpds):
         for reduced in (True, False):
             W, = enumerate_word(word, reduced=reduced)
