@@ -14,8 +14,19 @@ split.
 
 The JSON output holds every run; each side's median and quartiles per
 end-to-end metric; how many pairs the working tree won (lower is better for
-every end-to-end metric); the kernel that ran; and the machine.  Standard
-library only.
+every end-to-end metric, and a tie counts for neither side); the kernel that
+ran; and the machine.  Each metric also gets three verdicts, with its bound
+read from ``BENCHMARK.json`` as a fraction of the base median:
+
+- ``unresolved``: the base runs spread wider (IQR) than the bound, and not
+  every change run beats every base run, so the host's noise hides the
+  difference;
+- ``within_bound``: the change median is at most the base median times
+  (1 + bound);
+- ``gain``: the change wins at least 9 pairs in 10, and its median is below
+  the base median by more than the base IQR.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -80,15 +91,29 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(runs):
+def read_bounds():
+    """{metric: bound} of the end-to-end metrics of ``BENCHMARK.json``, each
+    bound a fraction of the base median."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def summarize(runs, bounds):
+    """Each metric's quartiles per side, pairs won, ratio and verdicts."""
     out = {}
     for m in METRICS:
         base = [r["base"][m] for r in runs]
         change = [r["change"][m] for r in runs]
         b, c = quartiles(base), quartiles(change)
-        out[m] = {"base": b, "change": c,
-                  "change_wins": sum(y < x for x, y in zip(base, change)),
-                  "ratio": c["median"] / b["median"]}
+        wins = sum(y < x for x, y in zip(base, change))
+        bound = bounds[m]
+        out[m] = {"base": b, "change": c, "change_wins": wins,
+                  "ratio": c["median"] / b["median"], "bound": bound,
+                  "unresolved": (b["iqr"] > bound * b["median"]
+                                 and not max(change) < min(base)),
+                  "within_bound": c["median"] <= b["median"] * (1 + bound),
+                  "gain": (wins >= 0.9 * len(runs)
+                           and b["median"] - c["median"] > b["iqr"])}
     return out
 
 
@@ -145,7 +170,7 @@ def main(argv=None):
                         processor=platform.processor() or platform.machine(),
                         cpus_usable=len(os.sched_getaffinity(0))
                         if hasattr(os, "sched_getaffinity") else None),
-        "summary": summarize(runs),
+        "summary": summarize(runs, read_bounds()),
         "runs": runs,
         "layers": layers,
     }

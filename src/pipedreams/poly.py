@@ -504,9 +504,11 @@ class Poly(Frozen):
 
 
 def elementary_symmetric(j, m, nx=None, ny=0):
-    """e_j(x_1, ..., x_m) as a Poly of x-arity nx (default m)."""
-    if nx is None:
-        nx = m
+    """e_j(x_1, ..., x_m) as a Poly of x-arity nx (default m); zero when
+    j < 0 or j > m."""
+    checked_int("elementary symmetric", "j", j)
+    checked_int("elementary symmetric", "m", m, 0)
+    nx, ny = _arity(m if nx is None else nx, ny)
     if m > nx:
         raise ValueError("e_%d(x_1..x_%d) needs nx >= %d, got %d"
                          % (j, m, m, nx))
@@ -773,8 +775,10 @@ class LemmaViolation(AssertionError):
 
 def grassmannian_cycle(i, n):
     """The cycle (1, ..., i-1, i+1, ..., n, i) in S_n (skip i, append i)."""
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
+    checked_int("Grassmannian cycle", "n", n, 1)
+    if not 1 <= checked_int("Grassmannian cycle", "i", i) <= n:
+        raise ValueError("Grassmannian cycle i: need 1 <= i <= n = %d, got %d"
+                         % (n, i))
     one_line = [j for j in range(1, n + 1) if j != i] + [i]
     return Permutation(one_line)
 
@@ -785,7 +789,9 @@ def grassmannian_e_expansion(i, n):
 
     Returns {j: c_j} with j running over n-i..n-1; asserts c_{n-i} = 1 and
     strict sign alternation; raises LemmaViolation if the polynomial is not
-    exactly such a combination.
+    exactly such a combination (for this one-column shape, Lenart, Ann.
+    Comb. 2000, gives c_j = (-1)^(j-d) C(j-1, d-1), d = n-i).  It is the
+    certificate of I_G = I_e in ``rings.verify_rings``.
     """
     v = grassmannian_cycle(i, n)
     g = grothendieck(v).restrict_arity(n - 1)

@@ -15,10 +15,10 @@ negation, integer scaling).
 
 Rank, freeness and the bases reduce to integer-lattice linear algebra in
 Z^{k^n}: I_e becomes a row lattice via generator-times-monomial products.
-``verify_rings`` builds that lattice once per (n, k) and proves I_G = I_e by
-a graded Nakayama certificate (see its docstring) that needs only k
-membership tests, not a lattice for I_G; the general ``ideals_equal``
-compares two full lattices.  The lattice class, ``IntegerLattice``, lives in
+``verify_rings`` builds that lattice once per (n, k) and proves I_G = I_e
+with no lattice, by the e-expansion of the special classes in Z[x] (see its
+docstring); the general ``ideals_equal`` compares two full lattices and is
+the test oracle.  The lattice class, ``IntegerLattice``, lives in
 ``_lattice_py`` and is re-exported here.
 
 The class of a Fubini word w is G_u relabelled by x_i := x_{sigma(i)}, where
@@ -38,10 +38,10 @@ degree l(u), the inversion number of u, because:
   (every exponent < k), so it commutes with taking a homogeneous part.
 
 ``schubert_of_word``, ``grothendieck_of_word`` and ``_project_row`` remain
-the oracle for these rows.  No lattice is built from them: with the I_e
-Hermite rows, sorted by leading column, the Schubert rows form a k^n x k^n
-unitriangular matrix, and the Grothendieck rows differ from them only in
-higher degrees (proofs and checks in ``verify_rings``).
+the oracle for these rows.  No lattice is built from them, and only their
+leads are read: with the I_e Hermite rows, sorted by leading column, the
+Schubert rows form a k^n x k^n unitriangular matrix, and the Grothendieck
+rows differ from them only in higher degrees (proofs in ``verify_rings``).
 
 The ideal rows m * g are read off boxes (``_ideal_rows``): for a term x^e of
 g, the monomials m with m * x^e in S_{n,k} are those with m_p <= k-1-e_p at
@@ -58,8 +58,9 @@ from itertools import permutations
 from ._lattice_py import IntegerLattice
 from .combinat import (Frozen, Permutation, Word, fubini_blocks, fubini_count,
                        standardized_runs)
-from .poly import (_within_word, elementary_symmetric, grassmannian_cycle,
-                   grothendieck, grothendieck_of_word, schubert_of_word)
+from .poly import (LemmaViolation, _within_word, elementary_symmetric,
+                   grassmannian_cycle, grassmannian_e_expansion, grothendieck,
+                   grothendieck_of_word, schubert_of_word)
 
 #: Largest monomial-basis size the verification routines will attempt.
 DESK_CEILING = 5000
@@ -323,21 +324,6 @@ def ideals_equal(n, k, gens1, gens2):
             == coinvariant_ideal_lattice(n, k, gens2))
 
 
-def _certify_ideal_equal(ideal, e_gens, g_gens):
-    """The graded Nakayama certificate that (g_gens) = I_e (proof in
-    ``verify_rings``).  `ideal` is the I_e lattice, `e_gens` the images of
-    e_{n-k+1}, .., e_n and `g_gens` the k G-generators in the order of
-    ``grothendieck_ideal_generators``, so g_gens[i - 1] pairs with e_{n+1-i}.
-    """
-    ring = e_gens[0].ring
-    low = ring.n - ring.k + 1
-    for d, e, g in zip(range(low, ring.n + 1), e_gens, reversed(g_gens),
-                       strict=True):
-        if any(sum(ring.monomial(i)) <= d for i, _ in (g - e).items()):
-            return False
-    return all(ideal.contains(g) for g in g_gens)
-
-
 # -- basis verification ----------------------------------------------------------
 
 
@@ -360,12 +346,14 @@ def _surviving_terms(u, n, k):
     return lowest, below
 
 
-def _fubini_class_rows(n, k):
-    """Sparse S_{n,k} rows of the Schubert classes of the Fubini words of
-    [k]^n, and whether the degree bound of ``verify_rings`` holds: no
-    Grothendieck class has a term below the degree of its Schubert class.
+def _fubini_class_leads(n, k):
+    """The leads of the S_{n,k} rows of the Schubert classes of the Fubini
+    words of [k]^n, each its (column, coefficient) at its smallest column
+    or None for an empty row, and whether the degree bound of
+    ``verify_rings`` holds: no Grothendieck class has a term below the
+    degree of its Schubert class.
 
-    The rows come in the order of the walk: each set partition of
+    The leads come in the order of the walk: each set partition of
     ``fubini_blocks(n, k)``, times each order pi of [k] in
     ``itertools.permutations`` order, is the word with letter pi[b] on the
     b-th block.  The class of w is G_u relabelled by x_i := x_{sigma(i)};
@@ -379,7 +367,7 @@ def _fubini_class_rows(n, k):
     """
     orders = list(permutations(range(1, k + 1)))
     terms_of = {}                  # block sizes -> (terms, below) per order
-    rows = []
+    leads = []
     for blocks in fubini_blocks(n, k):
         sizes = tuple(map(len, blocks))
         if sizes not in terms_of:
@@ -388,22 +376,22 @@ def _fubini_class_rows(n, k):
         weight = [k ** (n - 1 - p)
                   for block in blocks for p in block].__getitem__
         for terms, _ in terms_of[sizes]:
-            rows.append(tuple(sorted([(sum(map(weight, at)), coeff)
-                                      for coeff, at in terms])))
+            leads.append(min([(sum(map(weight, at)), coeff)
+                              for coeff, at in terms], default=None))
     bounded = not any(below for per_order in terms_of.values()
                       for _, below in per_order)
-    return rows, bounded
+    return leads, bounded
 
 
-def _certificate_failure(pivots, class_rows, dim, expected):
-    """What breaks certificate (c) of ``verify_rings`` for the I_e pivots
-    {column: value} and the sorted sparse `class_rows`, or None; a row is
-    named by its place in `class_rows`."""
+def _certificate_failure(pivots, leads, dim, expected):
+    """What breaks certificate (b) of ``verify_rings`` for the I_e pivots
+    {column: value} and the `leads` of the class rows, or None; a row is
+    named by its place in `leads`."""
     lead_of = {}                   # leading column -> its class row
-    for i, row in enumerate(class_rows):
-        if not row:
+    for i, lead in enumerate(leads):
+        if lead is None:
             return f"class row {i} is empty"
-        c, v = row[0]
+        c, v = lead
         if v not in (1, -1):
             return f"class row {i} leads at column {c} with {v}"
         if c in pivots:
@@ -418,21 +406,21 @@ def _certificate_failure(pivots, class_rows, dim, expected):
     if len(pivots) + len(lead_of) < dim:   # distinct leads, off the pivots
         c = next(c for c in range(dim) if c not in pivots and c not in lead_of)
         return f"column {c} is no I_e pivot and leads no class row"
-    if len(class_rows) != expected:
-        return f"{len(class_rows)} class rows for {expected} expected"
+    if len(leads) != expected:
+        return f"{len(leads)} class rows for {expected} expected"
     return None
 
 
 def _basis_report(n, k, ideal, torsion_free):
-    """The Schubert basis by certificate (c) of ``verify_rings``, and the
-    Grothendieck basis by its certificate (d)."""
-    s_rows, bounded = _fubini_class_rows(n, k)
+    """The Schubert basis by certificate (b) of ``verify_rings``, and the
+    Grothendieck basis by its certificate (c)."""
+    leads, bounded = _fubini_class_leads(n, k)
     expected = fubini_count(n, k)
     dim = k ** n
-    failure = _certificate_failure(dict(ideal.pivot_items()), s_rows, dim,
+    failure = _certificate_failure(dict(ideal.pivot_items()), leads, dim,
                                    expected)
     schubert = {"stacked_rank": dim, "full_rank": True, "unimodular": True,
-                "offending_invariant": None, "count": len(s_rows),
+                "offending_invariant": None, "count": len(leads),
                 "expected": expected, "basis": failure is None}
     if failure:                    # no rank computed
         schubert.update(stacked_rank=None, full_rank=None, unimodular=None,
@@ -447,7 +435,7 @@ def _basis_report(n, k, ideal, torsion_free):
         "grothendieck": {
             "certificate": "degree-unitriangular over the Schubert basis",
             "degree_bound": bounded,
-            "count": len(s_rows),
+            "count": len(leads),
             "expected": expected,
             "basis": schubert["basis"] and bounded,
         },
@@ -465,13 +453,13 @@ def verify_grothendieck_basis(n, k):
     S_{n,k}/(e_{n-k+1..n}), and likewise the Fubini Schubert classes.
 
     Returns a report dict; raises BasisFailure if either check fails.  Its
-    "schubert" part reports certificate (c) of ``verify_rings``, which
+    "schubert" part reports certificate (b) of ``verify_rings``, which
     proves that the Schubert rows stacked on I_e span Z^{k^n} with unit
     pivots: "stacked_rank", "full_rank", "unimodular" and
-    "offending_invariant" are k^n, True, True and None, or all None if (c)
+    "offending_invariant" are k^n, True, True and None, or all None if (b)
     fails, and then "failure" names the class row (its place in
-    ``_fubini_class_rows``) or the column at fault; "count", "expected" and
-    "basis" follow.  Its "grothendieck" part reports certificate (d):
+    ``_fubini_class_leads``) or the column at fault; "count", "expected" and
+    "basis" follow.  Its "grothendieck" part reports certificate (c):
     "certificate" names it, "degree_bound" is its check (no surviving term
     of G_u below l(u)), and "count", "expected" and "basis" are as above.
     """
@@ -492,41 +480,32 @@ def verify_grothendieck_basis(n, k):
 def verify_rings(n, k):
     """The full ring-verification bundle for one (n, k); JSON-friendly.
 
-    Builds the I_e lattice once and derives every check from it: the rank
-    and freeness of R_{n,k}, the Fubini Grothendieck and Schubert bases, and
-    ``ideal_equal``, which is I_G = I_e for the special Grothendieck classes
-    g_1, .., g_k of ``grothendieck_ideal_generators``.  The last needs no
-    lattice for I_G; it holds once two checks pass:
+    Builds the I_e lattice once and derives the rank and freeness of
+    R_{n,k} and the Fubini Grothendieck and Schubert bases from it.
+    ``ideal_equal`` is I_G = I_e for the special Grothendieck classes
+    g_i = G_{v_i}, i = 1, .., k, of ``grothendieck_ideal_generators``, v_i
+    the cycle (1, .., i-1, i+1, .., n+1, i) of S_{n+1}.  It needs no lattice
+    and no membership test; it holds once
 
-    (a) for each d = n-k+1, .., n, the difference h_d = g_{n+1-d} - e_d has
-        no term of degree <= d in S_{n,k};
-    (b) each g_i lies in I_e (k membership tests: I_e is an ideal, so it
-        then holds every monomial multiple of g_i, hence I_G <= I_e).
+    (a) for each i, ``grassmannian_e_expansion(i, n + 1)`` writes g_i in
+        Z[x_1..x_n] as e_{n+1-i} + sum_{j > n+1-i} c_j e_j, c_j in Z.
 
-    Proof that I_e <= I_G.  Write m = (x_1, .., x_n).  By (a) and (b), h_d
-    lies in I_e, in degrees > d.  I_e is homogeneous, so each homogeneous
-    component of h_d of degree D is a sum of e_j times forms of degree
-    D - j: terms with j < D lie in m I_e, and the term with j = D is an
-    integer multiple of e_D, with D > d.  Descending induction on d (h_n
-    lies in m I_e outright) puts every e_D with D > d, hence h_d, hence
-    e_d = g_{n+1-d} - h_d, in I_G + m I_e.  So I_e = I_G + m I_e, and
-    iterating gives I_e = I_G + m^N I_e for every N.  Every monomial of
-    degree > n(k-1) has an exponent >= k, so m^{n(k-1)+1} = 0 in S_{n,k},
-    and I_e = I_G over Z.
-
-    If (a) or (b) fails, ``ideal_equal`` is False and so is ``ok``: the
+    Proof.  Each e_j with n+1-i < j <= n is e_{n+1-i'} for some i' < i, so
+    the matrix taking (e_{n+1-i})_i to (g_i)_i is unitriangular over Z;
+    so both families generate the same ideal of Z[x_1..x_n], and so their
+    images generate the same ideal of S_{n,k}, because projection is a
+    ring map.  This holds for every (n, k).  If (a) fails
+    (``LemmaViolation``), ``ideal_equal`` is False and so is ``ok``: the
     certificate is sufficient, and a failure is reported, not re-decided
-    by another route.  The general ``ideals_equal`` stays available as an
-    independent oracle.
+    by another route.  The general ``ideals_equal`` is the test oracle.
 
     The Schubert rows are the degree-l(u) parts of the Grothendieck
-    classes (module docstring), so no Schubert polynomial is computed; they
-    are built, each sorted by column, in one walk over the set partitions
-    of the n positions into k blocks (``_fubini_class_rows``).  No lattice
-    is built from them; ``schubert_basis`` holds once there are k! S(n,k)
-    rows and
+    classes (module docstring), so no Schubert polynomial is computed; only
+    their leads are read, in one walk over the set partitions of the n
+    positions into k blocks (``_fubini_class_leads``).  No lattice is built
+    from them; ``schubert_basis`` holds once there are k! S(n,k) rows and
 
-    (c) each row leads with +-1 at its smallest column, no two at one
+    (b) each row leads with +-1 at its smallest column, no two at one
         column and none at a pivot column of the I_e Hermite form, every
         I_e pivot is 1, and rank(I_e) + #rows = k^n.
 
@@ -534,7 +513,7 @@ def verify_rings(n, k):
     row, so these k^n rows, sorted by leading column, form a unitriangular
     matrix (+-1 on the diagonal): a Z-basis of Z^{k^n}.  So the class rows
     span a complement of I_e and are a Z-basis of R_{n,k}.  Each part of
-    (c) is computed, in one pass over the rows and the pivots; that (c)
+    (b) is computed, in one pass over the leads and the pivots; that (b)
     holds, i.e. that the leads fill the non-pivot columns, is only observed
     (every lead is +1 at the 32 desk-scale pairs and at (8,3), (9,3), (7,4)
     and (6,5)), not proved.  It is sufficient, not necessary: if it fails,
@@ -545,27 +524,30 @@ def verify_rings(n, k):
     Grothendieck class per Schubert row, so the Schubert check counts both;
     the Grothendieck basis holds once the Schubert basis holds and
 
-    (d) no term of any G_u that survives in S_{n,k} has degree < l(u).
+    (c) no term of any G_u that survives in S_{n,k} has degree < l(u).
 
     Proof.  I_e is spanned by homogeneous rows, so R = R_{n,k} is the direct
     sum of its homogeneous parts R_d.  The s_w are homogeneous and form a
     Z-basis of R, so {s_w : deg s_w = d} is a Z-basis of R_d: write r in
-    R_d in the s_w and keep the degree-d parts.  By (d), g_w = s_w + (parts
+    R_d in the s_w and keep the degree-d parts.  By (c), g_w = s_w + (parts
     of degree > l(u)), since relabelling and projection keep the degree of
     every term.  Each part of degree D > l(u) is a Z-combination of the s_v
     of degree D.  So, with the words in order of degree, the matrix taking
     the s_w to the g_w is unitriangular, and the g_w form a Z-basis too.
 
-    If (d) fails, ``grothendieck_basis`` is False and so is ``ok``; as for
+    If (c) fails, ``grothendieck_basis`` is False and so is ``ok``; as for
     ``ideal_equal``, it is not decided again by another route.  Stacking
     the Schubert or the Grothendieck rows on I_e is the test oracle.
     """
     _require_desk_scale(n, k)
-    e_gens = elementary_ideal_generators(n, k)
-    ideal = coinvariant_ideal_lattice(n, k, e_gens)
+    ideal = _elementary_ideal(n, k)
     rank, free_report = _rank_report(n, k, ideal)
-    equal = _certify_ideal_equal(ideal, e_gens,
-                                 grothendieck_ideal_generators(n, k))
+    try:
+        for i in range(1, k + 1):
+            grassmannian_e_expansion(i, n + 1)
+        equal = True
+    except LemmaViolation:
+        equal = False
     free = free_report["torsion_free"]
     basis_report = _basis_report(n, k, ideal, free)
     report = {

@@ -25,9 +25,14 @@ routing that `Bpd.permutation()` and `validate()` read off the row table.
 
 `ideal_rows` forms every generator-term times monomial product of an ideal
 of S_{n,k} and drops those with an exponent >= k: the counterpart of the
-box rule of `rings._ideal_rows`.  `stacked_basis_report` folds class rows
-into a lattice beside the I_e Hermite rows: the counterpart of the
+box rule of `rings._ideal_rows`.  `fubini_class_rows` projects the
+Schubert polynomial of every Fubini word to S_{n,k}: the full rows whose
+leads `rings._fubini_class_leads` reads.  `stacked_basis_report` folds class
+rows into a lattice beside the I_e Hermite rows: the counterpart of the
 unitriangular certificate of the Schubert basis in `rings.verify_rings`.
+`column_e_expansion` is Lenart's closed form of the Grothendieck polynomial
+of a one-column Grassmannian cycle in the e_j: the counterpart of
+`poly.grassmannian_e_expansion`, which computes it.
 
 The rest are plain helpers on the package's values, written as free
 functions: descents and ascents, the right action of s_i and its 0-Hecke
@@ -47,8 +52,9 @@ from pipedreams.combinat import Permutation, Word, fubini_blocks, fubini_count
 from pipedreams.geometry import coerce_matrix
 from pipedreams.pipedream import (EXP_MAX, PipeDream, Poly, _label, _word_u,
                                   k_signed)
-from pipedreams.poly import _word_poly, grothendieck_double, schubert_double
-from pipedreams.rings import IntegerLattice, SnkRing
+from pipedreams.poly import (_word_poly, grothendieck_double, schubert_double,
+                             schubert_of_word)
+from pipedreams.rings import IntegerLattice, SnkRing, _project_row
 
 
 # -- permutations, words and counting -----------------------------------------
@@ -102,7 +108,7 @@ def fubini_number(n):
 
 def fubini_walk(n, k):
     """(letters, blocks, pi) of every Fubini word in [k]^n, in the order of
-    ``rings._fubini_class_rows``: each partition of ``fubini_blocks(n, k)``
+    ``rings._fubini_class_leads``: each partition of ``fubini_blocks(n, k)``
     times each order pi of [k], the letter pi[b] on the b-th block."""
     out = []
     for blocks in fubini_blocks(n, k):
@@ -570,6 +576,24 @@ def ideal_rows(n, k, generators):
                 row.sort()
                 rows.add(tuple(row))
     return sorted(rows)
+
+
+def fubini_class_rows(n, k):
+    """The sorted sparse S_{n,k} rows of the Schubert classes of the Fubini
+    words of [k]^n, in the order of `fubini_walk`, from the word
+    polynomials."""
+    return [_project_row(schubert_of_word(Word(letters, k)), n, k)
+            for letters, _, _ in fubini_walk(n, k)]
+
+
+def column_e_expansion(i, n):
+    """Lenart's expansion of G of the cycle (1, .., i-1, i+1, .., n, i) in
+    e_j(x_1..x_{n-1}): {j: (-1)^(j-d) C(j-1, d-1) for d <= j <= n-1},
+    d = n - i, and {0: 1} for d = 0 (the identity)."""
+    d = n - i
+    if d == 0:
+        return {0: 1}
+    return {j: (-1) ** (j - d) * comb(j - 1, d - 1) for j in range(d, n)}
 
 
 def stacked_basis_report(ideal, class_rows, dim, expected):

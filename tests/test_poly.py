@@ -38,8 +38,9 @@ from conftest import (
     sympy_schubert,
     sympy_xs,
 )
-from oracles import (descents, evaluate, grothendieck_double_of_word,
-                     permute_x, schubert_double_of_word, swap_x)
+from oracles import (column_e_expansion, descents, evaluate,
+                     grothendieck_double_of_word, permute_x,
+                     schubert_double_of_word, swap_x)
 
 
 def monomial(nx, exps, coeff=1, ny=0, yexps=()):
@@ -575,6 +576,38 @@ def test_e_expansion_rejects_non_grassmannian_input():
         grassmannian_e_expansion(0, 3)
 
 
+def test_grassmannian_e_expansion_is_lenarts_column_formula():
+    cases = 0
+    for n in range(2, 10):
+        for i in range(1, n + 1):
+            assert grassmannian_e_expansion(i, n) == column_e_expansion(i, n)
+            cases += 1
+    assert cases == 44
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (grassmannian_e_expansion, (2, 4.0), "Grassmannian cycle n: 4.0 is not "
+                                         "an int >= 1"),
+    (grassmannian_e_expansion, (2, "4"), "Grassmannian cycle n: '4' is not "
+                                         "an int >= 1"),
+    (grassmannian_e_expansion, (True, 3), "Grassmannian cycle i: True is "
+                                          "not an int"),
+    (grassmannian_cycle, (1, 0), "Grassmannian cycle n: 0 is not an int >= 1"),
+    (grassmannian_cycle, (2.0, 3), "Grassmannian cycle i: 2.0 is not an int"),
+    (elementary_symmetric, (True, 2), "elementary symmetric j: True is not "
+                                      "an int"),
+    (elementary_symmetric, (1, True), "elementary symmetric m: True is not "
+                                      "an int >= 0"),
+    (elementary_symmetric, (0, -1), "elementary symmetric m: -1 is not an "
+                                    "int >= 0"),
+], ids=["expansion-n-float", "expansion-n-str", "expansion-i-bool",
+        "cycle-n-0", "cycle-i-float", "e-j-bool", "e-m-bool", "e-m-negative"])
+def test_lemma_inputs_are_checked_ints(call, args, message):
+    with pytest.raises(ValueError) as error:
+        call(*args)
+    assert str(error.value) == message
+
+
 def test_elementary_symmetric_against_sympy():
     xs = sympy_xs(4)
     for j in range(1, 5):
@@ -586,6 +619,8 @@ def test_elementary_symmetric_against_sympy():
             )
         )
         assert ours == theirs
+    for j in (-1, 5):
+        assert elementary_symmetric(j, 4).is_zero()
 
 
 def test_cached_polynomials_are_read_only():

@@ -31,13 +31,13 @@ from pipedreams.rings import (
     snf_invariants,
     verify_grothendieck_basis,
     verify_rings,
-    _certify_ideal_equal,
-    _fubini_class_rows,
+    _fubini_class_leads,
     _project_row,
 )
 
 from conftest import random_poly
-from oracles import fubini_walk, special_nonfubini_word, stacked_basis_report
+from oracles import (column_e_expansion, fubini_class_rows, fubini_walk,
+                     special_nonfubini_word, stacked_basis_report)
 
 
 # -- the ambient ring ---------------------------------------------------------
@@ -208,49 +208,75 @@ def test_scaled_generators_change_the_lattice():
     assert lat != lat2
 
 
-# -- the graded Nakayama certificate for I_G = I_e ---------------------------------
+# -- the e-expansion certificate for I_G = I_e ------------------------------------
 
 
-def _certificate_inputs(n, k):
-    e_gens = elementary_ideal_generators(n, k)
-    return (coinvariant_ideal_lattice(n, k, e_gens), e_gens,
-            grothendieck_ideal_generators(n, k))
-
-
-def test_certificate_agrees_with_lattice_oracle():
+def test_ideal_equal_agrees_with_lattice_oracle():
     pairs = [(n, k) for n, k in desk_scale_pairs() if k ** n <= 256]
     assert len(pairs) == 23
     for n, k in pairs:
-        ideal, e_gens, g_gens = _certificate_inputs(n, k)
-        assert _certify_ideal_equal(ideal, e_gens, g_gens), (n, k)
-        assert ideals_equal(n, k, e_gens, g_gens), (n, k)
+        assert verify_rings(n, k)["ideal_equal"] is ideals_equal(
+            n, k, elementary_ideal_generators(n, k),
+            grothendieck_ideal_generators(n, k)) is True, (n, k)
 
 
-def test_certificate_rejects_doubled_lowest_form():
-    for n, k in ((3, 2), (4, 3), (3, 3)):
-        ideal, e_gens, g_gens = _certificate_inputs(n, k)
-        for i in range(k):
-            # lowest form 2*e_{n-i} instead of e_{n-i}
-            bad = list(g_gens)
-            bad[i] = 2 * g_gens[i]
-            assert not _certify_ideal_equal(ideal, e_gens, bad), (n, k, i)
-        # the lowest-degree generator alone spans its degree: a real change
-        bad = g_gens[:-1] + [2 * g_gens[-1]]
-        assert not ideals_equal(n, k, e_gens, bad)
+def _stray_monomial(n, k):
+    """The first monomial of S_{n,k} of degree above n-k+1 outside I_e."""
+    ideal = rings._elementary_ideal(n, k)
+    monomials = map(SnkRing(n, k).monomial, range(k ** n))
+    return next(m for m in monomials if sum(m) > n - k + 1 and not
+                ideal.contains(project_to_snk(Poly(n, 0, {m: 1}), n, k)))
 
 
-def test_certificate_rejects_higher_degree_term_outside_ideal():
+@pytest.mark.parametrize("how", ["doubled", "stray term"])
+def test_verify_rings_rejects_a_broken_special_class(monkeypatch, how):
+    """G of one special cycle doubled, or with a term outside I_e added:
+    the expansion fails, and ``verify_rings`` reports it without raising.
+    Breaking the last, lowest-degree class changes the ideal itself."""
     n, k = 4, 3
-    ideal, e_gens, g_gens = _certificate_inputs(n, k)
-    ring = e_gens[0].ring
-    d = n - k + 1   # lowest degree of the last G-generator
-    outside = next(
-        m for m in map(ring.monomial, range(ring.dim))
-        if sum(m) > d and not ideal.contains(project_to_snk(Poly(n, 0, {m: 1}), n, k)))
-    stray = project_to_snk(Poly(n, 0, {outside: 1}), n, k)
-    bad = g_gens[:-1] + [g_gens[-1] + stray]
-    assert not _certify_ideal_equal(ideal, e_gens, bad)
-    assert not ideals_equal(n, k, e_gens, bad)
+    stray = _stray_monomial(n, k)
+    real = poly.grothendieck
+    for i in range(1, k + 1):
+        v = poly.grassmannian_cycle(i, n + 1)
+
+        def broken(u, v=v):
+            g = real(u)
+            if u != v:
+                return g
+            if how == "doubled":
+                return 2 * g
+            return g + Poly(g.nx, g.ny, {stray + (0,) * (g.nx - n): 1})
+
+        monkeypatch.setattr(poly, "grothendieck", broken)
+        rep = verify_rings(n, k)
+        assert rep["ideal_equal"] is False and rep["ok"] is False, i
+        assert rep["schubert_basis"] and rep["grothendieck_basis"], i
+        if i == k:
+            g_gens = [project_to_snk(poly.grothendieck(
+                poly.grassmannian_cycle(j, n + 1)).restrict_arity(n), n, k)
+                for j in range(1, k + 1)]
+            assert not ideals_equal(n, k, elementary_ideal_generators(n, k),
+                                    g_gens)
+
+
+@pytest.mark.parametrize("n, k", [(8, 3), (9, 3), (7, 4), (6, 5), (12, 6)])
+def test_special_classes_expand_past_the_ceiling(n, k):
+    for i in range(1, k + 1):
+        assert (pipedreams.grassmannian_e_expansion(i, n + 1)
+                == column_e_expansion(i, n + 1)), i
+
+
+def test_verify_rings_tests_no_membership_and_projects_no_special_class(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_rings must not call this")
+
+    monkeypatch.setattr(IntegerLattice, "contains_row", refuse)
+    monkeypatch.setattr(rings, "grothendieck_ideal_generators", refuse)
+    for n, k in ((1, 1), (4, 3), (5, 5), (6, 2), (7, 3)):
+        assert verify_rings(n, k)["ok"], (n, k)
+    with pytest.raises(AssertionError, match="must not call"):
+        rings._elementary_ideal(3, 2).contains_row([(0, 1)])
 
 
 def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
@@ -267,40 +293,44 @@ def test_verify_rings_builds_one_ideal_lattice(monkeypatch):
 
 
 def _schubert_report(n, k):
-    """The ideal, the class rows, whether the degree bound holds, and the
+    """The ideal, the class leads, whether the degree bound holds, and the
     certificate's "schubert" report."""
     ideal = rings._elementary_ideal(n, k)
-    s_rows, bounded = _fubini_class_rows(n, k)
+    leads, bounded = _fubini_class_leads(n, k)
     report = rings._basis_report(n, k, ideal, True)
-    return ideal, s_rows, bounded, report["schubert"]
+    return ideal, leads, bounded, report["schubert"]
+
+
+def _leads(rows):
+    """The term of each sorted sparse row at its smallest column, or None
+    for an empty row."""
+    return [row[0] if row else None for row in rows]
 
 
 def test_sparse_class_rows_match_dense_classes():
     words = [Word(letters, k=3) for letters, _, _ in fubini_walk(4, 3)]
     assert len(words) == 36
-    chow_rows, bounded = _fubini_class_rows(4, 3)
+    leads, bounded = _fubini_class_leads(4, 3)
     assert bounded
-    for w, chow in zip(words, chow_rows, strict=True):
-        assert list(chow) == chow_class_of_word(w).items()
+    for w, lead in zip(words, leads, strict=True):
+        assert lead == chow_class_of_word(w).items()[0]
 
 
 def test_fubini_class_rows_match_word_polynomials():
-    """The Schubert rows of the block walk against the word-polynomial
-    oracle, for every Fubini word of every desk-scale (n, k); and the fold
-    the certificate replaced: the oracle rows, stacked on I_e, span Z^{k^n}
-    with unit pivots, and the certificate reports what the fold does."""
+    """The leads of the block walk against the word-polynomial rows, for
+    every Fubini word of every desk-scale (n, k); and the fold the
+    certificate replaced: those rows, stacked on I_e, span Z^{k^n} with
+    unit pivots, and the certificate reports what the fold does."""
     total = 0
     for n, k in desk_scale_pairs():
-        ideal, s_rows, bounded, certified = _schubert_report(n, k)
+        ideal, leads, bounded, certified = _schubert_report(n, k)
         assert bounded, (n, k)
-        words = [Word(letters, k) for letters, _, _ in fubini_walk(n, k)]
-        rows = [_project_row(schubert_of_word(w), n, k) for w in words]
-        for w, s_row, row in zip(words, s_rows, rows, strict=True):
-            assert s_row == row, w
+        rows = fubini_class_rows(n, k)
+        assert leads == _leads(rows), (n, k)
         folded = stacked_basis_report(ideal, rows, k ** n, fubini_count(n, k))
         assert folded["basis"] and folded["stacked_rank"] == k ** n, (n, k)
         assert certified == folded, (n, k)
-        total += len(words)
+        total += len(rows)
     assert total == 12660
 
 
@@ -328,8 +358,8 @@ def test_fubini_class_rows_standardize_no_word(monkeypatch):
             monkeypatch.setattr(module, "convex_standardization", counting)
     pipedreams.clear_caches()
     try:
-        rows, bounded = _fubini_class_rows(5, 3)
-        assert bounded and len(rows) == 150
+        leads, bounded = _fubini_class_leads(5, 3)
+        assert bounded and len(leads) == 150
         assert calls == []
         schubert_of_word(Word("12312", 3))   # the counter sees the oracle
         assert calls == [(1, 2, 3, 1, 2)]
@@ -358,7 +388,7 @@ def test_grothendieck_rows_stack_to_a_basis_oracle():
     for n, k in desk_scale_pairs():
         ideal = coinvariant_ideal_lattice(n, k, elementary_ideal_generators(n, k))
         monomial = rings.SnkRing(n, k).monomial
-        s_rows, _ = _fubini_class_rows(n, k)
+        s_rows = fubini_class_rows(n, k)
         g_rows = []
         for (letters, _, _), s_row in zip(fubini_walk(n, k), s_rows,
                                           strict=True):
@@ -419,28 +449,36 @@ def test_verify_rings_builds_no_lattice_beside_the_ideal(monkeypatch):
 @pytest.mark.parametrize("n, k", [(8, 3), (9, 3)])
 def test_certificate_and_fold_agree_past_the_ceiling(monkeypatch, n, k):
     monkeypatch.setattr(rings, "DESK_CEILING", k ** n)
-    ideal, s_rows, _, certified = _schubert_report(n, k)
-    assert certified["basis"] and all(r[0][1] == 1 for r in s_rows)
-    assert certified == stacked_basis_report(ideal, s_rows, k ** n,
+    ideal, leads, _, certified = _schubert_report(n, k)
+    assert certified["basis"] and all(v == 1 for _, v in leads)
+    rows = fubini_class_rows(n, k)
+    assert leads == _leads(rows)
+    assert certified == stacked_basis_report(ideal, rows, k ** n,
                                              fubini_count(n, k))
 
 
-def _corrupt(rows, pivot):
+def _corrupt(leads, rows, pivot):
     """The five ways `test_certificate_rejects_broken_class_rows` breaks
-    the class rows, each with the failure the certificate must report."""
-    lead = rows[0][0][0]
+    the class leads, each with the full rows broken to match and the
+    failure the certificate must report."""
+    lead = leads[0][0]
     return {
-        "repeated lead": (rows[:1] + rows[:1] + rows[2:],
+        "repeated lead": (leads[:1] + leads[:1] + leads[2:],
+                          rows[:1] + rows[:1] + rows[2:],
                           f"class row 1 leads at column {lead}, as class "
                           f"row 0 does"),
-        "lead on a pivot": ([((pivot, 1),)] + rows[1:],
+        "lead on a pivot": ([(pivot, 1)] + leads[1:],
+                            [((pivot, 1),)] + rows[1:],
                             f"class row 0 leads at column {pivot}, an I_e "
                             f"pivot column"),
-        "lead of 2": ([tuple((c, 2 * v) for c, v in rows[0])] + rows[1:],
+        "lead of 2": ([(lead, 2)] + leads[1:],
+                      [tuple((c, 2 * v) for c, v in rows[0])] + rows[1:],
                       f"class row 0 leads at column {lead} with 2"),
-        "empty row": ([()] + rows[1:], "class row 0 is empty"),
-        "row missing": (rows[:-1], f"column {rows[-1][0][0]} is no I_e "
-                                   f"pivot and leads no class row"),
+        "empty row": ([None] + leads[1:], [()] + rows[1:],
+                      "class row 0 is empty"),
+        "row missing": (leads[:-1], rows[:-1],
+                        f"column {leads[-1][0]} is no I_e pivot and leads "
+                        f"no class row"),
     }
 
 
@@ -448,10 +486,12 @@ def _corrupt(rows, pivot):
                                   "lead of 2", "empty row", "row missing"])
 def test_certificate_rejects_broken_class_rows(monkeypatch, case):
     n, k = 4, 3
-    ideal, s_rows, _, _ = _schubert_report(n, k)
-    assert all(r[0][1] == 1 for r in s_rows)
-    bad, why = _corrupt(list(s_rows), ideal.pivot_items()[0][0])[case]
-    monkeypatch.setattr(rings, "_fubini_class_rows",
+    ideal, leads, _, _ = _schubert_report(n, k)
+    assert all(v == 1 for _, v in leads)
+    bad, bad_rows, why = _corrupt(leads, fubini_class_rows(n, k),
+                                  ideal.pivot_items()[0][0])[case]
+    assert _leads(bad_rows) == bad
+    monkeypatch.setattr(rings, "_fubini_class_leads",
                         lambda n, k: (bad, True))
     rep = verify_rings(n, k)
     assert not rep["schubert_basis"] and not rep["ok"]
@@ -464,18 +504,18 @@ def test_certificate_rejects_broken_class_rows(monkeypatch, case):
     assert sub["failure"] == why and sub["basis"] is False
     assert sub["stacked_rank"] is sub["full_rank"] is sub["unimodular"] \
         is sub["offending_invariant"] is None
-    # the fold, which the certificate replaced, rejects the rows too
-    assert not stacked_basis_report(ideal, bad, k ** n,
+    # the fold, which the certificate replaced, rejects the full rows too
+    assert not stacked_basis_report(ideal, bad_rows, k ** n,
                                     fubini_count(n, k))["basis"]
 
 
 def test_certificate_rejects_a_pivot_other_than_one():
-    ideal, s_rows, _, _ = _schubert_report(4, 3)
+    ideal, leads, _, _ = _schubert_report(4, 3)
     pivots = dict(ideal.pivot_items())
-    assert rings._certificate_failure(pivots, s_rows, 81, 36) is None
+    assert rings._certificate_failure(pivots, leads, 81, 36) is None
     c = max(pivots)
     pivots[c] = 2
-    assert (rings._certificate_failure(pivots, s_rows, 81, 36)
+    assert (rings._certificate_failure(pivots, leads, 81, 36)
             == f"the I_e pivot at column {c} is 2")
 
 
@@ -485,7 +525,7 @@ def test_fubini_class_rows_refuse_variables_beyond_n(monkeypatch):
 
     monkeypatch.setattr(rings, "grothendieck", beyond)
     with pytest.raises(AssertionError, match="x_4 beyond word length 3"):
-        _fubini_class_rows(3, 2)
+        _fubini_class_leads(3, 2)
 
 
 def test_verify_rings_computes_no_schubert_polynomial():
