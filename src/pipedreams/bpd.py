@@ -116,7 +116,8 @@ import json
 from enum import IntEnum
 from math import comb
 
-from .combinat import Frozen, Permutation, checked_int, json_fields
+from .combinat import (Frozen, Permutation, checked_int, checked_list,
+                       json_fields)
 from .pipedream import (
     MEMO_WEIGHT,
     RectangularityViolation,
@@ -294,12 +295,13 @@ class Bpd(Frozen):
     @classmethod
     def from_json(cls, text):
         tiles, n = json_fields(text, "BPD", "tiles", "n")
-        if checked_int("BPD", "n", n, 0) != len(tiles):
+        if (checked_int("BPD", "n", n, 0)
+                != len(checked_list("BPD", "tiles", tiles))):
             raise ValueError("BPD JSON has n = %r but len(tiles) = %d"
                              % (n, len(tiles)))
         for r, row in enumerate(tiles, 1):
-            for c, name in enumerate(row, 1):
-                if name not in _NAME_TILE:
+            for c, name in enumerate(checked_list("BPD", "tiles", row), 1):
+                if type(name) is not str or name not in _NAME_TILE:
                     raise ValueError("BPD JSON has unknown tile %r at (%d, %d)"
                                      % (name, r, c))
         return cls([[_NAME_TILE[s] for s in row] for row in tiles])

@@ -40,6 +40,16 @@ def checked_int(kind, name, value, low=None):
     return value
 
 
+def checked_list(kind, name, value, size=None):
+    """`value` if it is a JSON array, a list (of `size` items); else a
+    ValueError naming the field `name` of a `kind` and the value, as
+    ``checked_int`` does."""
+    if type(value) is not list or size is not None and len(value) != size:
+        raise ValueError("%s %s: %r is not a list%s" % (
+            kind, name, value, "" if size is None else " of %d items" % size))
+    return value
+
+
 #: Miller-Rabin with the first 13 primes as bases decides primality exactly
 #: below _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -265,7 +275,8 @@ class Permutation(Frozen):
 
     @classmethod
     def from_json(cls, text):
-        return cls(*json_fields(text, "permutation", "one_line"))
+        one_line, = json_fields(text, "permutation", "one_line")
+        return cls(checked_list("permutation", "one_line", one_line))
 
     @classmethod
     def identity(cls, n):
@@ -415,7 +426,8 @@ class Word(Frozen):
 
     @classmethod
     def from_json(cls, text):
-        return cls(*json_fields(text, "word", "letters", "k"))
+        letters, k = json_fields(text, "word", "letters", "k")
+        return cls(checked_list("word", "letters", letters), k)
 
 
 def convex_standardization(letters, k):

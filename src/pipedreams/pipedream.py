@@ -97,7 +97,8 @@ from __future__ import annotations
 import json
 
 from .combinat import (Frozen, Permutation, Word, _trimmed, checked_int,
-                       convex_standardization, inverse_one_line, json_fields)
+                       checked_list, convex_standardization, inverse_one_line,
+                       json_fields)
 from .poly import EXP_MAX, Poly, _Memo, _word_poly
 
 WEIGHT_MODES = ("single", "double", "K-single", "K-double")
@@ -229,7 +230,9 @@ class PipeDream(Frozen):
     @classmethod
     def from_json(cls, text):
         crosses, N = json_fields(text, "pipe dream", "crosses", "N")
-        return cls([tuple(rc) for rc in crosses], N)
+        return cls([tuple(checked_list("pipe dream", "crosses", rc, 2))
+                    for rc in checked_list("pipe dream", "crosses", crosses)],
+                   N)
 
 
 # -- weights --------------------------------------------------------------------

@@ -40,11 +40,14 @@ other; the composite form is the test oracle.  Both sums only rewrite the
 bytes of x_i and x_{i+1}, so the key of each of their monomials is the
 term's key xored with a mask that depends on (p, q) and the bit s of x_i
 alone.  The masks live in `_MASKS`, a memo by (s, pq), pq the two bytes:
-one entry holds the masks of both sums and the sign, so d_i and pi_i share
-it.  It holds at most MASK_MEMO masks, least recently used first; the four
-tables of the `poly-table` benchmark need 301, in 91 entries.  A kernel call keeps its own dict by pq in front of the memo, so
-a term costs one dict probe, then a shift, a mask and one int xor per
-monomial.
+one entry holds d_i's (plus, minus) pair of mask tuples and pi_i's, which
+share the tuples of the two sums.  One kernel, `Poly._difference`, adds a
+term's coefficient at its plus masks and subtracts it at its minus masks,
+so no sign flag is read.  The memo holds at most MASK_MEMO masks, each
+counted once, least recently used first; the four tables of the
+`poly-table` benchmark need 301, in 91 entries.  A kernel call keeps its
+own dict by pq in front of the memo, so a term costs one dict probe, then
+a shift, a mask and one int xor per monomial.
 
 The double polynomials climb the same way, with one shortcut.  Swapping
 the x and y blocks,
@@ -81,8 +84,8 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .combinat import (Frozen, Permutation, Word, _new, _setattr,
-                       checked_int, convex_standardization, inverse_one_line,
-                       json_fields)
+                       checked_int, checked_list, convex_standardization,
+                       inverse_one_line, json_fields)
 
 EXP_MAX = 127   # the largest exponent a key byte holds below its guard bit
 
@@ -215,24 +218,14 @@ class Poly(Frozen):
     def __add__(self, other):
         if isinstance(other, int):
             other = Poly.const(other, self.nx, self.ny)
-        self._check_compat(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = terms.get(e, 0) + c
-            if nc:
-                terms[e] = nc
-            else:
-                terms.pop(e, None)
-        return Poly._of(self.nx, self.ny, terms)
+        return Poly.sum_of((self, other), self.nx, self.ny)
 
     def __neg__(self):
         return Poly._of(self.nx, self.ny,
                         {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Poly.const(other, self.nx, self.ny)
-        return self + (-other)
+        return self + (-other)      # an int is lifted by `__add__`
 
     def __rsub__(self, other):
         return Poly.const(other, self.nx, self.ny) - self
@@ -365,55 +358,38 @@ class Poly(Frozen):
 
     def divided_difference(self, i):
         """d_i f = (f - s_i f) / (x_i - x_{i+1}), computed division-free."""
-        self._check_operator_index(i)
-        s = 8 * (i - 1)
-        moves = {}      # bytes of x_i, x_{i+1} -> their `_step_masks`
-        terms = {}
-        for e, c in self.terms.items():
-            pq = e >> s & 0xFFFF
-            mv = moves.get(pq)
-            if mv is None:
-                mv = moves[pq] = _step_masks(s, pq)
-            steps, _, negate = mv
-            if negate:
-                c = -c
-            for step in steps:
-                key = e ^ step
-                nc = terms.get(key, 0) + c
-                if nc:
-                    terms[key] = nc
-                else:
-                    del terms[key]
-        return Poly._of(self.nx, self.ny, terms)
+        return self._difference(i, False)
 
     def isobaric_divided_difference(self, i):
         """pi_i f = d_i((1 - x_{i+1}) f), in one pass over f; idempotent."""
+        return self._difference(i, True)
+
+    def _difference(self, i, isobaric):
+        """d_i f, or pi_i f if `isobaric`.  `_step_masks` gives a term c x^e
+        of f the operator's (plus, minus) mask tuples; the term adds c at
+        the key e ^ m for each m in plus, and -c for each m in minus."""
         self._check_operator_index(i)
         s = 8 * (i - 1)
-        moves = {}      # bytes of x_i, x_{i+1} -> their `_step_masks`
+        moves = {}      # bytes of x_i, x_{i+1} -> the operator's mask pair
         terms = {}
         for e, c in self.terms.items():
             pq = e >> s & 0xFFFF
             mv = moves.get(pq)
             if mv is None:
-                mv = moves[pq] = _step_masks(s, pq)
-            # c d_i(x_i^p x_{i+1}^q), then -c d_i(x_i^p x_{i+1}^(q+1)); the
-            # two loops stay unrolled because a loop over both runs costs
-            # about 10 % of this kernel
-            first, second, negate = mv
-            if negate:
-                c = -c
-            for step in first:
+                mv = moves[pq] = _step_masks(s, pq)[isobaric]
+            # the loops stay unrolled, one per sign, so no sign is read per
+            # mask: one loop over both tuples costs about 10 % of this kernel
+            plus, minus = mv
+            for step in plus:
                 key = e ^ step
                 nc = terms.get(key, 0) + c
                 if nc:
                     terms[key] = nc
                 else:
                     del terms[key]
-            c = -c
-            for step in second:
+            for step in minus:
                 key = e ^ step
-                nc = terms.get(key, 0) + c
+                nc = terms.get(key, 0) - c
                 if nc:
                     terms[key] = nc
                 else:
@@ -479,16 +455,21 @@ class Poly(Frozen):
     def from_json(cls, text):
         nx, ny, raw = json_fields(text, "polynomial", "nx", "ny", "terms")
         terms = {}
-        for t in raw:
+        for t in checked_list("polynomial", "terms", raw):
             if not isinstance(t, dict) or not {"coeff", "exp"} <= t.keys():
                 raise ValueError("polynomial term %r needs 'coeff' and 'exp'"
                                  % (t,))
-            c = Fraction(t["coeff"])
+            try:
+                c = Fraction(t["coeff"])
+            except (TypeError, ValueError):
+                raise ValueError("polynomial coeff: %r is not a number"
+                                 % (t["coeff"],)) from None
             if c.denominator != 1:
                 raise ValueError("polynomial term %r: the coefficient is not "
                                  "an integer" % (t,))
             terms[tuple(checked_int("polynomial", "exp", e)
-                        for e in t["exp"])] = int(c)
+                        for e in checked_list("polynomial", "exp",
+                                              t["exp"]))] = int(c)
         return cls(nx, ny, terms)
 
     def __str__(self):
@@ -583,22 +564,23 @@ def _steps(p, q, top, lo, hi, s):
 # The step masks of the divided differences per (bit s of x_i, byte pair pq
 # of x_i, x_{i+1}): at most MASK_MEMO masks in all.
 MASK_MEMO = 100_000
-_MASKS = _Memo(lambda mv: len(mv[0]) + len(mv[1]), MASK_MEMO, "masks")
+_MASKS = _Memo(lambda mv: len(mv[1][0]) + len(mv[1][1]), MASK_MEMO, "masks")
 
 
 def _step_masks(s, pq):
-    """(the masks of d_i, the masks of the second sum of pi_i, negate) for
-    the bytes pq = (p, q) of x_i, x_{i+1} at bit s.  d_i(x_i^p x_{i+1}^q)
-    takes the first masks, pi_i both, the second with the opposite sign;
-    `negate` is p <= q, which d_i reads as p < q since at p = q it has
-    no masks."""
+    """((plus, minus) of d_i, (plus, minus) of pi_i), the masks that add and
+    subtract a term's coefficient, for the bytes pq = (p, q) of x_i, x_{i+1}
+    at bit s.  With d the masks of d_i(x_i^p x_{i+1}^q) and pi2 those of
+    d_i(x_i^p x_{i+1}^(q+1)), they are (d, ()) and (d, pi2) for p > q, else
+    ((), d) and (pi2, d)."""
     key = (s, pq)
     mv = _MASKS.lookup(key)
     if mv is None:
         p, q = pq & 0xFF, pq >> 8
-        mv = _MASKS.store(key, (
-            _steps(p, q, p + q - 1, min(p, q), max(p, q), s),
-            _steps(p, q, p + q, min(p, q + 1), max(p, q + 1), s), p <= q))
+        d = _steps(p, q, p + q - 1, min(p, q), max(p, q), s)
+        pi2 = _steps(p, q, p + q, min(p, q + 1), max(p, q + 1), s)
+        mv = _MASKS.store(key, ((d, ()), (d, pi2)) if p > q
+                          else (((), d), (pi2, d)))
     return mv
 
 

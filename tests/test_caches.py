@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pipedreams
 from pipedreams import (Permutation, Word, bpd_grothendieck, clear_caches,
-                        enumerate_all, mask_cache_info, pd_grothendieck, poly,
-                        schubert, word_bpd_schubert, word_pd_schubert)
+                        enumerate_all, grothendieck, mask_cache_info,
+                        pd_grothendieck, poly, schubert, word_bpd_schubert,
+                        word_pd_schubert)
 from pipedreams.poly import Poly, _Memo
 from pipedreams.rings import SnkElement, SnkRing, project_to_snk
 
@@ -67,7 +68,15 @@ def test_mask_cache_info_reads_the_step_mask_memo():
         schubert(Permutation(w))
     info = mask_cache_info()
     assert info == poly._MASKS.info()
-    assert info["entries"] > 0 and info["masks"] > 0 and info["hits"] > 0
+    # an entry weighs the masks of d_i and of pi_i's second sum once each,
+    # though its two (plus, minus) pairs both hold d_i's
+    assert (info["masks"], info["entries"]) == (21, 11) and info["hits"] > 0
+    assert info["misses"] == info["entries"] and info["evictions"] == 0
+    clear_caches()
+    for w in itertools.permutations(range(1, 6)):
+        grothendieck(Permutation(w))
+    info = mask_cache_info()
+    assert (info["masks"], info["entries"]) == (56, 24)
     assert info["misses"] == info["entries"] and info["evictions"] == 0
     clear_caches()
     assert not any(mask_cache_info().values())

@@ -164,6 +164,38 @@ def test_malformed_sizes_and_entries_name_field_and_value(case):
         call()
 
 
+# JSON values of the wrong type, each refused by a ValueError naming its field
+WRONG_SHAPE = [
+    (Permutation, '{"one_line": 5}', "permutation one_line: 5 is not a list"),
+    (Word, '{"letters": null, "k": 2}', "word letters: None is not a list"),
+    (PipeDream, '{"N": 2, "crosses": [1]}',
+     "pipe dream crosses: 1 is not a list of 2 items"),
+    (PipeDream, '{"N": 2, "crosses": null}',
+     "pipe dream crosses: None is not a list"),
+    (PipeDream, '{"N": 2, "crosses": [[1, 1, 1]]}',
+     "pipe dream crosses: [1, 1, 1] is not a list of 2 items"),
+    (Bpd, '{"n": 1, "tiles": 5}', "BPD tiles: 5 is not a list"),
+    (Bpd, '{"n": 1, "tiles": [5]}', "BPD tiles: 5 is not a list"),
+    (Bpd, '{"n": 1, "tiles": [[["BLANK"]]]}',
+     "unknown tile ['BLANK'] at (1, 1)"),
+    (Poly, '{"nx": 1, "ny": 0, "terms": 5}',
+     "polynomial terms: 5 is not a list"),
+    (Poly, '{"nx": 1, "ny": 0, "terms": [{"coeff": "1", "exp": 1}]}',
+     "polynomial exp: 1 is not a list"),
+    (Poly, '{"nx": 1, "ny": 0, "terms": [{"coeff": [1], "exp": [1]}]}',
+     "polynomial coeff: [1] is not a number"),
+    (Poly, '{"nx": 1, "ny": 0, "terms": [{"coeff": "abc", "exp": [1]}]}',
+     "polynomial coeff: 'abc' is not a number"),
+]
+
+
+@pytest.mark.parametrize("cls, text, message", WRONG_SHAPE,
+                         ids=[text for _, text, _ in WRONG_SHAPE])
+def test_json_of_the_wrong_type_names_the_field(cls, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls.from_json(text)
+
+
 def test_all_permutations_counts():
     for n in range(1, 6):
         perms = list(all_permutations(n))

@@ -70,6 +70,18 @@ def test_zero_and_const():
     assert Poly.const(0, 2).is_zero()
 
 
+def test_sums_lift_ints_and_refuse_a_mismatched_arity():
+    x1, three = Poly.x(1, 2, 1), Poly.const(3, 2, 1)
+    assert x1 + 3 == 3 + x1 == x1 - (-3) == x1 + three
+    assert 3 - x1 == three - x1 == -(x1 - 3)
+    assert (x1 - x1).terms == {} and (x1 + 0).terms == x1.terms
+    for other in (Poly.x(1, 2), Poly.x(1, 3, 1)):
+        with pytest.raises(ValueError, match="^arity mismatch"):
+            x1 + other
+        with pytest.raises(ValueError, match="^arity mismatch"):
+            x1 - other
+
+
 def test_fraction_coefficients_survive_arithmetic():
     f = Poly(2, 0, {(1, 0): Fraction(1, 2)})
     g = f + f
@@ -184,6 +196,26 @@ def test_isobaric_matches_composite_and_sympy(rng, ny, fractions):
         assert got == (f - Poly.x(i + 1, nx, ny) * f).divided_difference(i)
         theirs = sympy_isobaric(poly_to_sympy(f), i, xs)
         assert sympy.expand(poly_to_sympy(got) - theirs) == 0
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("ny", [0, 2])
+@pytest.mark.parametrize("p, q", [(0, EXP_MAX), (EXP_MAX, 0),
+                                  (EXP_MAX, EXP_MAX), (5, 5), (5, 6), (6, 5)])
+def test_operators_at_the_exponent_bounds_match_sympy(p, q, ny, i):
+    # d_i and pi_i of x_i^p x_{i+1}^q times a factor in the other variables,
+    # which they must leave alone; the composite oracle d_i((1 - x_{i+1}) f)
+    # cannot reach q = EXP_MAX, as x_{i+1} f overflows there
+    nx = 3
+    exps = [1] * nx
+    exps[i - 1:i + 1] = p, q
+    f = Poly(nx, ny, {tuple(exps) + tuple(range(1, ny + 1)): 3})
+    xs = sympy_xs(nx)
+    expr = poly_to_sympy(f)
+    assert sympy.expand(poly_to_sympy(f.divided_difference(i))
+                        - sympy_divided_difference(expr, i, xs)) == 0
+    assert sympy.expand(poly_to_sympy(f.isobaric_divided_difference(i))
+                        - sympy_isobaric(expr, i, xs)) == 0
 
 
 @pytest.mark.parametrize("i", [0, 3, 4])

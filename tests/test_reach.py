@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package is reached.
+"""Every module-level function and class, and every private method, of
+the package is reached.
 
 A name defined at the top level of a module in ``src/pipedreams`` must be
 used in the code of a package module beyond its own definition, be
@@ -6,7 +7,9 @@ exported by ``pipedreams/__init__.py``, or be named in the benchmark
 (``perfbench/*.py`` or ``benchmarks/*.py``, whose tracer names functions in
 strings).  The package is read token by token, so a docstring or a comment
 does not count as a use, and neither does an import statement: a name that
-only the tests call belongs in ``tests/oracles.py``.
+only the tests call belongs in ``tests/oracles.py``.  A private method
+(``_name``, not a dunder) of a module-level class must likewise be used in
+package code beyond its own definition or be named in the benchmark.
 
 No module of the package (but ``__init__``, whose imports are its exports),
 the tests or ``benchmarks/`` imports a name it does not use.
@@ -28,6 +31,16 @@ def _top_level(tree):
     """The module-level function and class names of a parsed module."""
     return [node.name for node in tree.body if isinstance(
         node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _private_methods(tree):
+    """(class, name) of each private method (one leading underscore, not a
+    dunder) of the module-level classes of a parsed module."""
+    return [(node.name, item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name.startswith("_") and not item.name.endswith("__")]
 
 
 def _code_names(text, tree):
@@ -67,7 +80,9 @@ def _benchmark_names():
 def unreached(package=PACKAGE):
     """The `module.name` of each module-level function or class of the
     package directory that no package code uses, `__init__` does not export
-    and the benchmark does not name."""
+    and the benchmark does not name, and the `module.Class._name` of each
+    private method that no package code uses and the benchmark does not
+    name."""
     modules = {path.stem: (path.read_text(), ast.parse(path.read_text()))
                for path in sorted(package.glob("*.py"))}
     used = set()
@@ -79,7 +94,11 @@ def unreached(package=PACKAGE):
             for module, (_, tree) in modules.items()
             for name in _top_level(tree)
             if name not in used and (module, name) not in exported
-            and name not in bench]
+            and name not in bench] + [
+        "%s.%s.%s" % (module, cls, name)
+        for module, (_, tree) in modules.items()
+        for cls, name in _private_methods(tree)
+        if name not in used and name not in bench]
 
 
 def test_every_module_level_name_is_reached():
@@ -98,6 +117,22 @@ def test_the_scan_sees_an_unreached_name(tmp_path):
         f.write("\nfrom .combinat import _only_tested  # noqa: F401\n")
     assert (set(unreached(tmp_path)) - set(unreached())
             == {"combinat._only_tested"})
+
+
+def test_the_scan_sees_an_unreached_private_method(tmp_path):
+    # a copy of the package whose `Poly` gains a private method that only a
+    # docstring and a comment name, and a dunder that nothing calls
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    text = (tmp_path / "poly.py").read_text()
+    (tmp_path / "poly.py").write_text(text.replace(
+        "    # -- constructors", '    def _only_tested(self):\n'
+        '        """`self._only_tested()` is self."""\n'
+        '        return self  # _only_tested\n\n'
+        '    def __only_dunder__(self):\n        return self\n\n'
+        "    # -- constructors", 1))
+    assert (set(unreached(tmp_path)) - set(unreached())
+            == {"poly.Poly._only_tested"})
 
 
 def _unused_imports(path):
